@@ -86,6 +86,11 @@ func runServe(args []string) int {
 	fmt.Fprintln(os.Stderr, "expdriver serve: shutting down")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
+	if cfg.Fleet != nil {
+		// Shutdown waits for active handlers without cancelling them; end
+		// the idle workers' held lease requests first.
+		cfg.Fleet.Close()
+	}
 	srv.Shutdown(shutdownCtx)
 	svc.Close() // cancels running jobs so shutdown is prompt
 	return 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"clustersmt/internal/campaign"
@@ -28,8 +29,12 @@ type Config struct {
 	// attempts (0 = 250ms base, 10s cap).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// PollInterval is the idle-worker poll cadence advertised to workers
-	// and the coordinator's own reap cadence during a run (0 = 250ms).
+	// PollInterval is the longest time a lease request waits for work
+	// before it answers with an empty batch (the worker then leases again
+	// at once), advertised to workers as poll_ms; it is also the
+	// coordinator's reap cadence during a run (0 = 250ms). It bounds how
+	// long an idle worker's connection stays open, not how soon it sees new
+	// work: a held lease answers as soon as work is enqueued.
 	PollInterval time.Duration
 	// Clock overrides the time source (tests; nil = time.Now).
 	Clock func() time.Time
@@ -49,6 +54,10 @@ type Coordinator struct {
 	queue *Queue
 	reg   *registry
 	clock func() time.Time
+
+	// putErrors counts completed results the coordinator failed to write
+	// into the shared store.
+	putErrors atomic.Int64
 
 	mu     sync.Mutex
 	runSeq int
@@ -93,10 +102,20 @@ func NewCoordinator(cfg Config) *Coordinator {
 // Store returns the coordinator's shared result store.
 func (c *Coordinator) Store() experiments.ResultStore { return c.store }
 
+// Close ends every held lease request at once and makes later lease
+// requests answer 503, so an HTTP server's Shutdown — which waits for
+// active handlers but does not cancel them — is not held up by idle
+// workers. It does not cancel running campaigns; their contexts do.
+func (c *Coordinator) Close() { c.queue.Close() }
+
 // Status is the fleet's observable state, served by GET /v1/workers.
 type Status struct {
 	Workers []WorkerInfo `json:"workers"`
 	Queue   QueueStats   `json:"queue"`
+	// StorePutErrors counts completed results the coordinator failed to
+	// write into the shared store (the item still completes; each failure
+	// is also logged).
+	StorePutErrors int64 `json:"store_put_errors"`
 }
 
 // Status snapshots the registry and queue.
@@ -106,7 +125,7 @@ func (c *Coordinator) Status() Status {
 	for i := range ws {
 		ws[i].Leased = leased[ws[i].ID]
 	}
-	return Status{Workers: ws, Queue: c.queue.Stats()}
+	return Status{Workers: ws, Queue: c.queue.Stats(), StorePutErrors: c.putErrors.Load()}
 }
 
 // Tick advances the failure detector once: workers past their liveness ttl
@@ -174,6 +193,7 @@ func (c *Coordinator) RunCtx(ctx context.Context, m *campaign.Manifest, progress
 		done      = make(chan struct{})
 	)
 	ids := make([]string, n)
+	entries := make([]Entry, n)
 	for i := range plan.Items {
 		i := i
 		it := plan.Items[i]
@@ -188,7 +208,10 @@ func (c *Coordinator) RunCtx(ctx context.Context, m *campaign.Manifest, progress
 			// Replicate the stats into the shared store even if the worker's
 			// own PUT failed; duplicates are idempotent writes.
 			if o.Err == nil && o.Stats != nil {
-				c.store.Put(key, o.Stats)
+				if err := c.store.Put(key, o.Stats); err != nil {
+					c.putErrors.Add(1)
+					c.logf("campaign %s item %d: store put %s: %v", m.Name, i, key, err)
+				}
 			}
 			res := plan.Result(i, key, o.Stats, o.Executed, o.Err)
 			resMu.Lock()
@@ -208,11 +231,10 @@ func (c *Coordinator) RunCtx(ctx context.Context, m *campaign.Manifest, progress
 				close(done)
 			}
 		}
-		task := Task{ID: ids[i], TraceLen: it.TraceLen, Spec: it.Spec}
-		if err := c.queue.Add(task, onLease, onDone); err != nil {
-			c.queue.Remove(ids[:i+1])
-			return nil, err
-		}
+		entries[i] = Entry{Task: Task{ID: ids[i], TraceLen: it.TraceLen, Spec: it.Spec}, OnLease: onLease, OnDone: onDone}
+	}
+	if err := c.queue.AddAll(entries); err != nil {
+		return nil, err
 	}
 	c.logf("campaign %s: %d items enqueued", m.Name, n)
 

@@ -240,7 +240,7 @@ func TestPoisonedItemsFailCampaign(t *testing.T) {
 			t.Errorf("item %s error = %q, want poison diagnosis with last failure", r.Label, r.Error)
 		}
 	}
-	if st := coord.Status().Queue; st.Poisoned != rs.Total {
+	if st := coord.Status().Queue; st.Poisoned != int64(rs.Total) {
 		t.Fatalf("queue shows %d poisoned, want %d", st.Poisoned, rs.Total)
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -24,7 +25,8 @@ type RegisterRequest struct {
 
 // RegisterResponse tells a new worker its identity and cadence contract:
 // heartbeat within HeartbeatMs (well inside the lease ttl) or be presumed
-// dead, and poll for work every PollMs when idle.
+// dead. PollMs is the longest the coordinator holds a lease request that
+// finds no work; the worker needs no poll timer of its own.
 type RegisterResponse struct {
 	ID          string `json:"id"`
 	LeaseTTLMs  int64  `json:"lease_ttl_ms"`
@@ -38,8 +40,9 @@ type LeaseRequest struct {
 	Max int `json:"max"`
 }
 
-// LeaseResponse carries a leased batch; an empty Tasks slice means no work
-// is currently available and the worker should poll again in PollMs.
+// LeaseResponse carries a leased batch. The coordinator holds a request
+// until work can be leased or PollMs passes, so an empty Tasks slice means
+// the hold ran out: the worker should lease again at once.
 type LeaseResponse struct {
 	Tasks  []Task `json:"tasks"`
 	PollMs int64  `json:"poll_ms"`
@@ -66,7 +69,7 @@ func (c *Coordinator) Handler() http.Handler {
 //	POST /v1/workers                 register; returns id + cadence contract
 //	GET  /v1/workers                 registry + queue snapshot (Status)
 //	POST /v1/workers/{id}/heartbeat  liveness; renews the worker's leases
-//	POST /v1/workers/{id}/lease      pull a task batch (work-stealing)
+//	POST /v1/workers/{id}/lease      pull a task batch (work-stealing; held until work or poll_ms)
 //	POST /v1/workers/{id}/complete   report one task's outcome (idempotent)
 //	GET  /v1/store/{key}             fetch a shared-store entry
 //	PUT  /v1/store/{key}             upload a checksummed entry (422 if invalid)
@@ -160,7 +163,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
-	tasks := c.queue.Lease(id, c.reg.live(), max, c.cfg.LeaseTTL)
+	tasks, err := c.queue.LeaseWait(r.Context(), id, c.reg.live, max, c.cfg.LeaseTTL, c.cfg.PollInterval)
+	switch {
+	case errors.Is(err, errClosed):
+		fleetErr(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	case err != nil:
+		return // the worker hung up; nobody reads an answer
+	}
 	if len(tasks) > 0 {
 		c.logf("worker %s leased %d task(s)", id, len(tasks))
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -60,7 +61,8 @@ func TestWorkerLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("unknown-worker heartbeat status = %d, want 404", code)
 	}
 
-	// Empty queue: an OK lease with zero tasks and a poll hint.
+	// Empty queue: the request is held for the poll interval, then answers
+	// OK with zero tasks and the hold in poll_ms.
 	var lease LeaseResponse
 	if code := postJSON(t, srv.URL+"/v1/workers/"+reg.ID+"/lease", LeaseRequest{Max: 4}, &lease); code != http.StatusOK {
 		t.Fatalf("lease status = %d", code)
@@ -99,8 +101,72 @@ func TestWorkerLifecycleOverHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
-	if len(status.Workers) != 1 || status.Queue.Done != 1 || status.Queue.Duplicates != 1 {
+	// The completed task left the queue; Done still counts it.
+	if len(status.Workers) != 1 || status.Queue.Done != 1 || status.Queue.Pending+status.Queue.Leased != 0 ||
+		status.Queue.Duplicates != 1 {
 		t.Fatalf("status = %+v", status)
+	}
+}
+
+// TestHeldLeaseEndsOnClose: Coordinator.Close answers an idle worker's held
+// lease request with 503 at once (http.Server.Shutdown would otherwise wait
+// out the hold), and leaves no goroutine behind.
+func TestHeldLeaseEndsOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	c := NewCoordinator(Config{PollInterval: time.Minute})
+	srv := httptest.NewServer(c.Handler())
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	post := func(path, body string) (*http.Response, error) {
+		return client.Post(srv.URL+path, "application/json", strings.NewReader(body))
+	}
+
+	resp, err := post("/v1/workers", `{"name": "idle"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg RegisterResponse
+	err = json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := make(chan int, 1)
+	go func() {
+		resp, err := post("/v1/workers/"+reg.ID+"/lease", `{"max": 1}`)
+		if err != nil {
+			code <- 0
+			return
+		}
+		resp.Body.Close()
+		code <- resp.StatusCode
+	}()
+	waitHeld(t, c.queue, 1)
+
+	start := time.Now()
+	c.Close()
+	select {
+	case got := <-code:
+		if got != http.StatusServiceUnavailable {
+			t.Fatalf("held lease answered %d after Close, want 503", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("held lease still open 5s after Close")
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("held lease ended %s after Close, want under 100ms", d)
+	}
+
+	srv.Close()
+	tr.CloseIdleConnections()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines outlive the coordinator (%d before):\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

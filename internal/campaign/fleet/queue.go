@@ -16,6 +16,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -60,17 +61,16 @@ type Outcome struct {
 	Err      error
 }
 
-// qstate is a queued task's lifecycle phase.
+// qstate is a queued task's lifecycle phase. Terminal tasks (completed or
+// poisoned) leave the queue, so they have no state here.
 type qstate int
 
 const (
 	statePending qstate = iota // waiting to be leased (possibly backing off)
 	stateLeased                // held by a worker under a live lease
-	stateDone                  // completion accepted; terminal
-	statePoison                // attempt cap exhausted; terminal
 )
 
-// qtask is the queue's record of one task.
+// qtask is the queue's record of one live task.
 type qtask struct {
 	task      Task // Attempt field tracks the latest lease
 	seq       uint64
@@ -84,13 +84,18 @@ type qtask struct {
 	onDone    func(Outcome)
 }
 
-// QueueStats is a point-in-time tally of the queue, plus monotonic event
-// counters.
+// QueueStats is a point-in-time tally of the queue's live tasks, plus
+// monotonic event counters since the queue was created.
 type QueueStats struct {
-	Pending  int `json:"pending"`
-	Leased   int `json:"leased"`
-	Done     int `json:"done"`
-	Poisoned int `json:"poisoned"`
+	Pending int `json:"pending"`
+	Leased  int `json:"leased"`
+	// Held counts lease requests currently waiting for work (LeaseWait).
+	Held int `json:"held"`
+	// Done counts tasks completed successfully; Poisoned counts tasks that
+	// exhausted their attempts. Both are monotonic: a task leaves the queue
+	// when it reaches either terminal state.
+	Done     int64 `json:"done"`
+	Poisoned int64 `json:"poisoned"`
 	// Requeues counts every return to pending: failed attempts, expired
 	// leases and lost workers.
 	Requeues int64 `json:"requeues"`
@@ -99,8 +104,6 @@ type QueueStats struct {
 	// Duplicates counts rejected completion reports (stale attempt, wrong
 	// worker, unknown or already-terminal task).
 	Duplicates int64 `json:"duplicates"`
-	// Completions counts accepted successful completions.
-	Completions int64 `json:"completions"`
 }
 
 // Queue is the coordinator's dispatch queue: pending tasks are leased to
@@ -108,16 +111,22 @@ type QueueStats struct {
 // revisit one worker's warm trace memos) and work-stealing (an idle worker
 // drains the oldest pending work regardless of affinity). It is safe for
 // concurrent use; OnLease/OnDone callbacks fire outside the queue's lock.
+// A task leaves the queue when it reaches a terminal state, so the queue
+// holds only live work however many campaigns it has run.
 type Queue struct {
 	maxAttempts int
 	retryBase   time.Duration
 	retryCap    time.Duration
 	clock       func() time.Time
 
-	mu                                             sync.Mutex
-	seq                                            uint64
-	tasks                                          map[string]*qtask
-	requeues, expirations, duplicates, completions int64
+	mu                                sync.Mutex
+	seq                               uint64
+	tasks                             map[string]*qtask
+	held                              int
+	closed                            bool
+	changed                           chan struct{} // closed and replaced by signalLocked
+	done, poisoned                    int64
+	requeues, expirations, duplicates int64
 }
 
 // NewQueue returns an empty queue. maxAttempts bounds lease grants per
@@ -142,22 +151,65 @@ func NewQueue(maxAttempts int, retryBase, retryCap time.Duration, clock func() t
 		retryCap:    retryCap,
 		clock:       clock,
 		tasks:       make(map[string]*qtask),
+		changed:     make(chan struct{}),
 	}
 }
 
-// Add enqueues a task. onLease (optional) fires on every lease grant —
-// including re-leases after a failure — with the granted Task; onDone
-// (optional) fires exactly once when the task reaches a terminal state.
-// Both fire outside the queue lock. Adding an ID that already exists is an
-// error.
-func (q *Queue) Add(t Task, onLease func(Task), onDone func(Outcome)) error {
+// signalLocked wakes every held lease request: work may have become
+// leasable (or the queue closed). Callers hold q.mu.
+func (q *Queue) signalLocked() {
+	close(q.changed)
+	q.changed = make(chan struct{})
+}
+
+// Close ends every held lease request and makes later LeaseWait calls
+// return errClosed at once. Tasks stay queued; Close only stops dispatch.
+func (q *Queue) Close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if _, ok := q.tasks[t.ID]; ok {
-		return fmt.Errorf("fleet: duplicate task %q", t.ID)
+	if !q.closed {
+		q.closed = true
+		q.signalLocked()
 	}
-	q.seq++
-	q.tasks[t.ID] = &qtask{task: t, seq: q.seq, state: statePending, onLease: onLease, onDone: onDone}
+}
+
+// Entry is one task to enqueue with its callbacks. OnLease (optional)
+// fires on every lease grant — including re-leases after a failure — with
+// the granted Task; OnDone (optional) fires exactly once when the task
+// reaches a terminal state. Both fire outside the queue lock.
+type Entry struct {
+	Task    Task
+	OnLease func(Task)
+	OnDone  func(Outcome)
+}
+
+// Add enqueues one task; see Entry for the callbacks.
+func (q *Queue) Add(t Task, onLease func(Task), onDone func(Outcome)) error {
+	return q.AddAll([]Entry{{Task: t, OnLease: onLease, OnDone: onDone}})
+}
+
+// AddAll enqueues a batch atomically: every entry or, on an ID that is
+// already queued or repeated within the batch, none. Held lease requests
+// wake once, with the whole batch in view, so a campaign is dispatched by
+// affinity from its first lease rather than in whatever slices the enqueue
+// loop happened to expose.
+func (q *Queue) AddAll(entries []Entry) error {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	seen := make(map[string]bool, len(entries))
+	for _, e := range entries {
+		if _, ok := q.tasks[e.Task.ID]; ok || seen[e.Task.ID] {
+			return fmt.Errorf("fleet: duplicate task %q", e.Task.ID)
+		}
+		seen[e.Task.ID] = true
+	}
+	for _, e := range entries {
+		q.seq++
+		q.tasks[e.Task.ID] = &qtask{task: e.Task, seq: q.seq, state: statePending, onLease: e.OnLease, onDone: e.OnDone}
+	}
+	if len(entries) > 0 {
+		q.signalLocked()
+	}
 	return nil
 }
 
@@ -194,16 +246,100 @@ func owner(id string, live []string) string {
 // rendezvous shard first (oldest first), then — work-stealing — the oldest
 // pending tasks owned by other workers. Backoff-gated tasks are skipped
 // until their notBefore passes. Each granted task's attempt number
-// increments; OnLease callbacks fire after the lock is released.
+// increments; OnLease callbacks fire after the lock is released. A closed
+// queue grants nothing.
 func (q *Queue) Lease(workerID string, live []string, max int, ttl time.Duration) []Task {
-	if max <= 0 {
-		return nil
+	out, _ := q.lease(workerID, live, max, ttl)
+	return out
+}
+
+// errClosed is LeaseWait's answer once the queue is closed.
+var errClosed = errors.New("fleet: coordinator shutting down")
+
+// LeaseWait is Lease held open: while nothing is leasable it waits for the
+// next change that may make work leasable — an Add, a requeue, a reclaimed
+// lease, or a backoff gate passing — and tries again. It returns empty once
+// hold elapses, ctx's error once ctx is done, and errClosed once the queue
+// closes. live is re-read on every try, so workers that join or leave
+// during the hold reshape affinity.
+func (q *Queue) LeaseWait(ctx context.Context, workerID string, live func() []string, max int, ttl, hold time.Duration) ([]Task, error) {
+	expired := time.NewTimer(hold)
+	defer expired.Stop()
+	var gate *time.Timer // the earliest backoff gate, reset per wait
+	waiting := false
+	defer func() {
+		if gate != nil {
+			gate.Stop()
+		}
+		if waiting {
+			q.mu.Lock()
+			q.held--
+			q.mu.Unlock()
+		}
+	}()
+	for {
+		out, w := q.lease(workerID, live(), max, ttl)
+		if w.closed {
+			return nil, errClosed
+		}
+		if len(out) > 0 || max <= 0 {
+			return out, nil
+		}
+		if !waiting {
+			waiting = true
+			q.mu.Lock()
+			q.held++
+			q.mu.Unlock()
+		}
+		var gated <-chan time.Time
+		if !w.gate.IsZero() {
+			d := w.gate.Sub(q.clock())
+			if gate == nil {
+				gate = time.NewTimer(d)
+			} else {
+				gate.Reset(d)
+			}
+			gated = gate.C
+		}
+		select {
+		case <-w.changed:
+		case <-gated:
+		case <-expired.C:
+			return nil, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
+}
+
+// waitFor is what a lease that came back empty needs in order to wait,
+// read under the same lock as the scan so no wake-up is lost: the channel
+// the next change closes, the earliest backoff gate among the pending tasks
+// the scan skipped (zero if none), and whether the queue is closed.
+type waitFor struct {
+	changed <-chan struct{}
+	gate    time.Time
+	closed  bool
+}
+
+// lease is Lease plus the waitFor of its scan.
+func (q *Queue) lease(workerID string, live []string, max int, ttl time.Duration) ([]Task, waitFor) {
 	now := q.clock()
 	q.mu.Lock()
+	w := waitFor{changed: q.changed, closed: q.closed}
+	if max <= 0 || q.closed {
+		q.mu.Unlock()
+		return nil, w
+	}
 	var owned, steal []*qtask
 	for _, t := range q.tasks {
-		if t.state != statePending || now.Before(t.notBefore) {
+		if t.state != statePending {
+			continue
+		}
+		if now.Before(t.notBefore) {
+			if w.gate.IsZero() || t.notBefore.Before(w.gate) {
+				w.gate = t.notBefore
+			}
 			continue
 		}
 		if owner(t.task.ID, live) == workerID {
@@ -238,7 +374,7 @@ func (q *Queue) Lease(workerID string, live []string, max int, ttl time.Duration
 			cb(out[i])
 		}
 	}
-	return out
+	return out, w
 }
 
 // Renew extends every lease held by workerID to now+ttl (the heartbeat
@@ -278,9 +414,8 @@ func (q *Queue) Complete(workerID string, c Completion) bool {
 		t.lastErr = c.Error
 		done, out = q.failLocked(t)
 	} else {
-		t.state = stateDone
-		t.worker = ""
-		q.completions++
+		delete(q.tasks, t.task.ID)
+		q.done++
 		done = t.onDone
 		out = Outcome{ID: t.task.ID, Attempt: t.attempt, Executed: c.Executed, Stats: c.Stats}
 	}
@@ -292,13 +427,15 @@ func (q *Queue) Complete(workerID string, c Completion) bool {
 }
 
 // failLocked moves a leased task off its failed attempt: back to pending
-// behind a capped exponential backoff, or — at the attempt cap — to the
-// terminal poison state. Callers hold q.mu; the returned callback (nil
-// unless poisoned) must be invoked after unlock.
+// behind a capped exponential backoff (waking held lease requests, which
+// wait out the gate), or — at the attempt cap — out of the queue as
+// poisoned. Callers hold q.mu; the returned callback (nil unless poisoned)
+// must be invoked after unlock.
 func (q *Queue) failLocked(t *qtask) (func(Outcome), Outcome) {
 	t.worker = ""
 	if t.attempt >= q.maxAttempts {
-		t.state = statePoison
+		delete(q.tasks, t.task.ID)
+		q.poisoned++
 		err := fmt.Errorf("fleet: task %s %w after %d attempts: %s", t.task.ID, errPoisoned, t.attempt, t.lastErr)
 		return t.onDone, Outcome{ID: t.task.ID, Attempt: t.attempt, Err: err}
 	}
@@ -309,6 +446,7 @@ func (q *Queue) failLocked(t *qtask) (func(Outcome), Outcome) {
 	}
 	t.notBefore = q.clock().Add(backoff)
 	q.requeues++
+	q.signalLocked()
 	return nil, Outcome{}
 }
 
@@ -371,21 +509,18 @@ func (q *Queue) Stats() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	s := QueueStats{
+		Held:        q.held,
+		Done:        q.done,
+		Poisoned:    q.poisoned,
 		Requeues:    q.requeues,
 		Expirations: q.expirations,
 		Duplicates:  q.duplicates,
-		Completions: q.completions,
 	}
 	for _, t := range q.tasks {
-		switch t.state {
-		case statePending:
-			s.Pending++
-		case stateLeased:
+		if t.state == stateLeased {
 			s.Leased++
-		case stateDone:
-			s.Done++
-		case statePoison:
-			s.Poisoned++
+		} else {
+			s.Pending++
 		}
 	}
 	return s

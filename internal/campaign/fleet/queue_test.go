@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -313,5 +315,190 @@ func TestRemoveSilencesCompletions(t *testing.T) {
 	}
 	if _, ok := rec.outcome("a"); ok {
 		t.Fatal("removed task delivered an outcome")
+	}
+}
+
+// leaseResult is one LeaseWait call's answer and how long it took.
+type leaseResult struct {
+	tasks   []Task
+	err     error
+	elapsed time.Duration
+}
+
+// leaseAsync runs q.LeaseWait for worker in a goroutine.
+func leaseAsync(q *Queue, worker string, hold time.Duration) <-chan leaseResult {
+	ch := make(chan leaseResult, 1)
+	go func() {
+		start := time.Now()
+		tasks, err := q.LeaseWait(context.Background(), worker, func() []string { return []string{worker} }, 4, ttl, hold)
+		ch <- leaseResult{tasks, err, time.Since(start)}
+	}()
+	return ch
+}
+
+// waitHeld blocks until n lease requests are held open on q.
+func waitHeld(t *testing.T, q *Queue, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for q.Stats().Held != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("held lease requests = %d, want %d", q.Stats().Held, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestLeaseWaitWakesOnAdd(t *testing.T) {
+	q := NewQueue(4, 0, 0, nil)
+	ch := leaseAsync(q, "w1", 5*time.Second)
+	waitHeld(t, q, 1)
+	start := time.Now()
+	q.Add(Task{ID: "a"}, nil, nil)
+	r := <-ch
+	if r.err != nil || len(r.tasks) != 1 || r.tasks[0].ID != "a" {
+		t.Fatalf("held lease = %+v, want task a", r)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("held lease answered %s after the Add, want well under the 5s hold", d)
+	}
+	if st := q.Stats(); st.Held != 0 || st.Leased != 1 {
+		t.Fatalf("stats after wake = %+v", st)
+	}
+}
+
+// TestLeaseWaitWakesWhenBackoffPasses pins the retry path: a task requeued
+// behind a backoff gate wakes a held lease when its notBefore passes, not
+// when the hold runs out.
+func TestLeaseWaitWakesWhenBackoffPasses(t *testing.T) {
+	const backoff = 50 * time.Millisecond
+	q := NewQueue(4, backoff, backoff, nil)
+	q.Add(Task{ID: "a"}, nil, nil)
+	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
+
+	r := <-leaseAsync(q, "w2", 5*time.Second)
+	if r.err != nil || len(r.tasks) != 1 || r.tasks[0].Attempt != 2 {
+		t.Fatalf("held lease = %+v, want task a at attempt 2", r)
+	}
+	if r.elapsed > time.Second {
+		t.Fatalf("backoff-gated task leased after %s, want about %s", r.elapsed, backoff)
+	}
+}
+
+func TestLeaseWaitHoldRunsOut(t *testing.T) {
+	q := NewQueue(4, 0, 0, nil)
+	r := <-leaseAsync(q, "w1", 30*time.Millisecond)
+	if r.err != nil || len(r.tasks) != 0 {
+		t.Fatalf("empty hold = %+v, want no tasks and no error", r)
+	}
+	if r.elapsed < 30*time.Millisecond {
+		t.Fatalf("empty lease answered after %s, before its 30ms hold", r.elapsed)
+	}
+	if st := q.Stats(); st.Held != 0 {
+		t.Fatalf("held = %d after the hold ran out", st.Held)
+	}
+}
+
+func TestCloseReleasesHeldLeases(t *testing.T) {
+	q := NewQueue(4, 0, 0, nil)
+	a, b := leaseAsync(q, "w1", time.Minute), leaseAsync(q, "w2", time.Minute)
+	waitHeld(t, q, 2)
+	start := time.Now()
+	q.Close()
+	for _, ch := range []<-chan leaseResult{a, b} {
+		select {
+		case r := <-ch:
+			if !errors.Is(r.err, errClosed) {
+				t.Fatalf("held lease after Close = %+v, want errClosed", r)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("held lease still waiting 5s after Close")
+		}
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("held leases ended %s after Close, want under 100ms", d)
+	}
+	// Later requests fail at once, and nothing is dispatched.
+	q.Add(Task{ID: "a"}, nil, nil)
+	if r := <-leaseAsync(q, "w1", time.Minute); !errors.Is(r.err, errClosed) || len(r.tasks) != 0 {
+		t.Fatalf("lease on a closed queue = %+v", r)
+	}
+}
+
+// TestTerminalTasksLeaveQueue pins the leak fix: completed and poisoned
+// tasks are dropped (with their callbacks), while Done and Poisoned keep
+// counting.
+func TestTerminalTasksLeaveQueue(t *testing.T) {
+	clk := newFakeClock()
+	q := newTestQueue(clk, 1)
+	for _, id := range []string{"a", "b", "c"} {
+		q.Add(Task{ID: id}, nil, func(Outcome) {})
+	}
+	q.Lease("w1", []string{"w1"}, 3, ttl)
+	q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}})
+	q.Complete("w1", Completion{ID: "b", Attempt: 1, Stats: &metrics.Stats{}})
+	q.Complete("w1", Completion{ID: "c", Attempt: 1, Error: "bad spec"})
+
+	q.mu.Lock()
+	n := len(q.tasks)
+	q.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("queue holds %d tasks after all reached a terminal state", n)
+	}
+	if st := q.Stats(); st.Done != 2 || st.Poisoned != 1 || st.Pending != 0 || st.Leased != 0 {
+		t.Fatalf("stats = %+v, want done 2, poisoned 1, nothing live", st)
+	}
+	// A late report for a dropped task is a duplicate, as before.
+	if q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
+		t.Fatal("completion for a finished task accepted")
+	}
+}
+
+// TestAddAllIsAtomic pins the batch enqueue: a duplicate ID, within the
+// batch or already queued, rejects the whole batch.
+func TestAddAllIsAtomic(t *testing.T) {
+	q := NewQueue(4, 0, 0, nil)
+	q.Add(Task{ID: "a"}, nil, nil)
+	for _, ids := range [][]string{{"b", "a"}, {"c", "c"}} {
+		entries := make([]Entry, len(ids))
+		for i, id := range ids {
+			entries[i] = Entry{Task: Task{ID: id}}
+		}
+		if err := q.AddAll(entries); err == nil {
+			t.Fatalf("AddAll(%v) accepted a duplicate", ids)
+		}
+	}
+	if st := q.Stats(); st.Pending != 1 {
+		t.Fatalf("pending = %d after rejected batches, want 1", st.Pending)
+	}
+}
+
+// TestHeldLeaseSeesWholeBatch pins why campaigns enqueue with AddAll: the
+// held request wakes once the batch is in, so it takes its own affinity
+// shard, not the first task the enqueue happened to expose.
+func TestHeldLeaseSeesWholeBatch(t *testing.T) {
+	q := NewQueue(4, 0, 0, nil)
+	live := []string{"w1", "w2"}
+	var entries []Entry
+	var want []string // w1's shard, oldest first
+	for i := 0; len(want) < 2; i++ {
+		id := fmt.Sprintf("t%02d", i)
+		entries = append(entries, Entry{Task: Task{ID: id}})
+		if owner(id, live) == "w1" {
+			want = append(want, id)
+		}
+	}
+	ch := make(chan []Task, 1)
+	go func() {
+		tasks, _ := q.LeaseWait(context.Background(), "w1", func() []string { return live }, 2, ttl, 5*time.Second)
+		ch <- tasks
+	}()
+	waitHeld(t, q, 1)
+	if err := q.AddAll(entries); err != nil {
+		t.Fatal(err)
+	}
+	got := <-ch
+	if len(got) != 2 || got[0].ID != want[0] || got[1].ID != want[1] {
+		t.Fatalf("held lease took %+v, want w1's shard %v", got, want)
 	}
 }

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 )
@@ -87,7 +89,7 @@ func (r *registry) live() []string {
 	return out
 }
 
-// list snapshots every registered worker.
+// list snapshots every registered worker, in registration (ID) order.
 func (r *registry) list() []WorkerInfo {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -95,6 +97,7 @@ func (r *registry) list() []WorkerInfo {
 	for _, w := range r.workers {
 		out = append(out, *w)
 	}
+	slices.SortFunc(out, func(a, b WorkerInfo) int { return strings.Compare(a.ID, b.ID) })
 	return out
 }
 

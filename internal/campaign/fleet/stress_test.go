@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -13,7 +14,9 @@ import (
 
 // TestQueueStress hammers one queue from 8 goroutines — six worker loops
 // leasing/stealing/completing/failing/abandoning, one lease expirer, one
-// whole-worker requeuer — and checks the dispatch invariants:
+// whole-worker requeuer — and checks the dispatch invariants. Half the
+// workers hold their lease requests open (LeaseWait), so the wake-ups race
+// the requeues and reclaims that fire them:
 //
 //   - no (task, attempt) pair is ever granted twice: a lease grant is
 //     identified by its attempt number, so a duplicate grant would mean an
@@ -65,7 +68,8 @@ func TestQueueStress(t *testing.T) {
 		}
 	}
 
-	stop := make(chan struct{})
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
 	var wg sync.WaitGroup
 
 	// Six workers: lease a small batch, then per task randomly complete,
@@ -79,11 +83,16 @@ func TestQueueStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for {
 				select {
-				case <-stop:
+				case <-ctx.Done():
 					return
 				default:
 				}
-				tasks := q.Lease(id, live, 4, 50*time.Microsecond)
+				var tasks []Task
+				if w%2 == 0 {
+					tasks = q.Lease(id, live, 4, 50*time.Microsecond)
+				} else {
+					tasks, _ = q.LeaseWait(ctx, id, func() []string { return live }, 4, 50*time.Microsecond, time.Millisecond)
+				}
 				for _, task := range tasks {
 					switch rng.Intn(4) {
 					case 0: // abandon: say nothing, let the lease expire
@@ -109,7 +118,7 @@ func TestQueueStress(t *testing.T) {
 		defer wg.Done()
 		for {
 			select {
-			case <-stop:
+			case <-ctx.Done():
 				return
 			default:
 				q.ExpireLeases()
@@ -124,7 +133,7 @@ func TestQueueStress(t *testing.T) {
 		rng := rand.New(rand.NewSource(99))
 		for {
 			select {
-			case <-stop:
+			case <-ctx.Done():
 				return
 			default:
 				q.RequeueWorker(fmt.Sprintf("w%d", rng.Intn(numWorkers)))
@@ -137,17 +146,17 @@ func TestQueueStress(t *testing.T) {
 	for done.Load() < numTasks {
 		select {
 		case <-deadline:
-			close(stop)
+			stop()
 			wg.Wait()
 			t.Fatalf("only %d/%d tasks terminal at deadline: %+v", done.Load(), numTasks, q.Stats())
 		case <-time.After(time.Millisecond):
 		}
 	}
-	close(stop)
+	stop()
 	wg.Wait()
 
 	st := q.Stats()
-	if st.Done+st.Poisoned != numTasks || st.Pending != 0 || st.Leased != 0 {
+	if st.Done+st.Poisoned != numTasks || st.Pending != 0 || st.Leased != 0 || st.Held != 0 {
 		t.Fatalf("final stats %+v: %d tasks unaccounted for", st, numTasks-st.Done-st.Poisoned)
 	}
 	mu.Lock()

@@ -53,7 +53,6 @@ type Worker struct {
 	id        string
 	leaseTTL  time.Duration
 	heartbeat time.Duration
-	poll      time.Duration
 	runners   map[int]*experiments.Runner
 
 	// Test seams (package-internal): observe task pickup and inject
@@ -101,7 +100,9 @@ func (w *Worker) logf(format string, args ...any) {
 
 // Run registers with the coordinator and processes leased tasks until ctx
 // is cancelled (the only way it returns; registration retries forever).
-// The returned error is ctx's.
+// The returned error is ctx's. The coordinator holds an idle worker's lease
+// request until work arrives, so Run leases again at once after an empty
+// batch; it backs off only after a failed lease call.
 func (w *Worker) Run(ctx context.Context) error {
 	if err := w.register(ctx); err != nil {
 		return err
@@ -116,6 +117,7 @@ func (w *Worker) Run(ctx context.Context) error {
 	}()
 	defer wg.Wait()
 
+	var retry backoff
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -125,22 +127,33 @@ func (w *Worker) Run(ctx context.Context) error {
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
-			w.logf("lease: %v", err)
-			sleepCtx(ctx, w.pollInterval())
+			d := retry.next()
+			w.logf("lease: %v (retrying in %s)", err, d)
+			sleepCtx(ctx, d)
 			continue
 		}
-		if len(tasks) == 0 {
-			sleepCtx(ctx, w.pollInterval())
-			continue
-		}
+		retry = backoff{}
 		w.execute(ctx, tasks)
 	}
+}
+
+// backoff is a capped exponential retry delay: 100ms, doubling to 5s. The
+// zero value starts over.
+type backoff struct{ d time.Duration }
+
+func (b *backoff) next() time.Duration {
+	if b.d == 0 {
+		b.d = 100 * time.Millisecond
+	} else {
+		b.d = min(2*b.d, 5*time.Second)
+	}
+	return b.d
 }
 
 // register obtains a worker identity, retrying until ctx expires — a
 // worker may start before its coordinator.
 func (w *Worker) register(ctx context.Context) error {
-	backoff := 100 * time.Millisecond
+	var retry backoff
 	for {
 		var resp RegisterResponse
 		code, err := w.postJSON(ctx, "/v1/workers", RegisterRequest{Name: w.cfg.Name}, &resp)
@@ -149,20 +162,16 @@ func (w *Worker) register(ctx context.Context) error {
 			w.id = resp.ID
 			w.leaseTTL = time.Duration(resp.LeaseTTLMs) * time.Millisecond
 			w.heartbeat = time.Duration(resp.HeartbeatMs) * time.Millisecond
-			w.poll = time.Duration(resp.PollMs) * time.Millisecond
 			w.mu.Unlock()
-			w.logf("registered as %s (heartbeat %s, poll %s)", resp.ID, w.heartbeat, w.poll)
+			w.logf("registered as %s (heartbeat %s)", resp.ID, w.heartbeat)
 			return nil
 		}
 		if err == nil {
 			err = fmt.Errorf("register: status %d", code)
 		}
 		w.logf("register: %v (retrying)", err)
-		if !sleepCtx(ctx, backoff) {
+		if !sleepCtx(ctx, retry.next()) {
 			return ctx.Err()
-		}
-		if backoff *= 2; backoff > 5*time.Second {
-			backoff = 5 * time.Second
 		}
 	}
 }
@@ -201,17 +210,9 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-func (w *Worker) pollInterval() time.Duration {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.poll <= 0 {
-		return 250 * time.Millisecond
-	}
-	return w.poll
-}
-
-// lease pulls a task batch; a 404 (reaped identity) re-registers and
-// returns empty so the caller just polls again.
+// lease pulls a task batch, which the coordinator holds until work can be
+// leased; a 404 (reaped identity) re-registers and returns empty so the
+// caller just leases again.
 func (w *Worker) lease(ctx context.Context) ([]Task, error) {
 	id := w.ID()
 	var resp LeaseResponse

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clustersmt/internal/campaign"
+	"clustersmt/internal/campaign/fleet"
 )
 
 // svcMetrics is the daemon's process-lifetime instrumentation, exposed in
@@ -63,7 +64,8 @@ func (m *svcMetrics) cyclesPerSecond(now time.Time) float64 {
 // handleMetrics serves the daemon's operational metrics in the Prometheus
 // text exposition format (version 0.0.4): jobs by state, queue depth,
 // in-flight simulations against the shared gate, lifetime item counters,
-// and simulation throughput.
+// simulation throughput, and — in fleet mode — the coordinator's worker,
+// dispatch-queue and shared-store counters.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[State]int{
 		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
@@ -106,4 +108,32 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP clustersmt_sim_cycles_per_second Mean simulated-cycle rate since the previous scrape.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_sim_cycles_per_second gauge\n")
 	fmt.Fprintf(w, "clustersmt_sim_cycles_per_second %g\n", s.met.cyclesPerSecond(time.Now()))
+	if s.fleet != nil {
+		writeFleetMetrics(w, s.fleet.Status())
+	}
+}
+
+// writeFleetMetrics appends the coordinator's registry, dispatch-queue and
+// shared-store counters to a scrape (fleet mode only).
+func writeFleetMetrics(w http.ResponseWriter, st fleet.Status) {
+	q := st.Queue
+	for _, m := range []struct {
+		name, typ, help string
+		v               int64
+	}{
+		{"clustersmt_fleet_workers", "gauge", "Registered fleet workers.", int64(len(st.Workers))},
+		{"clustersmt_fleet_tasks_pending", "gauge", "Fleet tasks waiting to be leased, including those backing off after a failed attempt.", int64(q.Pending)},
+		{"clustersmt_fleet_tasks_leased", "gauge", "Fleet tasks currently leased to a worker.", int64(q.Leased)},
+		{"clustersmt_fleet_leases_held", "gauge", "Worker lease requests currently held open waiting for work.", int64(q.Held)},
+		{"clustersmt_fleet_tasks_done_total", "counter", "Fleet tasks completed successfully.", q.Done},
+		{"clustersmt_fleet_tasks_poisoned_total", "counter", "Fleet tasks that exhausted their attempts.", q.Poisoned},
+		{"clustersmt_fleet_requeues_total", "counter", "Returns to pending: failed attempts, expired leases and lost workers.", q.Requeues},
+		{"clustersmt_fleet_lease_expirations_total", "counter", "Leases reclaimed by timeout or worker loss.", q.Expirations},
+		{"clustersmt_fleet_duplicate_completions_total", "counter", "Rejected stale or duplicate completion reports.", q.Duplicates},
+		{"clustersmt_fleet_store_put_errors_total", "counter", "Completed results the coordinator failed to write into the shared store.", st.StorePutErrors},
+	} {
+		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
+		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
+		fmt.Fprintf(w, "%s %d\n", m.name, m.v)
+	}
 }

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"errors"
 	"io"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"clustersmt/internal/campaign/fleet"
+	"clustersmt/internal/metrics"
 )
 
 // promLine matches one Prometheus text-format sample line:
@@ -108,5 +113,78 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := m["clustersmt_store_hits_total"]; got != 2 {
 		t.Errorf("store_hits_total = %v, want 2", got)
+	}
+}
+
+// putFails is a result store that never holds anything: every Get misses
+// and every Put fails.
+type putFails struct{}
+
+func (putFails) Get(string) (*metrics.Stats, bool, error) { return nil, false, nil }
+func (putFails) Put(string, *metrics.Stats) error         { return errors.New("disk full") }
+
+// TestFleetMetrics checks the coordinator's section of the scrape in fleet
+// mode: registry and queue gauges, dispatch counters, the held-lease gauge
+// of an idle worker, and the shared-store write failures — here one per
+// item, since the store rejects every Put.
+func TestFleetMetrics(t *testing.T) {
+	coord := fleet.NewCoordinator(fleet.Config{Store: putFails{}, PollInterval: 5 * time.Second})
+	srv := startServer(t, Config{Workers: 2, Store: putFails{}, Fleet: coord, SampleInterval: -1})
+
+	names := []string{
+		"clustersmt_fleet_workers",
+		"clustersmt_fleet_tasks_pending",
+		"clustersmt_fleet_tasks_leased",
+		"clustersmt_fleet_leases_held",
+		"clustersmt_fleet_tasks_done_total",
+		"clustersmt_fleet_tasks_poisoned_total",
+		"clustersmt_fleet_requeues_total",
+		"clustersmt_fleet_lease_expirations_total",
+		"clustersmt_fleet_duplicate_completions_total",
+		"clustersmt_fleet_store_put_errors_total",
+	}
+	m := scrape(t, srv.URL)
+	for _, name := range names {
+		if v, ok := m[name]; !ok || v != 0 {
+			t.Errorf("fresh coordinator: %s = %v (present %v), want 0", name, v, ok)
+		}
+	}
+
+	startFleetWorkers(t, srv, 1)
+	st := submit(t, srv, `{"workloads": ["dh.ilp.2.1"], "schemes": ["icount", "cssp"], "trace_lens": [2000]}`)
+	if final := waitFinished(t, srv, st.ID); final.State != StateDone {
+		t.Fatalf("fleet job state = %s (%s)", final.State, final.Error)
+	}
+
+	// Once the job is done the worker goes idle and its next lease request
+	// is held open.
+	deadline := time.Now().Add(5 * time.Second)
+	for m = scrape(t, srv.URL); m["clustersmt_fleet_leases_held"] != 1; m = scrape(t, srv.URL) {
+		if time.Now().After(deadline) {
+			t.Fatalf("leases_held = %v, want 1 for an idle worker", m["clustersmt_fleet_leases_held"])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for name, want := range map[string]float64{
+		"clustersmt_fleet_workers":                1,
+		"clustersmt_fleet_tasks_pending":          0,
+		"clustersmt_fleet_tasks_leased":           0,
+		"clustersmt_fleet_tasks_done_total":       2,
+		"clustersmt_fleet_tasks_poisoned_total":   0,
+		"clustersmt_fleet_store_put_errors_total": 2,
+	} {
+		if m[name] != want {
+			t.Errorf("%s = %v, want %v", name, m[name], want)
+		}
+	}
+}
+
+// TestLocalModeHasNoFleetMetrics: the fleet section is fleet-mode only.
+func TestLocalModeHasNoFleetMetrics(t *testing.T) {
+	srv := startServer(t, Config{Workers: 1})
+	for name := range scrape(t, srv.URL) {
+		if strings.HasPrefix(name, "clustersmt_fleet_") {
+			t.Errorf("local-mode scrape carries %s", name)
+		}
 	}
 }

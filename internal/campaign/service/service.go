@@ -222,8 +222,9 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Close stops accepting submissions, cancels every unfinished job and waits
-// for the workers to drain.
+// Close stops accepting submissions, cancels every unfinished job, ends the
+// fleet coordinator's held lease requests (in fleet mode) and waits for the
+// workers to drain.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -238,6 +239,9 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	for _, j := range jobs {
 		j.cancel()
+	}
+	if s.fleet != nil {
+		s.fleet.Close()
 	}
 	close(s.queue)
 	s.wg.Wait()

@@ -13,6 +13,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -79,7 +80,8 @@ func (s *Store) Get(key string) (*metrics.Stats, bool, error) {
 }
 
 // Put persists st under key atomically. Session-local keys are dropped
-// silently (they are valid only within one process).
+// silently (they are valid only within one process). An entry already
+// stored byte for byte is left as it is, modification time included.
 func (s *Store) Put(key string, st *metrics.Stats) error {
 	if !ValidKey(key) {
 		return nil
@@ -87,6 +89,13 @@ func (s *Store) Put(key string, st *metrics.Stats) error {
 	b, err := EncodeEntry(key, st)
 	if err != nil {
 		return err
+	}
+	// Keys are content addresses and the encoding is deterministic, so a
+	// re-put usually carries the stored bytes: the fleet coordinator copies
+	// every completed result, most of which workers stored already. Reading
+	// the entry is much cheaper than a temp file, a write and a rename.
+	if old, err := os.ReadFile(s.path(key)); err == nil && bytes.Equal(old, b) {
+		return nil
 	}
 	dir := filepath.Dir(s.path(key))
 	if err := os.MkdirAll(dir, 0o755); err != nil {

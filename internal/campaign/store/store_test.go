@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"clustersmt/internal/metrics"
 )
@@ -171,5 +172,57 @@ func TestKeys(t *testing.T) {
 	}
 	if !seen[keyA] || !seen[keyB] {
 		t.Errorf("Keys = %v, want both %s and %s", keys, keyA, keyB)
+	}
+}
+
+// TestIdenticalPutKeepsEntry: re-putting the stored result leaves the
+// entry file untouched, while a different result or a corrupt entry is
+// rewritten.
+func TestIdenticalPutKeepsEntry(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(keyA, testStats()); err != nil {
+		t.Fatal(err)
+	}
+	path := s.path(keyA)
+	past := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, past, past); err != nil {
+		t.Fatal(err)
+	}
+	mtime := func() time.Time {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.ModTime()
+	}
+
+	if err := s.Put(keyA, testStats()); err != nil {
+		t.Fatal(err)
+	}
+	if got := mtime(); !got.Equal(past) {
+		t.Fatalf("identical re-put rewrote the entry (mtime %v, want %v)", got, past)
+	}
+
+	changed := testStats()
+	changed.Cycles++
+	if err := s.Put(keyA, changed); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := s.Get(keyA); err != nil || !ok || got.Cycles != changed.Cycles {
+		t.Fatalf("Get after a changed put = (%v, %v, %v), want cycles %d", got, ok, err, changed.Cycles)
+	}
+
+	if err := os.WriteFile(path, []byte("garbage\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(keyA, testStats()); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.Get(keyA); err != nil || !ok {
+		t.Fatalf("corrupt entry not healed by a put: (%v, %v)", ok, err)
 	}
 }
