@@ -1,14 +1,18 @@
 package campaign_test
 
 import (
+	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"clustersmt/internal/campaign"
 	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/experiments"
+	"clustersmt/internal/metrics"
 	"clustersmt/internal/report"
 )
 
@@ -338,5 +342,37 @@ func TestResultSetJSONRoundTrip(t *testing.T) {
 	rep := campaign.Diff(rs, parsed)
 	if bad := rep.Exceeds(0); len(bad) != 0 {
 		t.Errorf("self-diff found %d moved specs: %v", len(bad), bad)
+	}
+}
+
+// putFails is a result store that keeps nothing: every Get misses and
+// every Put fails.
+type putFails struct{}
+
+func (putFails) Get(string) (*metrics.Stats, bool, error) { return nil, false, nil }
+func (putFails) Put(string, *metrics.Stats) error         { return errors.New("disk full") }
+
+// TestEngineCountsStorePutErrors: each result the store refuses counts
+// once, including results of a runner recycled while its campaign was
+// still running, and the items themselves succeed.
+func TestEngineCountsStorePutErrors(t *testing.T) {
+	eng := &campaign.Engine{Store: putFails{}, Resume: true, Workers: 1}
+	var once sync.Once
+	recycleMidRun := func(ev campaign.ItemEvent) {
+		if ev.Started {
+			once.Do(eng.Recycle)
+		}
+	}
+	for want := int64(4); want <= 8; want += 4 {
+		rs, err := eng.RunCtx(context.Background(), tinyManifest(), recycleMidRun)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rs.Executed != 4 || rs.Failed != 0 {
+			t.Fatalf("executed %d, failed %d; want 4 fresh runs despite the failed puts", rs.Executed, rs.Failed)
+		}
+		if got := eng.StorePutErrors(); got != want {
+			t.Errorf("StorePutErrors() = %d, want %d", got, want)
+		}
 	}
 }

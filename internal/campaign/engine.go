@@ -50,6 +50,11 @@ type Engine struct {
 	mu      sync.Mutex
 	mem     *experiments.MemStore
 	runners map[int]*experiments.Runner
+	// Store put failures outlive the runners that count them: a runner's
+	// count folds into putErrs once the engine neither caches it nor runs
+	// a campaign on it.
+	inUse   map[*experiments.Runner]int // campaigns running on each runner
+	putErrs int64
 }
 
 // ItemEvent reports one expanded item's lifecycle during RunCtx.
@@ -145,11 +150,16 @@ func pointOf(it Item, t int) baselinePoint {
 // persistent store, sharing the engine's gate. With Resume disabled the
 // runner is NOT cached and writes through a read-blind persistent layer, so
 // every simulation re-executes while fresh results still land on disk.
+// The caller hands the runner back with release when its campaign is done.
 func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.inUse == nil {
+		e.inUse = make(map[*experiments.Runner]int)
+	}
 	if e.Resume {
 		if r, ok := e.runners[tl]; ok {
+			e.inUse[r]++
 			return r
 		}
 	}
@@ -178,7 +188,39 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 		}
 		r.Store = experiments.Layered(layers...)
 	}
+	e.inUse[r]++
 	return r
+}
+
+// release ends one campaign's use of r.
+func (e *Engine) release(r *experiments.Runner) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.inUse[r]--; e.inUse[r] > 0 {
+		return
+	}
+	delete(e.inUse, r)
+	if e.runners[r.TraceLen] != r {
+		e.putErrs += r.StorePutErrors()
+	}
+}
+
+// StorePutErrors returns how many fresh results the engine's runners
+// failed to write into the store over the engine's lifetime, Recycle
+// calls included. Each such item still succeeded.
+func (e *Engine) StorePutErrors() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := e.putErrs
+	for _, r := range e.runners {
+		n += r.StorePutErrors()
+	}
+	for r := range e.inUse {
+		if e.runners[r.TraceLen] != r {
+			n += r.StorePutErrors()
+		}
+	}
+	return n
 }
 
 // Recycle drops the engine's cached runners and shared in-memory result
@@ -190,6 +232,11 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 // per recalled key.
 func (e *Engine) Recycle() {
 	e.mu.Lock()
+	for _, r := range e.runners {
+		if e.inUse[r] == 0 {
+			e.putErrs += r.StorePutErrors()
+		}
+	}
 	e.runners = nil
 	e.mem = nil
 	e.mu.Unlock()
@@ -266,6 +313,7 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 		// Per-item errors already landed in the results via the callback;
 		// the set reports Failed below.
 		_, _ = r.RunAllCtx(ctx, specs, p)
+		e.release(r)
 	}
 
 	plan.Finalize(rs)

@@ -64,8 +64,9 @@ func (m *svcMetrics) cyclesPerSecond(now time.Time) float64 {
 // handleMetrics serves the daemon's operational metrics in the Prometheus
 // text exposition format (version 0.0.4): jobs by state, queue depth,
 // in-flight simulations against the shared gate, lifetime item counters,
-// simulation throughput, and — in fleet mode — the coordinator's worker,
-// dispatch-queue and shared-store counters.
+// simulation throughput, and either the engine's failed store writes (local
+// mode) or the coordinator's worker, dispatch-queue and shared-store
+// counters (fleet mode).
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[State]int{
 		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
@@ -110,7 +111,11 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "clustersmt_sim_cycles_per_second %g\n", s.met.cyclesPerSecond(time.Now()))
 	if s.fleet != nil {
 		writeFleetMetrics(w, s.fleet.Status())
+		return
 	}
+	fmt.Fprintf(w, "# HELP clustersmt_store_put_errors_total Fresh results the daemon failed to write into its result store.\n")
+	fmt.Fprintf(w, "# TYPE clustersmt_store_put_errors_total counter\n")
+	fmt.Fprintf(w, "clustersmt_store_put_errors_total %d\n", s.eng.StorePutErrors())
 }
 
 // writeFleetMetrics appends the coordinator's registry, dispatch-queue and

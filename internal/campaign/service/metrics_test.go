@@ -188,3 +188,23 @@ func TestLocalModeHasNoFleetMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalStorePutErrors: in local mode every fresh result the store
+// refuses counts once on /metrics, the items still succeed, and the count
+// survives the engine recycling its runners between jobs.
+func TestLocalStorePutErrors(t *testing.T) {
+	srv := startServer(t, Config{Workers: 2, JobWorkers: 1, Store: putFails{}})
+	if got, ok := scrape(t, srv.URL)["clustersmt_store_put_errors_total"]; !ok || got != 0 {
+		t.Fatalf("fresh daemon: store_put_errors_total = %v (present %v), want 0", got, ok)
+	}
+	manifest := `{"workloads": ["dh.ilp.2.1"], "schemes": ["icount", "cssp"], "trace_lens": [1000]}`
+	for want := 2.0; want <= 4; want += 2 {
+		st := waitFinished(t, srv, submit(t, srv, manifest).ID)
+		if st.State != StateDone || st.Executed != 2 {
+			t.Fatalf("job %s: state %s, executed %d; want done with 2 fresh runs", st.ID, st.State, st.Executed)
+		}
+		if got := scrape(t, srv.URL)["clustersmt_store_put_errors_total"]; got != want {
+			t.Errorf("store_put_errors_total = %v, want %v", got, want)
+		}
+	}
+}

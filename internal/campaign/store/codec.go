@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"clustersmt/internal/metrics"
 )
@@ -54,23 +56,66 @@ func EncodeEntry(key string, st *metrics.Stats) ([]byte, error) {
 // are trusted. Every failure is an error — callers (disk reads, the remote
 // store client, the coordinator's PUT handler) treat it as "no such
 // result", never as data.
+//
+// Only the canonical envelope EncodeEntry writes is accepted,
+// {"format":1,"key":"<key>","checksum":"<64 hex>","stats":<stats>} and a
+// newline, so the envelope is matched byte by byte and only the stats are
+// unmarshalled. The checksum pins the stats bytes, so an accepted entry is
+// exactly what EncodeEntry would write for its stats.
 func DecodeEntry(key string, b []byte) (*metrics.Stats, error) {
-	var e entry
-	if err := json.Unmarshal(b, &e); err != nil {
-		return nil, fmt.Errorf("store: corrupt entry %s: %w", key, err)
+	if !ValidKey(key) {
+		return nil, fmt.Errorf("store: invalid key %q", key)
 	}
-	if e.Format != formatVersion {
-		return nil, fmt.Errorf("store: entry %s has format %d, want %d", key, e.Format, formatVersion)
+	corrupt := func(what string) error {
+		return fmt.Errorf("store: corrupt entry %s: %s", key, what)
 	}
-	if e.Key != key {
-		return nil, fmt.Errorf("store: entry %s claims key %s", key, e.Key)
+	rest, ok := bytes.CutPrefix(b, []byte(`{"format":`))
+	if !ok {
+		return nil, corrupt("no format field")
 	}
-	sum := sha256.Sum256(e.Stats)
-	if hex.EncodeToString(sum[:]) != e.Checksum {
+	n := 0
+	for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
+		n++
+	}
+	format, err := strconv.Atoi(string(rest[:n]))
+	if err != nil || strconv.Itoa(format) != string(rest[:n]) {
+		return nil, corrupt("malformed format field")
+	}
+	if format != formatVersion {
+		return nil, fmt.Errorf("store: entry %s has format %d, want %d", key, format, formatVersion)
+	}
+	rest, ok = bytes.CutPrefix(rest[n:], []byte(`,"key":"`))
+	if !ok {
+		return nil, corrupt("no key field")
+	}
+	n = bytes.IndexByte(rest, '"')
+	if n < 0 {
+		return nil, corrupt("unterminated key field")
+	}
+	if claimed := rest[:n]; string(claimed) != key {
+		return nil, fmt.Errorf("store: entry %s claims key %q", key, claimed)
+	}
+	rest, ok = bytes.CutPrefix(rest[n:], []byte(`","checksum":"`))
+	if !ok || len(rest) < 2*sha256.Size {
+		return nil, corrupt("no checksum field")
+	}
+	checksum := rest[:2*sha256.Size]
+	payload, ok := bytes.CutPrefix(rest[2*sha256.Size:], []byte(`","stats":`))
+	if !ok {
+		return nil, corrupt("no stats field")
+	}
+	payload, ok = bytes.CutSuffix(payload, []byte("}\n"))
+	if !ok {
+		return nil, corrupt("unterminated entry")
+	}
+	sum := sha256.Sum256(payload)
+	var want [2 * sha256.Size]byte
+	hex.Encode(want[:], sum[:])
+	if !bytes.Equal(checksum, want[:]) {
 		return nil, fmt.Errorf("store: entry %s failed its checksum", key)
 	}
 	st := &metrics.Stats{}
-	if err := json.Unmarshal(e.Stats, st); err != nil {
+	if err := json.Unmarshal(payload, st); err != nil {
 		return nil, fmt.Errorf("store: corrupt stats in %s: %w", key, err)
 	}
 	return st, nil

@@ -7,10 +7,13 @@ package experiments
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -169,15 +172,26 @@ type Runner struct {
 	// produce time series.
 	SampleInterval int64
 
+	once     sync.Once // guards init
 	mu       sync.Mutex
 	inflight map[string]*flight
-	keys     map[string]string // spec key -> content-addressed key
+	keys     map[string]keyEntry // by spec key
 
 	// executed counts actual simulations (store hits excluded).
 	executed atomic.Int64
+	// putErrors counts fresh results the store failed to take.
+	putErrors atomic.Int64
 
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
+}
+
+// keyEntry is what a runner remembers about one spec key.
+type keyEntry struct {
+	ck string // content-addressed key (CacheKey)
+	// stored marks that a flight for the spec has put its result in the
+	// store, so a caller whose unlocked Get missed re-checks the store.
+	stored bool
 }
 
 // flight tracks one in-progress execution so duplicate requests wait for it
@@ -202,12 +216,31 @@ type traceKey struct {
 	profile [sha256.Size]byte
 }
 
-// profileFingerprint digests a trace profile for trace memoization.
+// profileFingerprint digests a trace profile for trace memoization and the
+// session-local spec key. It writes every field in declaration order into
+// a stack buffer (strings length-prefixed, floats as their IEEE bits) and
+// hashes that; no persisted key depends on it. A field of a kind it cannot
+// write is a programming error, caught by TestProfileFingerprintCoversEveryField.
 func profileFingerprint(p trace.Profile) [sha256.Size]byte {
-	b, err := json.Marshal(p)
-	if err != nil {
-		// A profile is a flat struct of numbers; Marshal cannot fail.
-		panic(err)
+	var buf [256]byte
+	b := buf[:0]
+	v := reflect.ValueOf(&p).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			b = binary.LittleEndian.AppendUint64(b, uint64(f.Len()))
+			b = append(b, f.String()...)
+		case reflect.Float32, reflect.Float64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f.Float()))
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			b = binary.LittleEndian.AppendUint64(b, uint64(f.Int()))
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			b = binary.LittleEndian.AppendUint64(b, f.Uint())
+		default:
+			panic(fmt.Sprintf("experiments: profileFingerprint cannot digest field %s of kind %s",
+				v.Type().Field(i).Name, f.Kind()))
+		}
 	}
 	return sha256.Sum256(b)
 }
@@ -224,24 +257,42 @@ func NewRunner(traceLen int) *Runner {
 		MaxCycles: int64(traceLen) * 40,
 		Store:     NewMemStore(),
 		inflight:  make(map[string]*flight),
-		keys:      make(map[string]string),
+		keys:      make(map[string]keyEntry),
 		traces:    make(map[traceKey]*traceEntry),
 	}
+}
+
+// init fills in the store and session maps a struct-literal Runner leaves
+// nil. After it returns, Store and the map fields are never reassigned, so
+// reading Store needs no lock.
+func (r *Runner) init() {
+	r.once.Do(func() {
+		if r.Store == nil {
+			r.Store = NewMemStore()
+		}
+		if r.inflight == nil {
+			r.inflight = make(map[string]*flight)
+			r.keys = make(map[string]keyEntry)
+			r.traces = make(map[traceKey]*traceEntry)
+		}
+	})
 }
 
 // Executed returns the number of simulations this runner actually ran
 // (store and singleflight hits excluded).
 func (r *Runner) Executed() int64 { return r.executed.Load() }
 
+// StorePutErrors returns the number of fresh results the store failed to
+// take. Each such run still succeeds; only its persistence was lost.
+func (r *Runner) StorePutErrors() int64 { return r.putErrors.Load() }
+
 // traceFor returns thread i's materialized trace for w, generating it at
 // most once per (profile, seed, length) for the runner's lifetime. The
 // returned slice is shared; callers must treat it as immutable.
 func (r *Runner) traceFor(w workload.Workload, i int) []isa.Uop {
+	r.init()
 	k := traceKey{seed: w.Seeds[i], length: r.TraceLen, profile: profileFingerprint(w.Threads[i])}
 	r.traceMu.Lock()
-	if r.traces == nil {
-		r.traces = make(map[traceKey]*traceEntry)
-	}
 	e := r.traces[k]
 	if e == nil {
 		e = &traceEntry{}
@@ -328,22 +379,22 @@ type specFingerprint struct {
 // runner's settings: the hex SHA-256 of the spec fingerprint. Equal keys
 // mean equal simulated outcomes across processes and branches (for one
 // core.SimVersion), which is what lets a disk store answer for a re-run.
-func (r *Runner) CacheKey(s Spec) string {
-	k := s.key()
+func (r *Runner) CacheKey(s Spec) string { return r.cacheKey(s, s.key()) }
+
+// cacheKey is CacheKey for a caller that already holds k = s.key().
+func (r *Runner) cacheKey(s Spec, k string) string {
+	r.init()
 	r.mu.Lock()
-	if ck, ok := r.keys[k]; ok {
-		r.mu.Unlock()
-		return ck
-	}
+	e, ok := r.keys[k]
 	r.mu.Unlock()
-
-	ck := r.computeKey(s)
-
-	r.mu.Lock()
-	if r.keys == nil {
-		r.keys = make(map[string]string)
+	if ok {
+		return e.ck
 	}
-	r.keys[k] = ck
+	ck := r.computeKey(s, k)
+	r.mu.Lock()
+	if _, ok := r.keys[k]; !ok { // an owner may have marked it stored meanwhile
+		r.keys[k] = keyEntry{ck: ck}
+	}
 	r.mu.Unlock()
 	return ck
 }
@@ -359,10 +410,10 @@ func canonicalScheme(s string) string {
 	return s
 }
 
-func (r *Runner) computeKey(s Spec) string {
+func (r *Runner) computeKey(s Spec, k string) string {
 	cb, err := r.configFor(s).Canonical()
 	if err != nil {
-		return "spec:" + s.key() // unhashable: session-local key, never persisted as content
+		return "spec:" + k // unhashable: session-local key, never persisted as content
 	}
 	b, err := json.Marshal(specFingerprint{
 		Version:      core.SimVersion,
@@ -373,7 +424,7 @@ func (r *Runner) computeKey(s Spec) string {
 		Config:       cb,
 	})
 	if err != nil {
-		return "spec:" + s.key()
+		return "spec:" + k
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
@@ -435,20 +486,28 @@ func (r *Runner) run(ctx context.Context, s Spec, onSample func(metrics.Sample))
 	}
 }
 
+// runOnce answers s once: from the store, by waiting on another caller's
+// flight, or by simulating as the flight owner. Store hits are read without
+// r.mu, so concurrent hits proceed in parallel. A miss takes r.mu and joins
+// an existing flight; failing that, it re-checks the store before it
+// registers its own flight if an owner has stored the spec's result since.
+// An owner Puts its result before it marks the key stored and deletes its
+// flight, both under r.mu, so a spec that finished between the unlocked Get
+// and the lock is found by the re-check and never runs twice, while a
+// plain miss still costs one Get. retry reports an owner cancellation the
+// caller should not inherit (see run).
 func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error, retry bool) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err, false
 	}
-	k := s.key()
-	ck := r.CacheKey(s)
-	r.mu.Lock()
-	if r.inflight == nil {
-		r.inflight = make(map[string]*flight)
-	}
-	if r.Store == nil {
-		r.Store = NewMemStore()
-	}
+	r.init()
 	store := r.Store
+	k := s.key()
+	ck := r.cacheKey(s, k)
+	if st, ok, _ := store.Get(ck); ok {
+		return st, false, nil, false
+	}
+	r.mu.Lock()
 	if f, ok := r.inflight[k]; ok {
 		r.mu.Unlock()
 		select {
@@ -461,19 +520,21 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 			return nil, false, ctx.Err(), false
 		}
 	}
-	// The store lookup happens under the lock so a miss and the inflight
-	// registration are atomic; the in-memory layer answers in O(1) and a
-	// cold disk read is dwarfed by the simulation it saves.
-	if st, ok, _ := store.Get(ck); ok {
-		r.mu.Unlock()
-		return st, false, nil, false
+	if r.keys[k].stored {
+		if st, ok, _ := store.Get(ck); ok {
+			r.mu.Unlock()
+			return st, false, nil, false
+		}
 	}
 	f := &flight{done: make(chan struct{})}
 	r.inflight[k] = f
 	r.mu.Unlock()
 
-	finish := func() {
+	finish := func(stored bool) {
 		r.mu.Lock()
+		if stored {
+			r.keys[k] = keyEntry{ck: ck, stored: true}
+		}
 		delete(r.inflight, k)
 		r.mu.Unlock()
 		close(f.done)
@@ -485,7 +546,7 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 			defer func() { <-r.Gate }()
 		case <-ctx.Done():
 			f.err = ctx.Err()
-			finish()
+			finish(false)
 			return nil, false, f.err, false
 		}
 	}
@@ -494,9 +555,11 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 
 	var putErr error
 	if f.err == nil {
-		putErr = store.Put(ck, f.st)
+		if putErr = store.Put(ck, f.st); putErr != nil {
+			r.putErrors.Add(1)
+		}
 	}
-	finish()
+	finish(f.err == nil && putErr == nil)
 
 	if r.Verbose != nil {
 		if f.err == nil {

@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/trace"
 	"clustersmt/internal/workload"
@@ -186,4 +190,146 @@ func TestRunnerZeroValueUsable(t *testing.T) {
 	if a != b {
 		t.Error("zero-value runner failed to memoize")
 	}
+}
+
+// parkFirstGet parks the first Get after its lookup until release closes,
+// so a test can hold one caller between its store miss and r.mu.
+type parkFirstGet struct {
+	ResultStore
+	first           atomic.Bool
+	parked, release chan struct{}
+}
+
+func (p *parkFirstGet) Get(key string) (*metrics.Stats, bool, error) {
+	st, ok, err := p.ResultStore.Get(key)
+	if p.first.CompareAndSwap(false, true) {
+		close(p.parked)
+		<-p.release
+	}
+	return st, ok, err
+}
+
+// TestStoreMissRecheckedUnderLock pins the window the unlocked store read
+// opens: a caller whose Get missed, but which reaches r.mu only after the
+// owner has Put and deleted its flight, must find the stored result rather
+// than simulate the spec a second time.
+func TestStoreMissRecheckedUnderLock(t *testing.T) {
+	r := NewRunner(1200)
+	store := &parkFirstGet{ResultStore: NewMemStore(), parked: make(chan struct{}), release: make(chan struct{})}
+	r.Store = store
+	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
+
+	type outcome struct {
+		st       *metrics.Stats
+		executed bool
+		err      error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		st, executed, err := r.run(context.Background(), spec, nil)
+		waiter <- outcome{st, executed, err}
+	}()
+	<-store.parked
+
+	owned, executed, err := r.run(context.Background(), spec, nil)
+	if err != nil || !executed {
+		t.Fatalf("owner: executed=%v err=%v, want a fresh run", executed, err)
+	}
+	close(store.release)
+	w := <-waiter
+	if w.err != nil || w.executed || w.st != owned {
+		t.Errorf("waiter: (%p, executed=%v, %v), want the owner's stored %p as a hit", w.st, w.executed, w.err, owned)
+	}
+	if n := r.Executed(); n != 1 {
+		t.Errorf("Executed() = %d, want 1", n)
+	}
+}
+
+// TestProfileFingerprintCoversEveryField perturbs each trace.Profile field
+// alone and requires the fingerprint to change. A field of a kind this
+// test cannot perturb fails it, so a new slice or map field cannot alias
+// traces or flights unnoticed.
+func TestProfileFingerprintCoversEveryField(t *testing.T) {
+	base := workload.ByCategory("ispec00")[0].Threads[0]
+	want := profileFingerprint(base)
+	typ := reflect.TypeOf(trace.Profile{})
+	for i := 0; i < typ.NumField(); i++ {
+		p := base
+		f := reflect.ValueOf(&p).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.String:
+			f.SetString(f.String() + "x")
+		case reflect.Float32, reflect.Float64:
+			f.SetFloat(f.Float() + 0.125)
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(f.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(f.Uint() + 1)
+		default:
+			t.Fatalf("trace.Profile.%s has kind %s, which profileFingerprint does not digest", typ.Field(i).Name, f.Kind())
+		}
+		if profileFingerprint(p) == want {
+			t.Errorf("changing trace.Profile.%s left the fingerprint unchanged", typ.Field(i).Name)
+		}
+	}
+}
+
+// failingPut is a store that never keeps anything.
+type failingPut struct{ ResultStore }
+
+func (failingPut) Put(string, *metrics.Stats) error { return errors.New("disk full") }
+
+// TestStorePutErrorsCounted: a result the store refuses still reaches the
+// caller, and each refusal is counted once.
+func TestStorePutErrorsCounted(t *testing.T) {
+	r := NewRunner(1200)
+	r.Store = failingPut{NewMemStore()}
+	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
+	for want := int64(1); want <= 2; want++ {
+		st, err := r.Run(spec)
+		if err != nil || st == nil {
+			t.Fatalf("run %d: (%v, %v), want a result despite the failed put", want, st, err)
+		}
+		if got := r.StorePutErrors(); got != want {
+			t.Errorf("after run %d: StorePutErrors() = %d, want %d", want, got, want)
+		}
+	}
+}
+
+// BenchmarkRunnerWarmHits times a fresh runner answering a whole sweep
+// from a filled Layered(memory, disk) store, the resubmit path, with two
+// workers. Nothing may simulate.
+func BenchmarkRunnerWarmHits(b *testing.B) {
+	var specs []Spec
+	for _, w := range workload.Pool()[:60] {
+		for _, scheme := range []string{"icount", "stall", "flush+", "cisp", "cssp", "cdprf"} {
+			specs = append(specs, iqStudySpec(w, scheme, 32))
+		}
+	}
+	disk, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keyer := NewRunner(2000)
+	st := metrics.NewStats(2, 2)
+	st.Cycles, st.Committed[0], st.Committed[1] = 5000, 2000, 1800
+	for _, s := range specs {
+		if err := disk.Put(keyer.CacheKey(s), st); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewRunner(2000)
+		r.Workers = 2
+		r.Store = Layered(NewMemStore(), disk)
+		if _, err := r.RunAllCtx(context.Background(), specs, nil); err != nil {
+			b.Fatal(err)
+		}
+		if n := r.Executed(); n != 0 {
+			b.Fatalf("%d of %d warm items simulated", n, len(specs))
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(specs)), "us/item")
 }

@@ -157,8 +157,8 @@ func TestMutationCodecDropsError(t *testing.T) {
 	}
 	root := copyModule(t)
 	mutate(t, root, filepath.Join("internal", "campaign", "store", "codec.go"),
-		"if err := json.Unmarshal(b, &e); err != nil {\n\t\treturn nil, fmt.Errorf(\"store: corrupt entry %s: %w\", key, err)\n\t}",
-		"json.Unmarshal(b, &e)")
+		"if err := json.Unmarshal(payload, st); err != nil {\n\t\treturn nil, fmt.Errorf(\"store: corrupt stats in %s: %w\", key, err)\n\t}",
+		"json.Unmarshal(payload, st)")
 	requireFinding(t, findings(t, root),
 		"error result of json.Unmarshal is dropped")
 }
