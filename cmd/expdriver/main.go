@@ -56,6 +56,7 @@ import (
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/policy"
 	"clustersmt/internal/report"
+	"clustersmt/internal/workload"
 )
 
 func main() {
@@ -176,6 +177,11 @@ func main() {
 	}
 	if *cats != "" {
 		o.Categories = strings.Split(*cats, ",")
+		if err := workload.CheckCategories(o.Categories); err != nil {
+			fmt.Fprintln(os.Stderr, "expdriver:", err)
+			flushProfiles() // before the deferless exit
+			os.Exit(2)
+		}
 	}
 
 	if len(schemeFlags) > 0 && (*exp == "headline" || *exp == "future") {
@@ -268,12 +274,12 @@ func (s schemeList) or(def []string) []string {
 	return def
 }
 
-func seriesTable(title string, cs *experiments.CategorySeries, seriesOrder []string) {
-	header := append([]string{"category"}, seriesOrder...)
+func seriesTable(title string, cs *experiments.CategorySeries) {
+	header := append([]string{"category"}, cs.Series...)
 	var rows [][]string
 	for _, cat := range cs.Categories {
 		row := []string{cat}
-		for _, s := range seriesOrder {
+		for _, s := range cs.Series {
 			row = append(row, report.F(cs.Values[s][cat]))
 		}
 		rows = append(rows, row)
@@ -287,13 +293,7 @@ func fig2(r *experiments.Runner, o experiments.Options, sf schemeList) (any, err
 	if err != nil {
 		return nil, err
 	}
-	var order []string
-	for _, iq := range []int{32, 64} {
-		for _, s := range schemes {
-			order = append(order, fmt.Sprintf("%s/%d", s, iq))
-		}
-	}
-	seriesTable("Figure 2: throughput speedup vs Icount@32 (RF/ROB unbounded)", cs, order)
+	seriesTable("Figure 2: throughput speedup vs Icount@32 (RF/ROB unbounded)", cs)
 	return cs, nil
 }
 
@@ -312,7 +312,7 @@ func figMetric(r *experiments.Runner, o experiments.Options, fig int, sf schemeL
 	if err != nil {
 		return nil, err
 	}
-	seriesTable(title, cs, schemes)
+	seriesTable(title, cs)
 	return cs, nil
 }
 
@@ -351,13 +351,7 @@ func fig6(r *experiments.Runner, o experiments.Options, sf schemeList) (any, err
 	if err != nil {
 		return nil, err
 	}
-	var order []string
-	for _, rg := range []int{64, 128} {
-		for _, s := range schemes {
-			order = append(order, fmt.Sprintf("%s/%d", s, rg))
-		}
-	}
-	seriesTable("Figure 6: throughput speedup vs Icount@64regs (IQ=32, ROB=128)", cs, order)
+	seriesTable("Figure 6: throughput speedup vs Icount@64regs (IQ=32, ROB=128)", cs)
 	return cs, nil
 }
 
@@ -386,7 +380,7 @@ func fig10(r *experiments.Runner, o experiments.Options, sf schemeList) (any, er
 	if err != nil {
 		return nil, err
 	}
-	seriesTable("Figure 10: fairness relative to Icount (64 regs/cluster)", cs, schemes)
+	seriesTable("Figure 10: fairness relative to Icount (64 regs/cluster)", cs)
 	return cs, nil
 }
 
@@ -408,20 +402,13 @@ func headline(r *experiments.Runner, o experiments.Options) (any, error) {
 
 func clusterScale(r *experiments.Runner, o experiments.Options, sf schemeList, csvOut string) (any, error) {
 	schemes := sf.or(experiments.ClusterScaleSchemes())
-	counts := experiments.ClusterScaleCounts()
-	res, err := experiments.ClusterScaling(r, o, schemes, counts)
+	res, err := experiments.ClusterScaling(r, o, schemes, experiments.ClusterScaleCounts())
 	if err != nil {
 		return nil, err
 	}
-	var order []string
-	for _, s := range schemes {
-		for _, c := range counts {
-			order = append(order, fmt.Sprintf("%s/c%d", s, c))
-		}
-	}
-	seriesTable("Cluster scaling: IPC vs cluster count (IQ=32, RF/ROB unbounded)", res.IPC, order)
-	seriesTable("Cluster scaling: copies per retired instruction", res.Copies, order)
-	seriesTable("Cluster scaling: IQ stalls per retired instruction", res.IQStalls, order)
+	seriesTable("Cluster scaling: IPC vs cluster count (IQ=32, RF/ROB unbounded)", res.IPC)
+	seriesTable("Cluster scaling: copies per retired instruction", res.Copies)
+	seriesTable("Cluster scaling: IQ stalls per retired instruction", res.IQStalls)
 	if csvOut != "" {
 		header, rows := res.CSV()
 		if err := os.WriteFile(csvOut, []byte(report.CSV(header, rows)), 0o644); err != nil {

@@ -16,13 +16,10 @@
 // Packages are analyzed in parallel (one worker per CPU); type-checking
 // happens once at load and is shared by every analyzer. Output is plain
 // text by default, `-json` for machine consumption, `-sarif` for code
-// scanners. A checked-in baseline (`-baseline`, default
-// .smtlint-baseline.json at the module root when present) suppresses
-// known findings until their expiry date; `-write-baseline` records the
-// current findings with a 90-day expiry. Baseline entries that no longer
-// match anything are reported as fixed-but-not-removed warnings.
+// scanners. There is no suppression file: a finding is silenced only by
+// an //smtlint:allow directive that gives a reason.
 //
-// Exit status is nonzero when any non-baselined diagnostic is reported.
+// Exit status is nonzero when any diagnostic is reported.
 // The tool is pure standard library (this module carries no
 // dependencies), so it runs anywhere the repo builds — no module
 // download, no separate install.
@@ -36,7 +33,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"time"
 
 	"clustersmt/internal/lint"
 	"clustersmt/internal/lint/confighash"
@@ -47,6 +43,16 @@ import (
 	"clustersmt/internal/lint/noalloc"
 	"clustersmt/internal/lint/registryref"
 )
+
+// A finding is one diagnostic in the driver's output shape (module-relative
+// file, 1-based line/column).
+type finding struct {
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Column   int    `json:"column"`
+	Message  string `json:"message"`
+}
 
 var analyzers = []*lint.Analyzer{
 	noalloc.Analyzer,
@@ -62,10 +68,8 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
 	sarifOut := flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 on stdout")
-	baselinePath := flag.String("baseline", "", "baseline file (default: .smtlint-baseline.json at the module root, if present)")
-	writeBaseline := flag.Bool("write-baseline", false, "write current findings to the baseline file and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: smtlint [-list] [-json|-sarif] [-baseline file] [-write-baseline] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: smtlint [-list] [-json|-sarif] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Packages default to ./... relative to the current directory.\n")
 		flag.PrintDefaults()
 	}
@@ -106,62 +110,29 @@ func main() {
 		})
 	}
 
-	path := *baselinePath
-	if path == "" {
-		def := filepath.Join(m.Root, ".smtlint-baseline.json")
-		if _, err := os.Stat(def); err == nil {
-			path = def
-		}
-	}
-
-	if *writeBaseline {
-		if path == "" {
-			path = filepath.Join(m.Root, ".smtlint-baseline.json")
-		}
-		if err := saveBaseline(path, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "smtlint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "smtlint: wrote %d finding(s) to %s\n", len(findings), path)
-		return
-	}
-
-	var bl *baseline
-	if path != "" {
-		bl, err = loadBaseline(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smtlint:", err)
-			os.Exit(2)
-		}
-	}
-	fresh, warnings := applyBaseline(bl, findings, time.Now())
-	for _, w := range warnings {
-		fmt.Fprintln(os.Stderr, "smtlint: warning:", w)
-	}
-
 	switch {
 	case *sarifOut:
-		writeSARIF(os.Stdout, analyzers, fresh)
+		writeSARIF(os.Stdout, analyzers, findings)
 	case *jsonOut:
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if fresh == nil {
-			fresh = []finding{}
+		if findings == nil {
+			findings = []finding{}
 		}
-		enc.Encode(fresh)
+		enc.Encode(findings)
 	default:
-		for _, f := range fresh {
+		for _, f := range findings {
 			fmt.Printf("%s:%d:%d: %s [%s]\n", f.File, f.Line, f.Column, f.Message, f.Analyzer)
 		}
 	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)\n", len(fresh))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
 
 // relToRoot renders file paths module-relative (with forward slashes) so
-// baselines and SARIF artifacts are stable across checkouts.
+// reports and SARIF artifacts are stable across checkouts.
 func relToRoot(root, file string) string {
 	if root == "" {
 		return file

@@ -166,14 +166,8 @@ func (m *Manifest) Validate() error {
 // the scheme list itself (one expansion, not two) and calls this for the
 // rest.
 func (m *Manifest) validateAxes() error {
-	known := map[string]bool{}
-	for _, c := range workload.Categories {
-		known[c] = true
-	}
-	for _, c := range m.Categories {
-		if !known[c] {
-			return fmt.Errorf("manifest: unknown category %q (known: %v)", c, workload.Categories)
-		}
+	if err := workload.CheckCategories(m.Categories); err != nil {
+		return fmt.Errorf("manifest: %w", err)
 	}
 	for _, w := range m.Workloads {
 		if _, err := workload.Find(w); err != nil {

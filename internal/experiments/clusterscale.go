@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
+	"clustersmt/internal/metrics"
 	"clustersmt/internal/workload"
 )
 
@@ -51,66 +53,27 @@ func ClusterScaling(r *Runner, o Options, schemes []string, clusters []int) (*Cl
 			names = append(names, clusterSeriesName(s, c))
 		}
 	}
-	res := &ClusterScalingResult{
-		Clusters: clusters,
-		Schemes:  schemes,
-		IPC:      newCategorySeries(o, names),
-		Copies:   newCategorySeries(o, names),
-		IQStalls: newCategorySeries(o, names),
-	}
-
-	// Warm the cache in parallel across the whole sweep.
-	var specs []Spec
-	for _, w := range o.all() {
+	row := func(w workload.Workload) []Spec {
+		var specs []Spec
 		for _, s := range schemes {
 			for _, c := range clusters {
 				specs = append(specs, clusterScaleSpec(w, s, c))
 			}
 		}
+		return specs
 	}
-	if _, err := r.RunAll(specs); err != nil {
+	labels, means, err := categoryMeans(r, o, 3*len(names), row,
+		each((*metrics.Stats).IPC, (*metrics.Stats).CopiesPerRetired, (*metrics.Stats).IQStallsPerRetired))
+	if err != nil {
 		return nil, err
 	}
-
-	type acc struct{ ipc, copies, stalls []float64 }
-	overall := map[string]*acc{}
-	for _, name := range names {
-		overall[name] = &acc{}
-	}
-	for _, cat := range o.categories() {
-		disp := workload.DisplayName(cat)
-		perCat := map[string]*acc{}
-		for _, name := range names {
-			perCat[name] = &acc{}
-		}
-		for _, w := range o.workloads(cat) {
-			for _, s := range schemes {
-				for _, c := range clusters {
-					st, err := r.Run(clusterScaleSpec(w, s, c))
-					if err != nil {
-						return nil, err
-					}
-					name := clusterSeriesName(s, c)
-					for _, a := range []*acc{perCat[name], overall[name]} {
-						a.ipc = append(a.ipc, st.IPC())
-						a.copies = append(a.copies, st.CopiesPerRetired())
-						a.stalls = append(a.stalls, st.IQStallsPerRetired())
-					}
-				}
-			}
-		}
-		for name, a := range perCat {
-			res.IPC.Values[name][disp] = mean(a.ipc)
-			res.Copies.Values[name][disp] = mean(a.copies)
-			res.IQStalls.Values[name][disp] = mean(a.stalls)
-		}
-	}
-	for name, a := range overall {
-		res.IPC.Values[name]["AVG"] = mean(a.ipc)
-		res.Copies.Values[name]["AVG"] = mean(a.copies)
-		res.IQStalls.Values[name]["AVG"] = mean(a.stalls)
-	}
-	return res, nil
+	return &ClusterScalingResult{
+		Clusters: clusters,
+		Schemes:  schemes,
+		IPC:      seriesOf(labels, means, names, 3, 0),
+		Copies:   seriesOf(labels, means, names, 3, 1),
+		IQStalls: seriesOf(labels, means, names, 3, 2),
+	}, nil
 }
 
 // CSV renders the result as flat rows (one per category × scheme × cluster
@@ -122,7 +85,7 @@ func (r *ClusterScalingResult) CSV() (header []string, rows [][]string) {
 			for _, c := range r.Clusters {
 				name := clusterSeriesName(s, c)
 				rows = append(rows, []string{
-					cat, s, itoa(c),
+					cat, s, strconv.Itoa(c),
 					fmt.Sprintf("%g", r.IPC.Values[name][cat]),
 					fmt.Sprintf("%g", r.Copies.Values[name][cat]),
 					fmt.Sprintf("%g", r.IQStalls.Values[name][cat]),

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"math"
+	"strconv"
+
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/workload"
 )
@@ -105,162 +108,204 @@ type CategorySeries struct {
 	Categories []string
 	// Values maps series name -> category display name -> value.
 	Values map[string]map[string]float64
+	// Series is the column order the figure prints its series in.
+	Series []string `json:"-"`
 }
 
-// newCategorySeries prepares a series container for the options' categories.
-func newCategorySeries(o Options, seriesNames []string) *CategorySeries {
-	cs := &CategorySeries{Values: map[string]map[string]float64{}}
-	for _, cat := range o.categories() {
-		cs.Categories = append(cs.Categories, workload.DisplayName(cat))
+// A row lists the runs a figure needs of one workload; a reducer turns
+// their stats, in row order, into one value per cell (NaN: no value).
+type (
+	rowFunc    func(workload.Workload) []Spec
+	reduceFunc func(workload.Workload, []*metrics.Stats) []float64
+)
+
+// sweep runs every workload's row in one RunAll and returns each
+// workload's stats in row order.
+func sweep(r *Runner, ws []workload.Workload, row rowFunc) ([][]*metrics.Stats, error) {
+	var specs []Spec
+	ends := make([]int, len(ws))
+	for i, w := range ws {
+		specs = append(specs, row(w)...)
+		ends[i] = len(specs)
 	}
-	cs.Categories = append(cs.Categories, "AVG")
-	for _, s := range seriesNames {
-		cs.Values[s] = map[string]float64{}
+	st, err := r.RunAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]*metrics.Stats, len(ws))
+	start := 0
+	for i, end := range ends {
+		out[i] = st[start:end:end]
+		start = end
+	}
+	return out, nil
+}
+
+// meanAcc averages cell vectors, summing in the order they are added.
+type meanAcc struct {
+	sum []float64
+	n   []int
+}
+
+func newMeanAcc(cells int) *meanAcc {
+	return &meanAcc{sum: make([]float64, cells), n: make([]int, cells)}
+}
+
+func (a *meanAcc) add(v []float64) {
+	for i, x := range v {
+		if !math.IsNaN(x) {
+			a.sum[i] += x
+			a.n[i]++
+		}
+	}
+}
+
+// means returns each cell's mean; a cell without values averages to 0.
+func (a *meanAcc) means() []float64 {
+	out := make([]float64, len(a.sum))
+	for i, s := range a.sum {
+		if a.n[i] > 0 {
+			out[i] = s / float64(a.n[i])
+		}
+	}
+	return out
+}
+
+// categoryMeans sweeps row over the selected workloads, reduces each with
+// val to a vector of cells, and averages every cell within each selected
+// category and over all of them. It returns the row labels (category
+// display names, then "AVG") and the cell means of each row.
+func categoryMeans(r *Runner, o Options, cells int, row rowFunc, val reduceFunc) ([]string, [][]float64, error) {
+	cats := o.categories()
+	var ws []workload.Workload
+	ends := make([]int, len(cats))
+	for i, cat := range cats {
+		ws = append(ws, o.workloads(cat)...)
+		ends[i] = len(ws)
+	}
+	stats, err := sweep(r, ws, row)
+	if err != nil {
+		return nil, nil, err
+	}
+	labels := make([]string, 0, len(cats)+1)
+	means := make([][]float64, 0, len(cats)+1)
+	all := newMeanAcc(cells)
+	start := 0
+	for i, cat := range cats {
+		acc := newMeanAcc(cells)
+		for k := start; k < ends[i]; k++ {
+			v := val(ws[k], stats[k])
+			acc.add(v)
+			all.add(v)
+		}
+		start = ends[i]
+		labels = append(labels, workload.DisplayName(cat))
+		means = append(means, acc.means())
+	}
+	return append(labels, "AVG"), append(means, all.means()), nil
+}
+
+// seriesOf lays out categoryMeans output as a CategorySeries: series i
+// reads cell i*stride+off.
+func seriesOf(labels []string, means [][]float64, names []string, stride, off int) *CategorySeries {
+	cs := &CategorySeries{Categories: labels, Values: map[string]map[string]float64{}, Series: names}
+	for i, name := range names {
+		byCat := map[string]float64{}
+		for j, label := range labels {
+			byCat[label] = means[j][i*stride+off]
+		}
+		cs.Values[name] = byCat
 	}
 	return cs
+}
+
+// categorySweep is categoryMeans with one cell per named series.
+func categorySweep(r *Runner, o Options, names []string, row rowFunc, val reduceFunc) (*CategorySeries, error) {
+	labels, means, err := categoryMeans(r, o, len(names), row, val)
+	if err != nil {
+		return nil, err
+	}
+	return seriesOf(labels, means, names, 1, 0), nil
+}
+
+// each reduces every run of a row to fn of its stats.
+func each(fns ...func(*metrics.Stats) float64) reduceFunc {
+	return func(_ workload.Workload, st []*metrics.Stats) []float64 {
+		out := make([]float64, 0, len(st)*len(fns))
+		for _, s := range st {
+			for _, fn := range fns {
+				out = append(out, fn(s))
+			}
+		}
+		return out
+	}
+}
+
+// relIPC reduces a row to each later run's IPC over the first run's.
+func relIPC(_ workload.Workload, st []*metrics.Stats) []float64 {
+	out := make([]float64, len(st)-1)
+	for i, s := range st[1:] {
+		out[i] = s.IPC() / st[0].IPC()
+	}
+	return out
+}
+
+// seriesName names the series of a scheme at one resource size.
+func seriesName(scheme string, size int) string {
+	return scheme + "/" + strconv.Itoa(size)
+}
+
+// speedups averages each (scheme, size) series' per-workload IPC over
+// Icount's at the base size, per category. Series are named
+// "<scheme>/<size>" and ordered size-major.
+func speedups(r *Runner, o Options, schemes []string, sizes []int, base int,
+	spec func(workload.Workload, string, int) Spec) (*CategorySeries, error) {
+	var names []string
+	for _, n := range sizes {
+		for _, s := range schemes {
+			names = append(names, seriesName(s, n))
+		}
+	}
+	row := func(w workload.Workload) []Spec {
+		specs := []Spec{spec(w, "icount", base)}
+		for _, n := range sizes {
+			for _, s := range schemes {
+				specs = append(specs, spec(w, s, n))
+			}
+		}
+		return specs
+	}
+	return categorySweep(r, o, names, row, relIPC)
 }
 
 // Fig2 reproduces Figure 2: throughput of the seven issue-queue schemes at
 // 32 and 64 IQ entries per cluster, normalized per workload to Icount with
 // 32 entries, averaged per category. Series are named "<scheme>/<iq>".
 func Fig2(r *Runner, o Options, schemes []string, iqSizes []int) (*CategorySeries, error) {
-	var names []string
-	for _, s := range schemes {
-		for _, iq := range iqSizes {
-			names = append(names, seriesName(s, iq))
-		}
-	}
-	cs := newCategorySeries(o, names)
-
-	// Warm the cache in parallel across every needed run.
-	var specs []Spec
-	for _, w := range o.all() {
-		specs = append(specs, iqStudySpec(w, "icount", 32))
-		for _, s := range schemes {
-			for _, iq := range iqSizes {
-				specs = append(specs, iqStudySpec(w, s, iq))
-			}
-		}
-	}
-	if _, err := r.RunAll(specs); err != nil {
-		return nil, err
-	}
-
-	perSeries := map[string][]float64{} // overall AVG accumulators
-	for _, cat := range o.categories() {
-		disp := workload.DisplayName(cat)
-		acc := map[string][]float64{}
-		for _, w := range o.workloads(cat) {
-			base, err := r.Run(iqStudySpec(w, "icount", 32))
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range schemes {
-				for _, iq := range iqSizes {
-					st, err := r.Run(iqStudySpec(w, s, iq))
-					if err != nil {
-						return nil, err
-					}
-					sp := st.IPC() / base.IPC()
-					name := seriesName(s, iq)
-					acc[name] = append(acc[name], sp)
-					perSeries[name] = append(perSeries[name], sp)
-				}
-			}
-		}
-		for name, xs := range acc {
-			cs.Values[name][disp] = mean(xs)
-		}
-	}
-	for name, xs := range perSeries {
-		cs.Values[name]["AVG"] = mean(xs)
-	}
-	return cs, nil
+	return speedups(r, o, schemes, iqSizes, 32, iqStudySpec)
 }
 
-func seriesName(scheme string, iq int) string {
-	return scheme + "/" + itoa(iq)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-// perWorkloadMetric averages fn over each category's workloads for the
-// §5.1 configuration (32-entry IQs, unbounded RF/ROB).
-func perWorkloadMetric(r *Runner, o Options, schemes []string, fn func(*metrics.Stats) float64) (*CategorySeries, error) {
-	cs := newCategorySeries(o, schemes)
-	var specs []Spec
-	for _, w := range o.all() {
-		for _, s := range schemes {
-			specs = append(specs, iqStudySpec(w, s, 32))
+// iqRow is the §5.1 row at 32 IQ entries (RF/ROB unbounded): one run per
+// scheme.
+func iqRow(schemes []string) rowFunc {
+	return func(w workload.Workload) []Spec {
+		specs := make([]Spec, len(schemes))
+		for i, s := range schemes {
+			specs[i] = iqStudySpec(w, s, 32)
 		}
+		return specs
 	}
-	if _, err := r.RunAll(specs); err != nil {
-		return nil, err
-	}
-	perScheme := map[string][]float64{}
-	for _, cat := range o.categories() {
-		disp := workload.DisplayName(cat)
-		for _, s := range schemes {
-			var xs []float64
-			for _, w := range o.workloads(cat) {
-				st, err := r.Run(iqStudySpec(w, s, 32))
-				if err != nil {
-					return nil, err
-				}
-				xs = append(xs, fn(st))
-			}
-			cs.Values[s][disp] = mean(xs)
-			perScheme[s] = append(perScheme[s], xs...)
-		}
-	}
-	for s, xs := range perScheme {
-		cs.Values[s]["AVG"] = mean(xs)
-	}
-	return cs, nil
 }
 
 // Fig3 reproduces Figure 3: inter-cluster copies per retired instruction
 // per scheme at 32 IQ entries.
 func Fig3(r *Runner, o Options, schemes []string) (*CategorySeries, error) {
-	return perWorkloadMetric(r, o, schemes, func(st *metrics.Stats) float64 {
-		return st.CopiesPerRetired()
-	})
+	return categorySweep(r, o, schemes, iqRow(schemes), each((*metrics.Stats).CopiesPerRetired))
 }
 
 // Fig4 reproduces Figure 4: issue-queue stalls per retired instruction.
 func Fig4(r *Runner, o Options, schemes []string) (*CategorySeries, error) {
-	return perWorkloadMetric(r, o, schemes, func(st *metrics.Stats) float64 {
-		return st.IQStallsPerRetired()
-	})
-}
-
-// ImbalanceCell is one stacked-bar segment of Figure 5.
-type ImbalanceCell struct {
-	// Class is the instruction group (Integer, Fp/Simd, Mem).
-	Class metrics.ImbClass
-	// Kind is 0 (could not execute anywhere) or 1 (other cluster had a
-	// free compatible port: true workload imbalance).
-	Kind int
+	return categorySweep(r, o, schemes, iqRow(schemes), each((*metrics.Stats).IQStallsPerRetired))
 }
 
 // Fig5Result maps category -> scheme -> the six stacked fractions.
@@ -274,57 +319,30 @@ type Fig5Result struct {
 // Fig5 reproduces Figure 5: the workload-imbalance breakdown for Icount,
 // CISP, CSSP and PC at 32 IQ entries.
 func Fig5(r *Runner, o Options, schemes []string) (*Fig5Result, error) {
-	res := &Fig5Result{
-		Schemes: schemes,
-		Frac:    map[string]map[string][metrics.NumImbClasses][2]float64{},
-	}
-	var specs []Spec
-	for _, w := range o.all() {
-		for _, s := range schemes {
-			specs = append(specs, iqStudySpec(w, s, 32))
+	var fracs []func(*metrics.Stats) float64
+	for k := 0; k < metrics.NumImbClasses; k++ {
+		for kind := 0; kind < 2; kind++ {
+			fracs = append(fracs, func(st *metrics.Stats) float64 {
+				return st.ImbalanceFrac(metrics.ImbClass(k), kind)
+			})
 		}
 	}
-	if _, err := r.RunAll(specs); err != nil {
+	labels, means, err := categoryMeans(r, o, len(schemes)*len(fracs), iqRow(schemes), each(fracs...))
+	if err != nil {
 		return nil, err
 	}
-	for _, cat := range append(append([]string{}, o.categories()...), "__avg__") {
-		var cats []string
-		var disp string
-		if cat == "__avg__" {
-			cats = o.categories()
-			disp = "AVG"
-		} else {
-			cats = []string{cat}
-			disp = workload.DisplayName(cat)
-		}
-		res.Categories = append(res.Categories, disp)
+	res := &Fig5Result{Categories: labels, Schemes: schemes,
+		Frac: map[string]map[string][metrics.NumImbClasses][2]float64{}}
+	for j, label := range labels {
 		byScheme := map[string][metrics.NumImbClasses][2]float64{}
-		for _, s := range schemes {
+		for i, s := range schemes {
 			var agg [metrics.NumImbClasses][2]float64
-			var n float64
-			for _, c := range cats {
-				for _, w := range o.workloads(c) {
-					st, err := r.Run(iqStudySpec(w, s, 32))
-					if err != nil {
-						return nil, err
-					}
-					for k := 0; k < metrics.NumImbClasses; k++ {
-						for kind := 0; kind < 2; kind++ {
-							agg[k][kind] += st.ImbalanceFrac(metrics.ImbClass(k), kind)
-						}
-					}
-					n++
-				}
-			}
-			if n > 0 {
-				for k := range agg {
-					agg[k][0] /= n
-					agg[k][1] /= n
-				}
+			for c, v := range means[j][i*len(fracs) : (i+1)*len(fracs)] {
+				agg[c/2][c%2] = v
 			}
 			byScheme[s] = agg
 		}
-		res.Frac[disp] = byScheme
+		res.Frac[label] = byScheme
 	}
 	return res, nil
 }
@@ -333,54 +351,44 @@ func Fig5(r *Runner, o Options, schemes []string) (*Fig5Result, error) {
 // and 128 registers per kind per cluster, normalized per workload to Icount
 // with 64 registers, averaged per category. Series "<scheme>/<regs>".
 func Fig6(r *Runner, o Options, schemes []string, regSizes []int) (*CategorySeries, error) {
-	var names []string
-	for _, s := range schemes {
-		for _, rg := range regSizes {
-			names = append(names, seriesName(s, rg))
-		}
-	}
-	cs := newCategorySeries(o, names)
-	var specs []Spec
-	for _, w := range o.all() {
-		specs = append(specs, rfStudySpec(w, "icount", 64))
+	return speedups(r, o, schemes, regSizes, 64, rfStudySpec)
+}
+
+// rfSpeedups is the §5.2 row at 64 registers per cluster: Icount, then
+// one run per scheme (reduced by relIPC to speedups over Icount).
+func rfSpeedups(schemes []string) rowFunc {
+	return func(w workload.Workload) []Spec {
+		specs := []Spec{rfStudySpec(w, "icount", 64)}
 		for _, s := range schemes {
-			for _, rg := range regSizes {
-				specs = append(specs, rfStudySpec(w, s, rg))
-			}
+			specs = append(specs, rfStudySpec(w, s, 64))
 		}
+		return specs
 	}
-	if _, err := r.RunAll(specs); err != nil {
-		return nil, err
-	}
-	perSeries := map[string][]float64{}
-	for _, cat := range o.categories() {
-		disp := workload.DisplayName(cat)
-		acc := map[string][]float64{}
-		for _, w := range o.workloads(cat) {
-			base, err := r.Run(rfStudySpec(w, "icount", 64))
-			if err != nil {
-				return nil, err
-			}
-			for _, s := range schemes {
-				for _, rg := range regSizes {
-					st, err := r.Run(rfStudySpec(w, s, rg))
-					if err != nil {
-						return nil, err
-					}
-					sp := st.IPC() / base.IPC()
-					acc[seriesName(s, rg)] = append(acc[seriesName(s, rg)], sp)
-					perSeries[seriesName(s, rg)] = append(perSeries[seriesName(s, rg)], sp)
-				}
-			}
+}
+
+// withSingles appends each thread's stand-alone run on the §5.2 machine
+// to row, the baselines of the fairness metric.
+func withSingles(row rowFunc) rowFunc {
+	return func(w workload.Workload) []Spec {
+		specs := row(w)
+		for t := range w.Threads {
+			specs = append(specs, Spec{Workload: w, Scheme: "icount", IQSize: 32,
+				RegsPerClust: 64, ROBPerThread: boundROB, SingleThread: t})
 		}
-		for name, xs := range acc {
-			cs.Values[name][disp] = mean(xs)
-		}
+		return specs
 	}
-	for name, xs := range perSeries {
-		cs.Values[name]["AVG"] = mean(xs)
+}
+
+// fairness computes the §4 fairness metric of an SMT run from the
+// workload's stand-alone runs.
+func fairness(smt *metrics.Stats, singles []*metrics.Stats) float64 {
+	single := make([]float64, len(singles))
+	shared := make([]float64, len(singles))
+	for t, st := range singles {
+		single[t] = st.IPC()
+		shared[t] = smt.ThreadIPC(t)
 	}
-	return cs, nil
+	return metrics.Fairness(single, shared)
 }
 
 // Fig9Result is the per-workload CDPRF study on ISPEC-FSPEC.
@@ -392,160 +400,61 @@ type Fig9Result struct {
 	Speedup map[string]map[string]float64
 }
 
+// bySchemes keys one value per scheme.
+func bySchemes(schemes []string, v []float64) map[string]float64 {
+	m := make(map[string]float64, len(schemes))
+	for i, s := range schemes {
+		m[s] = v[i]
+	}
+	return m
+}
+
 // Fig9 reproduces Figure 9: CSSP, CSSPRF, CISPRF and CDPRF on every
 // ISPEC-FSPEC workload (64 registers per cluster), normalized to Icount,
 // plus the category average and the all-categories average.
 func Fig9(r *Runner, o Options, schemes []string) (*Fig9Result, error) {
 	res := &Fig9Result{Schemes: schemes, Speedup: map[string]map[string]float64{}}
+	row := rfSpeedups(schemes)
 	isfs := o.workloads("isfs")
-	var specs []Spec
-	for _, w := range isfs {
-		specs = append(specs, rfStudySpec(w, "icount", 64))
-		for _, s := range schemes {
-			specs = append(specs, rfStudySpec(w, s, 64))
-		}
-	}
-	if _, err := r.RunAll(specs); err != nil {
+	stats, err := sweep(r, isfs, row)
+	if err != nil {
 		return nil, err
 	}
-	catAcc := map[string][]float64{}
-	for _, w := range isfs {
-		base, err := r.Run(rfStudySpec(w, "icount", 64))
-		if err != nil {
-			return nil, err
-		}
-		row := map[string]float64{}
-		for _, s := range schemes {
-			st, err := r.Run(rfStudySpec(w, s, 64))
-			if err != nil {
-				return nil, err
-			}
-			row[s] = st.IPC() / base.IPC()
-			catAcc[s] = append(catAcc[s], row[s])
-		}
+	acc := newMeanAcc(len(schemes))
+	for i, w := range isfs {
+		v := relIPC(w, stats[i])
+		acc.add(v)
 		res.Workloads = append(res.Workloads, w.Name)
-		res.Speedup[w.Name] = row
+		res.Speedup[w.Name] = bySchemes(schemes, v)
 	}
-	avg := map[string]float64{}
-	for _, s := range schemes {
-		avg[s] = mean(catAcc[s])
-	}
-	res.Workloads = append(res.Workloads, "AVG")
-	res.Speedup["AVG"] = avg
+	res.Speedup["AVG"] = bySchemes(schemes, acc.means())
 
 	// "AVG All": the same normalized speedups over every category.
-	allAcc := map[string][]float64{}
-	var specsAll []Spec
-	for _, w := range o.all() {
-		specsAll = append(specsAll, rfStudySpec(w, "icount", 64))
-		for _, s := range schemes {
-			specsAll = append(specsAll, rfStudySpec(w, s, 64))
-		}
-	}
-	if _, err := r.RunAll(specsAll); err != nil {
+	_, means, err := categoryMeans(r, o, len(schemes), row, relIPC)
+	if err != nil {
 		return nil, err
 	}
-	for _, w := range o.all() {
-		base, err := r.Run(rfStudySpec(w, "icount", 64))
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range schemes {
-			st, err := r.Run(rfStudySpec(w, s, 64))
-			if err != nil {
-				return nil, err
-			}
-			allAcc[s] = append(allAcc[s], st.IPC()/base.IPC())
-		}
-	}
-	avgAll := map[string]float64{}
-	for _, s := range schemes {
-		avgAll[s] = mean(allAcc[s])
-	}
-	res.Workloads = append(res.Workloads, "AVG All")
-	res.Speedup["AVG All"] = avgAll
+	res.Speedup["AVG All"] = bySchemes(schemes, means[len(means)-1])
+	res.Workloads = append(res.Workloads, "AVG", "AVG All")
 	return res, nil
-}
-
-// singleIPC returns each thread's stand-alone IPC on the §5.2 machine.
-func (r *Runner) singleIPC(w workload.Workload) ([]float64, error) {
-	out := make([]float64, len(w.Threads))
-	for t := range w.Threads {
-		st, err := r.Run(Spec{Workload: w, Scheme: "icount", IQSize: 32,
-			RegsPerClust: 64, ROBPerThread: boundROB, SingleThread: t})
-		if err != nil {
-			return nil, err
-		}
-		out[t] = st.IPC()
-	}
-	return out, nil
-}
-
-// fairnessOf computes the §4 fairness metric of one workload under scheme.
-func (r *Runner) fairnessOf(w workload.Workload, scheme string) (float64, error) {
-	single, err := r.singleIPC(w)
-	if err != nil {
-		return 0, err
-	}
-	st, err := r.Run(rfStudySpec(w, scheme, 64))
-	if err != nil {
-		return 0, err
-	}
-	smt := make([]float64, len(w.Threads))
-	for t := range smt {
-		smt[t] = st.ThreadIPC(t)
-	}
-	return metrics.Fairness(single, smt), nil
 }
 
 // Fig10 reproduces Figure 10: the fairness of Stall, Flush+, CSSP and
 // CDPRF relative to Icount, per category (64 registers per cluster).
 func Fig10(r *Runner, o Options, schemes []string) (*CategorySeries, error) {
-	cs := newCategorySeries(o, schemes)
-	var specs []Spec
-	for _, w := range o.all() {
-		for t := range w.Threads {
-			specs = append(specs, Spec{Workload: w, Scheme: "icount", IQSize: 32,
-				RegsPerClust: 64, ROBPerThread: boundROB, SingleThread: t})
-		}
-		specs = append(specs, rfStudySpec(w, "icount", 64))
-		for _, s := range schemes {
-			specs = append(specs, rfStudySpec(w, s, 64))
-		}
-	}
-	if _, err := r.RunAll(specs); err != nil {
-		return nil, err
-	}
-	perScheme := map[string][]float64{}
-	for _, cat := range o.categories() {
-		disp := workload.DisplayName(cat)
-		acc := map[string][]float64{}
-		for _, w := range o.workloads(cat) {
-			baseFair, err := r.fairnessOf(w, "icount")
-			if err != nil {
-				return nil, err
-			}
-			if baseFair <= 0 {
-				continue
-			}
-			for _, s := range schemes {
-				f, err := r.fairnessOf(w, s)
-				if err != nil {
-					return nil, err
-				}
-				ratio := f / baseFair
-				acc[s] = append(acc[s], ratio)
-				perScheme[s] = append(perScheme[s], ratio)
+	val := func(w workload.Workload, st []*metrics.Stats) []float64 {
+		singles := st[len(st)-len(w.Threads):]
+		base := fairness(st[0], singles)
+		out := make([]float64, len(schemes))
+		for i := range schemes {
+			out[i] = math.NaN()
+			if base > 0 {
+				out[i] = fairness(st[1+i], singles) / base
 			}
 		}
-		for s, xs := range acc {
-			cs.Values[s][disp] = mean(xs)
-		}
+		return out
 	}
-	for s, xs := range perScheme {
-		cs.Values[s]["AVG"] = mean(xs)
-	}
-	return cs, nil
+	return categorySweep(r, o, schemes, withSingles(rfSpeedups(schemes)), val)
 }
 
 // HeadlineResult is the paper's §1/§6 summary claim. The JSON form is the
@@ -557,7 +466,8 @@ type HeadlineResult struct {
 	CDPRFSpeedup float64 `json:"cdprf_speedup"`
 	// FairnessRatio is CDPRF's mean fairness relative to Icount.
 	FairnessRatio float64 `json:"fairness_ratio"`
-	// BestCategory and BestCategorySpeedup report CDPRF's best category.
+	// BestCategory and BestCategorySpeedup report CDPRF's best category
+	// (the first in category order on a tie).
 	BestCategory        string  `json:"best_category"`
 	BestCategorySpeedup float64 `json:"best_category_speedup"`
 }
@@ -565,60 +475,25 @@ type HeadlineResult struct {
 // Headline reproduces the headline numbers: "17.6% average speedup versus
 // Icount improving fairness in 24%", with up to 40% for some category.
 func Headline(r *Runner, o Options) (*HeadlineResult, error) {
-	res := &HeadlineResult{}
-	var cssp, cdprf, fair []float64
-	catAcc := map[string][]float64{}
-	var specs []Spec
-	for _, w := range o.all() {
-		for _, s := range []string{"icount", "cssp", "cdprf"} {
-			specs = append(specs, rfStudySpec(w, s, 64))
+	// Cells: CSSP speedup, CDPRF speedup, CDPRF fairness over Icount's.
+	val := func(w workload.Workload, st []*metrics.Stats) []float64 {
+		singles := st[3:]
+		fair := math.NaN()
+		if base := fairness(st[0], singles); base > 0 {
+			fair = fairness(st[2], singles) / base
 		}
-		for t := range w.Threads {
-			specs = append(specs, Spec{Workload: w, Scheme: "icount", IQSize: 32,
-				RegsPerClust: 64, ROBPerThread: boundROB, SingleThread: t})
-		}
+		return append(relIPC(w, st[:3]), fair)
 	}
-	if _, err := r.RunAll(specs); err != nil {
+	labels, means, err := categoryMeans(r, o, 3, withSingles(rfSpeedups([]string{"cssp", "cdprf"})), val)
+	if err != nil {
 		return nil, err
 	}
-	for _, cat := range o.categories() {
-		for _, w := range o.workloads(cat) {
-			base, err := r.Run(rfStudySpec(w, "icount", 64))
-			if err != nil {
-				return nil, err
-			}
-			stCSSP, err := r.Run(rfStudySpec(w, "cssp", 64))
-			if err != nil {
-				return nil, err
-			}
-			stCD, err := r.Run(rfStudySpec(w, "cdprf", 64))
-			if err != nil {
-				return nil, err
-			}
-			cssp = append(cssp, stCSSP.IPC()/base.IPC())
-			sp := stCD.IPC() / base.IPC()
-			cdprf = append(cdprf, sp)
-			catAcc[cat] = append(catAcc[cat], sp)
-			bf, err := r.fairnessOf(w, "icount")
-			if err != nil {
-				return nil, err
-			}
-			if bf > 0 {
-				f, err := r.fairnessOf(w, "cdprf")
-				if err != nil {
-					return nil, err
-				}
-				fair = append(fair, f/bf)
-			}
-		}
-	}
-	res.CSSPSpeedup = mean(cssp)
-	res.CDPRFSpeedup = mean(cdprf)
-	res.FairnessRatio = mean(fair)
-	for cat, xs := range catAcc {
-		if m := mean(xs); m > res.BestCategorySpeedup {
-			res.BestCategorySpeedup = m
-			res.BestCategory = workload.DisplayName(cat)
+	avg := means[len(means)-1]
+	res := &HeadlineResult{CSSPSpeedup: avg[0], CDPRFSpeedup: avg[1], FairnessRatio: avg[2]}
+	for j, m := range means[:len(means)-1] {
+		if m[1] > res.BestCategorySpeedup {
+			res.BestCategorySpeedup = m[1]
+			res.BestCategory = labels[j]
 		}
 	}
 	return res, nil
@@ -629,33 +504,9 @@ func Headline(r *Runner, o Options) (*HeadlineResult, error) {
 // speedup vs Icount on the Table 1 machine.
 func FutureWork(r *Runner, o Options) (map[string]float64, error) {
 	schemes := []string{"cssp", "cdprf", "dcra", "hillclimb"}
-	var specs []Spec
-	for _, w := range o.all() {
-		specs = append(specs, rfStudySpec(w, "icount", 64))
-		for _, s := range schemes {
-			specs = append(specs, rfStudySpec(w, s, 64))
-		}
-	}
-	if _, err := r.RunAll(specs); err != nil {
+	_, means, err := categoryMeans(r, o, len(schemes), rfSpeedups(schemes), relIPC)
+	if err != nil {
 		return nil, err
 	}
-	acc := map[string][]float64{}
-	for _, w := range o.all() {
-		base, err := r.Run(rfStudySpec(w, "icount", 64))
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range schemes {
-			st, err := r.Run(rfStudySpec(w, s, 64))
-			if err != nil {
-				return nil, err
-			}
-			acc[s] = append(acc[s], st.IPC()/base.IPC())
-		}
-	}
-	out := map[string]float64{}
-	for s, xs := range acc {
-		out[s] = mean(xs)
-	}
-	return out, nil
+	return bySchemes(schemes, means[len(means)-1]), nil
 }

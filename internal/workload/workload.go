@@ -12,6 +12,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -61,6 +62,16 @@ type Workload struct {
 var Categories = []string{
 	"dh", "fspec00", "ispec00", "isfs", "mixes",
 	"multimedia", "office", "productivity", "server", "miscellanea", "workstation",
+}
+
+// CheckCategories rejects any name that is not a category key.
+func CheckCategories(cats []string) error {
+	for _, c := range cats {
+		if !slices.Contains(Categories, c) {
+			return fmt.Errorf("unknown category %q (known: %v)", c, Categories)
+		}
+	}
+	return nil
 }
 
 // DisplayName maps the short category key to the paper's label.

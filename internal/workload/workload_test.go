@@ -219,3 +219,16 @@ func TestCategoryBehaviouralContrast(t *testing.T) {
 		t.Error("FP streaming should chase pointers less than TPC")
 	}
 }
+
+func TestCheckCategories(t *testing.T) {
+	if err := CheckCategories(nil); err != nil {
+		t.Errorf("nil selection rejected: %v", err)
+	}
+	if err := CheckCategories(Categories); err != nil {
+		t.Errorf("every known category rejected: %v", err)
+	}
+	err := CheckCategories([]string{"dh", "bogus"})
+	if err == nil || !strings.Contains(err.Error(), `unknown category "bogus"`) {
+		t.Errorf("CheckCategories(dh, bogus) = %v, want unknown category \"bogus\"", err)
+	}
+}
