@@ -21,17 +21,18 @@ type campaignOpts struct {
 }
 
 // runCampaign executes (or dry-runs) a manifest-defined sweep and renders
-// the result table, summary tally, and optional JSON/CSV artifacts.
+// the result table, summary tally, and optional JSON/CSV artifacts. An
+// unreadable or invalid manifest is a usage error: exit 2.
 func runCampaign(o campaignOpts) int {
 	m, err := campaign.Load(o.manifest)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return 2
 	}
 	items, err := m.Expand()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		return 1
+		return 2
 	}
 	if o.dryRun {
 		for _, it := range items {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,5 +33,32 @@ func TestFigureModeRejectsUnknownCategory(t *testing.T) {
 	}
 	if strings.Contains(stdout.String(), "Figure 3") {
 		t.Errorf("figure printed despite the bad category:\n%s", stdout.String())
+	}
+}
+
+// TestCampaignModeRejectsOversizedManifest runs expdriver in a child
+// process on a tiny manifest whose repetitions would expand to a billion
+// items: validation must refuse it with exit 2 before anything is built.
+func TestCampaignModeRejectsOversizedManifest(t *testing.T) {
+	if path := os.Getenv("EXPDRIVER_TEST_MANIFEST"); path != "" {
+		os.Args = []string{"expdriver", "-manifest", path, "-dry-run", "-store", ""}
+		main()
+		return
+	}
+	path := filepath.Join(t.TempDir(), "bomb.json")
+	if err := os.WriteFile(path, []byte(`{"schemes":["icount"],"repetitions":1000000000}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestCampaignModeRejectsOversizedManifest$")
+	cmd.Env = append(os.Environ(), "EXPDRIVER_TEST_MANIFEST="+path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want status 2\nstderr: %s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "above the cap") {
+		t.Errorf("stderr %q does not name the expansion cap", stderr.String())
 	}
 }

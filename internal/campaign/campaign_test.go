@@ -3,6 +3,7 @@ package campaign_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -52,6 +53,8 @@ func TestManifestValidation(t *testing.T) {
 		{"unknown category", `{"schemes":["icount"],"categories":["nope"]}`, "unknown category"},
 		{"unknown workload", `{"schemes":["icount"],"workloads":["nope.ilp.2.9"]}`, "unknown workload"},
 		{"typoed field", `{"schemes":["icount"],"iq_size":[32]}`, "unknown field"},
+		{"repetitions bomb", `{"schemes":["icount"],"repetitions":1000000000}`, "above the cap"},
+		{"axis bomb", `{"schemes":["icount"],"iq_sizes":[4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20],"trace_lens":[1000,2000,3000,4000,5000,6000,7000,8000,9000,10000]}`, "above the cap"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,6 +69,27 @@ func TestManifestValidation(t *testing.T) {
 				t.Fatalf("Parse error = %v, want it to mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestExpansionCapIsExact: validation counts a manifest's items exactly —
+// baselines included — so a manifest of MaxItems items expands to exactly
+// that many, and one repetition more is refused.
+func TestExpansionCapIsExact(t *testing.T) {
+	const perRep = 4 // two schemes plus two single-thread baselines
+	manifest := func(reps int) string {
+		return fmt.Sprintf(`{"schemes":["icount","cssp"],"workloads":["dh.ilp.2.1"],"single_thread_baselines":true,"repetitions":%d}`, reps)
+	}
+	m, err := campaign.Parse([]byte(manifest(campaign.MaxItems / perRep)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	items, err := m.Expand()
+	if err != nil || len(items) != campaign.MaxItems {
+		t.Fatalf("Expand = %d items (%v), want %d", len(items), err, campaign.MaxItems)
+	}
+	if _, err := campaign.Parse([]byte(manifest(campaign.MaxItems/perRep + 1))); err == nil || !strings.Contains(err.Error(), "above the cap") {
+		t.Fatalf("Parse one repetition over the cap: %v, want the cap error", err)
 	}
 }
 
@@ -360,7 +384,7 @@ func TestEngineCountsStorePutErrors(t *testing.T) {
 	var once sync.Once
 	recycleMidRun := func(ev campaign.ItemEvent) {
 		if ev.Started {
-			once.Do(eng.Recycle)
+			once.Do(func() { eng.Recycle() })
 		}
 	}
 	for want := int64(4); want <= 8; want += 4 {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 
 	"clustersmt/internal/core"
@@ -12,18 +14,16 @@ import (
 )
 
 // Engine executes expanded campaigns on experiments runners, one per trace
-// length, all sharing one persistent store layer.
+// length, all sharing one persistent store layer. It is the only code that
+// turns a manifest into a ResultSet: in fleet mode it runs the same way,
+// with Exec sending each simulation its store cannot answer to the fleet.
 //
 // An Engine may be shared: runners (and with them the in-memory result
 // layer, the singleflight tables and the trace memos) persist across RunCtx
 // calls, so concurrent campaigns submitted to one Engine — the service
 // daemon's configuration — deduplicate overlapping specs exactly once even
-// while both are in flight.
-//
-// The Engine is the in-process execution strategy over a campaign Plan;
-// the fleet coordinator (internal/campaign/fleet) is the distributed one.
-// Both fill the Plan's ResultSet through the same assembly code, so a
-// fleet run of a manifest is bit-for-bit comparable to a local run.
+// while both are in flight. Local simulations of every campaign share one
+// gate of Workers slots.
 type Engine struct {
 	// Store is the persistent result layer (typically *store.Store). Nil
 	// runs the campaign memory-only.
@@ -32,12 +32,13 @@ type Engine struct {
 	// when false, existing entries are ignored and overwritten, forcing
 	// every simulation to re-execute.
 	Resume bool
-	// Workers bounds per-campaign simulation parallelism (0 = NumCPU).
+	// Workers bounds local simulation parallelism across every campaign the
+	// engine runs (0 = NumCPU).
 	Workers int
-	// Gate, when non-nil, additionally bounds total simulation concurrency
-	// across every campaign this engine runs (see experiments.Runner.Gate).
-	// The service shares one gate across its job executors.
-	Gate chan struct{}
+	// Exec, when set, runs every simulation the store cannot answer in
+	// place of the local simulator (see experiments.Runner.Exec). The
+	// service sets it to the fleet coordinator's Execute in fleet mode.
+	Exec func(ctx context.Context, traceLen int, s experiments.Spec) (*metrics.Stats, bool, error)
 	// Verbose, when set, receives one line per completed simulation.
 	Verbose func(string)
 	// SampleInterval, when non-zero, enables per-item time-series sampling:
@@ -48,6 +49,7 @@ type Engine struct {
 	SampleInterval int64
 
 	mu      sync.Mutex
+	gate    chan struct{} // Workers slots, shared by every runner
 	mem     *experiments.MemStore
 	runners map[int]*experiments.Runner
 	// Store put failures outlive the runners that count them: a runner's
@@ -147,15 +149,21 @@ func pointOf(it Item, t int) baselinePoint {
 
 // runnerFor returns the engine's shared runner for trace length tl,
 // creating it on first use: a fresh-layer MemStore in front of the
-// persistent store, sharing the engine's gate. With Resume disabled the
-// runner is NOT cached and writes through a read-blind persistent layer, so
-// every simulation re-executes while fresh results still land on disk.
-// The caller hands the runner back with release when its campaign is done.
+// persistent store, sharing the engine's gate and Exec. With Resume
+// disabled the runner is NOT cached and writes through a read-blind
+// persistent layer, so every simulation re-executes while fresh results
+// still land on disk. The caller hands the runner back with release when
+// its campaign is done.
 func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.inUse == nil {
 		e.inUse = make(map[*experiments.Runner]int)
+		workers := e.Workers
+		if workers <= 0 {
+			workers = runtime.NumCPU()
+		}
+		e.gate = make(chan struct{}, workers)
 	}
 	if e.Resume {
 		if r, ok := e.runners[tl]; ok {
@@ -169,7 +177,8 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	r := experiments.NewRunner(tl)
 	r.Workers = e.Workers
 	r.Verbose = e.Verbose
-	r.Gate = e.Gate
+	r.Gate = e.gate
+	r.Exec = e.Exec
 	r.SampleInterval = e.SampleInterval
 	if e.Resume {
 		layers := []experiments.ResultStore{e.mem}
@@ -190,6 +199,23 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	}
 	e.inUse[r]++
 	return r
+}
+
+// WithRunner calls fn with the runner RunCtx would use for trace length tl
+// and hands the runner back when fn returns. Fleet workers simulate their
+// leased tasks on it.
+func (e *Engine) WithRunner(tl int, fn func(*experiments.Runner)) {
+	r := e.runnerFor(tl)
+	defer e.release(r)
+	fn(r)
+}
+
+// Inflight returns how many local simulations hold a slot of the engine's
+// gate right now.
+func (e *Engine) Inflight() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.gate)
 }
 
 // release ends one campaign's use of r.
@@ -223,23 +249,28 @@ func (e *Engine) StorePutErrors() int64 {
 	return n
 }
 
-// Recycle drops the engine's cached runners and shared in-memory result
-// layer, releasing the trace memos and Stats they hold. Live campaigns are
-// unaffected — they keep references to their runners, which stay valid;
-// only future sharing starts cold. The service daemon calls this whenever
-// it goes idle so a long-running process's memory is bounded by one busy
-// period: with a persistent store underneath, the only cost is a disk read
-// per recalled key.
-func (e *Engine) Recycle() {
+// Recycle drops the engine's cached runners, except those for the trace
+// lengths in keep, and its shared in-memory result layer (kept runners
+// keep theirs), releasing the trace memos and Stats they hold. Live
+// campaigns are unaffected — they keep references to their runners, which
+// stay valid; only future sharing starts cold. The service daemon calls
+// Recycle() whenever it goes idle, and a fleet worker calls it with each
+// batch's trace lengths, so memory is bounded by one busy period or one
+// batch: with a persistent store underneath, the only cost is a store
+// read per recalled key.
+func (e *Engine) Recycle(keep ...int) {
 	e.mu.Lock()
-	for _, r := range e.runners {
+	defer e.mu.Unlock()
+	for tl, r := range e.runners {
+		if slices.Contains(keep, tl) {
+			continue
+		}
 		if e.inUse[r] == 0 {
 			e.putErrs += r.StorePutErrors()
 		}
+		delete(e.runners, tl)
 	}
-	e.runners = nil
 	e.mem = nil
-	e.mu.Unlock()
 }
 
 // Run expands m and executes every item, recalling whatever the store
@@ -276,6 +307,9 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 	// One runner per trace length; the engine shares runners (and their
 	// in-memory layer) across campaigns, so concurrent submissions of
 	// overlapping manifests singleflight into one execution per spec.
+	// Every group runs at once: the engine's gate bounds local simulations
+	// across them, and with Exec set the fleet sees the whole campaign.
+	var wg sync.WaitGroup
 	for _, tl := range plan.TraceLens() {
 		idxs := plan.Indices(tl)
 		r := e.runnerFor(tl)
@@ -310,11 +344,16 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 				}
 			}
 		}
-		// Per-item errors already landed in the results via the callback;
-		// the set reports Failed below.
-		_, _ = r.RunAllCtx(ctx, specs, p)
-		e.release(r)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Per-item errors already landed in the results via the
+			// callback; the set reports Failed below.
+			_, _ = r.RunAllCtx(ctx, specs, p)
+			e.release(r)
+		}()
 	}
+	wg.Wait()
 
 	plan.Finalize(rs)
 	return rs, nil

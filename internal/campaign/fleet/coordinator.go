@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"clustersmt/internal/campaign"
-	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
+	"clustersmt/internal/metrics"
 )
 
 // Config sizes a Coordinator. The zero value is usable: in-memory store,
@@ -32,7 +30,8 @@ type Config struct {
 	// PollInterval is the longest time a lease request waits for work
 	// before it answers with an empty batch (the worker then leases again
 	// at once), advertised to workers as poll_ms; it is also the
-	// coordinator's reap cadence during a run (0 = 250ms). It bounds how
+	// coordinator's reap cadence while any Execute is outstanding
+	// (0 = 250ms). It bounds how
 	// long an idle worker's connection stays open, not how soon it sees new
 	// work: a held lease answers as soon as work is enqueued.
 	PollInterval time.Duration
@@ -44,24 +43,20 @@ type Config struct {
 
 // Coordinator is the fleet's control plane: the worker registry, the
 // dispatch queue and the shared result store, exposed over HTTP (see
-// Register). Campaigns run through RunCtx, which is signature-compatible
-// with campaign.Engine.RunCtx — the service swaps one for the other in
-// fleet mode. A single Coordinator serves concurrent campaigns; their
-// items interleave in one queue.
+// Register). It runs simulations, not campaigns: a campaign.Engine with
+// Exec set to Execute sends each simulation its store cannot answer here,
+// and the coordinator hands it to a worker. Concurrent campaigns' tasks
+// interleave in one queue.
 type Coordinator struct {
 	cfg   Config
 	store experiments.ResultStore
 	queue *Queue
 	reg   *registry
-	clock func() time.Time
 
-	// putErrors counts completed results the coordinator failed to write
-	// into the shared store.
-	putErrors atomic.Int64
-
-	mu     sync.Mutex
-	runSeq int
-	keyers map[int]*experiments.Runner
+	mu      sync.Mutex
+	taskSeq int
+	waiting int           // Execute calls outstanding
+	stop    chan struct{} // ends the failure-detector loop (waiting > 0)
 }
 
 // NewCoordinator returns a coordinator with cfg's defaults applied.
@@ -90,12 +85,10 @@ func NewCoordinator(cfg Config) *Coordinator {
 		st = experiments.NewMemStore()
 	}
 	return &Coordinator{
-		cfg:    cfg,
-		store:  st,
-		queue:  NewQueue(cfg.MaxAttempts, cfg.RetryBase, cfg.RetryCap, clock),
-		reg:    newRegistry(cfg.LeaseTTL, clock),
-		clock:  clock,
-		keyers: make(map[int]*experiments.Runner),
+		cfg:   cfg,
+		store: st,
+		queue: NewQueue(cfg.MaxAttempts, cfg.RetryBase, cfg.RetryCap, clock),
+		reg:   newRegistry(cfg.LeaseTTL, clock),
 	}
 }
 
@@ -105,17 +98,13 @@ func (c *Coordinator) Store() experiments.ResultStore { return c.store }
 // Close ends every held lease request at once and makes later lease
 // requests answer 503, so an HTTP server's Shutdown — which waits for
 // active handlers but does not cancel them — is not held up by idle
-// workers. It does not cancel running campaigns; their contexts do.
+// workers. It does not cancel Execute calls; their contexts do.
 func (c *Coordinator) Close() { c.queue.Close() }
 
 // Status is the fleet's observable state, served by GET /v1/workers.
 type Status struct {
 	Workers []WorkerInfo `json:"workers"`
 	Queue   QueueStats   `json:"queue"`
-	// StorePutErrors counts completed results the coordinator failed to
-	// write into the shared store (the item still completes; each failure
-	// is also logged).
-	StorePutErrors int64 `json:"store_put_errors"`
 }
 
 // Status snapshots the registry and queue.
@@ -125,13 +114,13 @@ func (c *Coordinator) Status() Status {
 	for i := range ws {
 		ws[i].Leased = leased[ws[i].ID]
 	}
-	return Status{Workers: ws, Queue: c.queue.Stats(), StorePutErrors: c.putErrors.Load()}
+	return Status{Workers: ws, Queue: c.queue.Stats()}
 }
 
 // Tick advances the failure detector once: workers past their liveness ttl
 // are reaped (their leases requeue immediately) and expired leases
-// reclaimed. RunCtx ticks on PollInterval while a campaign runs; tests
-// drive it directly against a fake clock.
+// reclaimed. It ticks on PollInterval while any Execute is outstanding;
+// tests drive it directly against a fake clock.
 func (c *Coordinator) Tick() {
 	for _, id := range c.reg.reap() {
 		n := c.queue.RequeueWorker(id)
@@ -148,124 +137,57 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// keyFor computes an item's content-addressed result key on the
-// coordinator, via a cached per-trace-length keyer runner. Result rows
-// therefore carry exactly the keys a local Engine run would, independent of
-// what any worker reports.
-func (c *Coordinator) keyFor(tl int, s experiments.Spec) string {
+// Execute runs one simulation on the fleet: it enqueues s as a task and
+// returns the accepted completion's stats and Executed flag, or the poison
+// error once the task exhausts its attempts. Cancelling ctx withdraws the
+// task (a late completion for it is then a duplicate no-op) and returns
+// ctx's error. Its signature is experiments.Runner.Exec's.
+func (c *Coordinator) Execute(ctx context.Context, traceLen int, s experiments.Spec) (*metrics.Stats, bool, error) {
 	c.mu.Lock()
-	r, ok := c.keyers[tl]
-	if !ok {
-		r = experiments.NewRunner(tl)
-		c.keyers[tl] = r
-	}
+	c.taskSeq++
+	id := fmt.Sprintf("t%06d", c.taskSeq)
 	c.mu.Unlock()
-	return r.CacheKey(s)
+	done := make(chan Outcome, 1)
+	if err := c.queue.Add(Task{ID: id, TraceLen: traceLen, Spec: s}, func(o Outcome) { done <- o }); err != nil {
+		return nil, false, err
+	}
+	defer c.detect()()
+	select {
+	case o := <-done:
+		return o.Stats, o.Executed, o.Err
+	case <-ctx.Done():
+		c.queue.Remove(id)
+		return nil, false, ctx.Err()
+	}
 }
 
-// RunCtx expands m into a plan, enqueues every item for the fleet and
-// blocks until all items reach a terminal state (completed or poisoned) or
-// ctx is cancelled. The signature and semantics mirror
-// campaign.Engine.RunCtx: progress receives Started on every lease grant
-// and exactly one Result per item; cancellation returns the partial
-// ResultSet with context errors on unfinished items, not an error.
-func (c *Coordinator) RunCtx(ctx context.Context, m *campaign.Manifest, progress func(campaign.ItemEvent)) (*campaign.ResultSet, error) {
-	plan, err := campaign.NewPlan(m)
-	if err != nil {
-		return nil, err
-	}
-	rs := plan.NewResultSet(core.SimVersion)
-	n := len(plan.Items)
-	if n == 0 {
-		plan.Finalize(rs)
-		return rs, nil
-	}
-
+// detect joins the failure-detector loop, starting it if no other Execute
+// is waiting, and returns the call that leaves it: one loop ticks on
+// PollInterval while any Execute is outstanding.
+func (c *Coordinator) detect() (leave func()) {
 	c.mu.Lock()
-	c.runSeq++
-	runID := c.runSeq
+	if c.waiting++; c.waiting == 1 {
+		stop := make(chan struct{})
+		c.stop = stop
+		go func() {
+			t := time.NewTicker(c.cfg.PollInterval)
+			defer t.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-t.C:
+					c.Tick()
+				}
+			}
+		}()
+	}
 	c.mu.Unlock()
-
-	var (
-		resMu     sync.Mutex
-		completed = make([]bool, n)
-		remaining = n
-		done      = make(chan struct{})
-	)
-	ids := make([]string, n)
-	entries := make([]Entry, n)
-	for i := range plan.Items {
-		i := i
-		it := plan.Items[i]
-		ids[i] = fmt.Sprintf("r%06d/%d", runID, i)
-		key := c.keyFor(it.TraceLen, it.Spec)
-		onLease := func(Task) {
-			if progress != nil {
-				progress(campaign.ItemEvent{Index: i, Started: true})
-			}
+	return func() {
+		c.mu.Lock()
+		if c.waiting--; c.waiting == 0 {
+			close(c.stop)
 		}
-		onDone := func(o Outcome) {
-			// Replicate the stats into the shared store even if the worker's
-			// own PUT failed; duplicates are idempotent writes.
-			if o.Err == nil && o.Stats != nil {
-				if err := c.store.Put(key, o.Stats); err != nil {
-					c.putErrors.Add(1)
-					c.logf("campaign %s item %d: store put %s: %v", m.Name, i, key, err)
-				}
-			}
-			res := plan.Result(i, key, o.Stats, o.Executed, o.Err)
-			resMu.Lock()
-			if completed[i] {
-				resMu.Unlock()
-				return
-			}
-			completed[i] = true
-			rs.Results[i] = res
-			remaining--
-			last := remaining == 0
-			resMu.Unlock()
-			if progress != nil {
-				progress(campaign.ItemEvent{Index: i, Result: &rs.Results[i]})
-			}
-			if last {
-				close(done)
-			}
-		}
-		entries[i] = Entry{Task: Task{ID: ids[i], TraceLen: it.TraceLen, Spec: it.Spec}, OnLease: onLease, OnDone: onDone}
-	}
-	if err := c.queue.AddAll(entries); err != nil {
-		return nil, err
-	}
-	c.logf("campaign %s: %d items enqueued", m.Name, n)
-
-	tick := time.NewTicker(c.cfg.PollInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			plan.Finalize(rs)
-			c.logf("campaign %s: complete (%d executed, %d store hits, %d failed)",
-				m.Name, rs.Executed, rs.StoreHits, rs.Failed)
-			return rs, nil
-		case <-ctx.Done():
-			// Abandon the run: drop every queued/leased item so late
-			// completions become duplicate no-ops, then fail what never
-			// finished with the context's error. Finished items keep their
-			// results, matching the Engine's cancellation contract.
-			c.queue.Remove(ids)
-			resMu.Lock()
-			for i := range completed {
-				if !completed[i] {
-					completed[i] = true
-					rs.Results[i] = plan.Result(i, "", nil, false, ctx.Err())
-				}
-			}
-			resMu.Unlock()
-			plan.Finalize(rs)
-			c.logf("campaign %s: canceled", m.Name)
-			return rs, nil
-		case <-tick.C:
-			c.Tick()
-		}
+		c.mu.Unlock()
 	}
 }

@@ -38,9 +38,10 @@ func TestIdleWorkerWakesOnSubmit(t *testing.T) {
 	}
 }
 
-// driveQueue runs m on c with the test playing the only worker against the
-// queue directly: every leased task is answered with complete(task).
-func driveQueue(t *testing.T, c *Coordinator, m *campaign.Manifest, complete func(Task) Completion) *campaign.ResultSet {
+// driveQueue runs m on eng, whose Exec is c.Execute, with the test playing
+// the only worker against the queue directly: every leased task is
+// answered with complete(task).
+func driveQueue(t *testing.T, c *Coordinator, eng *campaign.Engine, m *campaign.Manifest, complete func(Task) Completion) *campaign.ResultSet {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -55,7 +56,7 @@ func driveQueue(t *testing.T, c *Coordinator, m *campaign.Manifest, complete fun
 		}
 	}()
 	defer func() { cancel(); <-done }()
-	return runFleet(t, c, m)
+	return runEngine(t, eng, c, m)
 }
 
 func succeed(task Task) Completion {
@@ -68,24 +69,26 @@ type failingPut struct{}
 func (failingPut) Get(string) (*metrics.Stats, bool, error) { return nil, false, nil }
 func (failingPut) Put(string, *metrics.Stats) error         { return errors.New("disk full") }
 
-// TestStorePutFailureCounted: the coordinator's write of a completed result
-// into the shared store can fail; the item still completes, and each
-// failure is counted in Status and logged.
+// TestStorePutFailureCounted: in fleet mode the engine writes each
+// completed result into its store, as in local mode; the write can fail,
+// the item still completes, and each failure is counted once, by the
+// engine, and logged.
 func TestStorePutFailureCounted(t *testing.T) {
 	var (
 		mu   sync.Mutex
 		logs []string
 	)
-	c := NewCoordinator(Config{Store: failingPut{}, Verbose: func(s string) {
+	c := NewCoordinator(Config{})
+	eng := &campaign.Engine{Store: failingPut{}, Resume: true, Exec: c.Execute, Verbose: func(s string) {
 		mu.Lock()
 		logs = append(logs, s)
 		mu.Unlock()
-	}})
-	rs := driveQueue(t, c, faultManifest(t), succeed)
+	}}
+	rs := driveQueue(t, c, eng, faultManifest(t), succeed)
 	if rs.Failed != 0 || rs.Executed != rs.Total {
 		t.Fatalf("campaign: %d executed, %d failed of %d", rs.Executed, rs.Failed, rs.Total)
 	}
-	if got := c.Status().StorePutErrors; got != int64(rs.Total) {
+	if got := eng.StorePutErrors(); got != int64(rs.Total) {
 		t.Fatalf("StorePutErrors = %d, want %d (one per item)", got, rs.Total)
 	}
 	mu.Lock()
@@ -110,8 +113,9 @@ func TestQueueEmptyAfterCampaigns(t *testing.T) {
 	const campaigns = 3
 	total := 0
 	for i := 0; i < campaigns; i++ {
-		rs := driveQueue(t, c, faultManifest(t), func(task Task) Completion {
-			if strings.HasSuffix(task.ID, "/0") {
+		eng := &campaign.Engine{Resume: true, Exec: c.Execute}
+		rs := driveQueue(t, c, eng, faultManifest(t), func(task Task) Completion {
+			if task.Spec.Scheme == "icount" {
 				return Completion{ID: task.ID, Attempt: task.Attempt, Error: "bad spec"}
 			}
 			return succeed(task)
@@ -129,5 +133,53 @@ func TestQueueEmptyAfterCampaigns(t *testing.T) {
 	}
 	if st := c.Status().Queue; st.Done != int64(total-campaigns) || st.Poisoned != campaigns {
 		t.Fatalf("queue stats %+v, want done %d, poisoned %d", st, total-campaigns, campaigns)
+	}
+}
+
+// TestEveryTraceLengthDispatchedAtOnce: the engine hands the fleet a
+// campaign's items of every trace length together, so idle workers never
+// wait on one length's stragglers before the next length is enqueued.
+// Nothing completes until tasks of both lengths are in the queue.
+func TestEveryTraceLengthDispatchedAtOnce(t *testing.T) {
+	m, err := campaign.Parse([]byte(`{
+		"name": "two-lengths",
+		"workloads": ["ispec00.mix.2.1"],
+		"schemes": ["icount", "cssp"],
+		"trace_lens": [2000, 3000]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(Config{})
+	eng := &campaign.Engine{Resume: true, Exec: c.Execute}
+	seen := func() map[int]int {
+		c.queue.mu.Lock()
+		defer c.queue.mu.Unlock()
+		n := map[int]int{}
+		for _, qt := range c.queue.tasks {
+			n[qt.task.TraceLen]++
+		}
+		return n
+	}
+	// Only the test's lease loop calls complete, so waiting here holds
+	// back every completion until the first check passes.
+	deadline := time.Now().Add(10 * time.Second)
+	both := false
+	rs := driveQueue(t, c, eng, m, func(task Task) Completion {
+		for !both {
+			switch n := seen(); {
+			case n[2000] == 2 && n[3000] == 2:
+				both = true
+			case time.Now().After(deadline):
+				t.Errorf("queue holds %v tasks per trace length, want 2 of each before any completes", n)
+				both = true
+			default:
+				time.Sleep(time.Millisecond)
+			}
+		}
+		return succeed(task)
+	})
+	if rs.Failed != 0 || rs.Executed != rs.Total || rs.Total != 4 {
+		t.Fatalf("campaign: %d executed, %d failed of %d", rs.Executed, rs.Failed, rs.Total)
 	}
 }

@@ -60,9 +60,15 @@ func startWorker(t *testing.T, w *Worker) context.CancelFunc {
 	return cancel
 }
 
-// runFleet drives a campaign through the coordinator and collects the
-// result set, failing the test if it does not finish in time.
+// runFleet drives a campaign through an Engine that sends its store misses
+// to c, over c's store, and collects the result set.
 func runFleet(t *testing.T, c *Coordinator, m *campaign.Manifest) *campaign.ResultSet {
+	t.Helper()
+	return runEngine(t, &campaign.Engine{Store: c.Store(), Resume: true, Exec: c.Execute}, c, m)
+}
+
+// runEngine runs m on eng, failing the test if it does not finish in time.
+func runEngine(t *testing.T, eng *campaign.Engine, c *Coordinator, m *campaign.Manifest) *campaign.ResultSet {
 	t.Helper()
 	type res struct {
 		rs  *campaign.ResultSet
@@ -70,7 +76,7 @@ func runFleet(t *testing.T, c *Coordinator, m *campaign.Manifest) *campaign.Resu
 	}
 	ch := make(chan res, 1)
 	go func() {
-		rs, err := c.RunCtx(context.Background(), m, nil)
+		rs, err := eng.RunCtx(context.Background(), m, nil)
 		ch <- res{rs, err}
 	}()
 	select {
@@ -91,8 +97,8 @@ func runFleet(t *testing.T, c *Coordinator, m *campaign.Manifest) *campaign.Resu
 // kill -9 between lease and completion. The coordinator must detect the
 // loss, requeue the item, and the surviving workers must finish the
 // campaign with results bit-for-bit identical to a single-process Engine
-// run of the same manifest. A fresh worker resubmitting the campaign then
-// proves the shared store: zero simulations execute the second time.
+// run of the same manifest. Resubmitting the campaign then proves the
+// shared store: zero simulations execute the second time.
 func TestFaultInjection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-worker integration test")
@@ -179,13 +185,8 @@ func TestFaultInjection(t *testing.T) {
 			rs.Executed, rs.StoreHits, want.Executed, want.StoreHits)
 	}
 
-	// Resubmit through a fresh worker with no memory of the first run: every
-	// item must come back as a store hit — zero simulations.
-	fresh, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startWorker(t, fresh)
+	// Resubmit through a fresh engine with no memory of the first run:
+	// every item must come back as a store hit — zero simulations.
 	rs2 := runFleet(t, coord, m)
 	if rs2.Executed != 0 {
 		t.Fatalf("resubmission executed %d simulations, want 0 (store dedup broken)", rs2.Executed)

@@ -8,6 +8,8 @@ import (
 	"net/http"
 
 	"clustersmt/internal/campaign/store"
+	"clustersmt/internal/experiments"
+	"clustersmt/internal/metrics"
 	"clustersmt/internal/report"
 )
 
@@ -194,6 +196,15 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	// (task, worker, attempt) check alone decides acceptance, so a reaped
 	// worker's late report is rejected as stale without racing the registry.
 	c.reg.heartbeat(id)
+	if spec, ok := c.queue.spec(comp.ID); ok && comp.Error == "" {
+		if err := checkStats(spec, comp.Stats); err != nil {
+			// The report cannot be used: count it as a failed attempt, so
+			// the retry/poison path ends the item, and tell the worker.
+			c.queue.Complete(id, Completion{ID: comp.ID, Attempt: comp.Attempt, Error: "malformed completion: " + err.Error()})
+			fleetErr(w, http.StatusUnprocessableEntity, "malformed completion: %v", err)
+			return
+		}
+	}
 	accepted := c.queue.Complete(id, comp)
 	if !accepted {
 		c.logf("worker %s: stale/duplicate completion for %s attempt %d ignored", id, comp.ID, comp.Attempt)
@@ -251,4 +262,27 @@ func (c *Coordinator) handleStorePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// checkStats rejects a success whose stats result assembly cannot use: nil
+// stats, or per-thread slices whose length is not the spec's thread count
+// (1 for a single-thread baseline). Result rows index them by thread.
+func checkStats(s experiments.Spec, st *metrics.Stats) error {
+	if st == nil {
+		return errors.New("success without stats")
+	}
+	n := len(s.Workload.Threads)
+	if s.SingleThread >= 0 {
+		n = 1
+	}
+	lens := []int{len(st.Committed), len(st.Fetched), len(st.ThreadWindowCycles), len(st.ThreadWindowCommitted)}
+	for _, row := range st.IQOccSum {
+		lens = append(lens, len(row))
+	}
+	for _, l := range lens {
+		if l != n {
+			return fmt.Errorf("stats carry %d per-thread entries for a %d-thread spec", l, n)
+		}
+	}
+	return nil
 }

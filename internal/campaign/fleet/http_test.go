@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
+	"clustersmt/internal/workload"
 )
 
 func startCoordinator(t *testing.T, cfg Config) (*Coordinator, *httptest.Server) {
@@ -75,7 +77,7 @@ func TestWorkerLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// With work queued, the lease returns it and a completion lands.
-	c.queue.Add(Task{ID: "job/0", TraceLen: 1000}, nil, nil)
+	c.queue.Add(Task{ID: "job/0", TraceLen: 1000}, nil)
 	if code := postJSON(t, srv.URL+"/v1/workers/"+reg.ID+"/lease", LeaseRequest{Max: 4}, &lease); code != http.StatusOK {
 		t.Fatalf("lease status = %d", code)
 	}
@@ -83,7 +85,7 @@ func TestWorkerLifecycleOverHTTP(t *testing.T) {
 		t.Fatalf("lease tasks = %+v", lease.Tasks)
 	}
 	var comp CompleteResponse
-	body := Completion{ID: "job/0", Attempt: 1, Executed: true, Stats: &metrics.Stats{Cycles: 7}}
+	body := Completion{ID: "job/0", Attempt: 1, Executed: true, Stats: metrics.NewStats(1, 2)}
 	if code := postJSON(t, srv.URL+"/v1/workers/"+reg.ID+"/complete", body, &comp); code != http.StatusOK || !comp.Accepted {
 		t.Fatalf("complete = status %d, %+v", code, comp)
 	}
@@ -294,3 +296,85 @@ func (c corrupting) Get(key string) (*metrics.Stats, bool, error) {
 }
 
 func (c corrupting) Put(key string, st *metrics.Stats) error { return c.inner.Put(key, st) }
+
+// TestLeaseHugeMax: the lease batch bound comes from the request body, so
+// the grant is sized by what can actually be leased — a huge max must
+// neither exhaust the coordinator's memory nor grant more than is queued.
+func TestLeaseHugeMax(t *testing.T) {
+	c, srv := startCoordinator(t, Config{LeaseTTL: time.Minute})
+	var reg RegisterResponse
+	if code := postJSON(t, srv.URL+"/v1/workers", RegisterRequest{Name: "greedy"}, &reg); code != http.StatusOK {
+		t.Fatalf("register status = %d", code)
+	}
+	c.queue.Add(Task{ID: "job/0", TraceLen: 1000}, nil)
+	var lease LeaseResponse
+	if code := postJSON(t, srv.URL+"/v1/workers/"+reg.ID+"/lease", LeaseRequest{Max: 1 << 36}, &lease); code != http.StatusOK {
+		t.Fatalf("lease status = %d", code)
+	}
+	if len(lease.Tasks) != 1 || lease.Tasks[0].ID != "job/0" {
+		t.Fatalf("lease tasks = %+v, want the one queued task", lease.Tasks)
+	}
+}
+
+// TestMalformedCompletionFailsAttempt: a success whose stats do not fit
+// the task's spec — none at all, or per-thread slices of the wrong length
+// — answers 422 and counts as a failed attempt, so the retry/poison path
+// ends the item instead of the stats reaching result assembly, where they
+// would index out of range.
+func TestMalformedCompletionFailsAttempt(t *testing.T) {
+	wl, err := workload.Find("dh.ilp.2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	short := metrics.NewStats(2, 2)
+	short.IQOccSum[1] = short.IQOccSum[1][:1]
+	bodies := []string{
+		`{"id":"%s","attempt":%d,"executed":true,"stats":{"Cycles":1}}`,
+		`{"id":"%s","attempt":%d,"executed":true}`,
+		`{"id":"%s","attempt":%d,"executed":true,"stats":` + mustJSON(t, short) + `}`,
+	}
+	c, srv := startCoordinator(t, Config{LeaseTTL: time.Minute, PollInterval: time.Second,
+		RetryBase: time.Millisecond, RetryCap: time.Millisecond, MaxAttempts: len(bodies)})
+	var reg RegisterResponse
+	if code := postJSON(t, srv.URL+"/v1/workers", RegisterRequest{Name: "garbled"}, &reg); code != http.StatusOK {
+		t.Fatalf("register status = %d", code)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Execute(context.Background(), 1000, experiments.Spec{Workload: wl, Scheme: "icount", IQSize: 32, SingleThread: -1})
+		done <- err
+	}()
+	for _, b := range bodies {
+		var lease LeaseResponse
+		if code := postJSON(t, srv.URL+"/v1/workers/"+reg.ID+"/lease", LeaseRequest{Max: 1}, &lease); code != http.StatusOK || len(lease.Tasks) != 1 {
+			t.Fatalf("lease = status %d, %+v", code, lease)
+		}
+		task := lease.Tasks[0]
+		body := fmt.Sprintf(b, task.ID, task.Attempt)
+		resp, err := http.Post(srv.URL+"/v1/workers/"+reg.ID+"/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("malformed completion %s: status %d, want 422", body, resp.StatusCode)
+		}
+	}
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "poisoned") || !strings.Contains(err.Error(), "malformed completion") {
+			t.Fatalf("Execute error = %v, want a poison naming the malformed completion", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Execute still waiting after every attempt was malformed; status %+v", c.Status())
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}

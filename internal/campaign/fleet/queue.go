@@ -1,17 +1,18 @@
 // Package fleet scales the campaign service across processes: a
 // coordinator owning the work queue, the worker registry and the shared
-// result store, and pull-based workers that lease item batches over HTTP,
-// simulate them locally and report completions. Placement stays in
-// campaign.Plan — the coordinator is just the distributed execution
-// strategy over the same plan the in-process Engine runs, which is what
-// makes a fleet run of a manifest bit-for-bit identical to a local one.
+// result store, and pull-based workers that lease simulation tasks over
+// HTTP, simulate them locally and report completions. The fleet runs
+// simulations, not campaigns: campaign.Engine still turns every manifest
+// into its ResultSet and sends each simulation its store cannot answer to
+// Coordinator.Execute, which is what makes a fleet run of a manifest
+// bit-for-bit identical to a local one.
 //
 // The failure model is lease-based: a worker that stops heartbeating (or
-// never reports a leased item) loses its leases, and the items requeue
-// with capped exponential backoff. Items that keep failing reach a
+// never reports a leased task) loses its leases, and the tasks requeue
+// with capped exponential backoff. Tasks that keep failing reach a
 // terminal poison state after a bounded number of attempts, so one broken
 // spec cannot wedge a campaign. Completions are idempotent, keyed by
-// (item ID, attempt): duplicate or stale reports — a worker presumed dead
+// (task ID, attempt): duplicate or stale reports — a worker presumed dead
 // that finishes anyway — are no-ops.
 package fleet
 
@@ -51,7 +52,7 @@ type Completion struct {
 }
 
 // Outcome is a task's terminal result, delivered exactly once to the
-// OnDone callback registered at Add: either Stats from the accepted
+// onDone callback registered at Add: either Stats from the accepted
 // completion, or Err for a poisoned task.
 type Outcome struct {
 	ID       string
@@ -80,7 +81,6 @@ type qtask struct {
 	expires   time.Time // lease deadline (stateLeased)
 	notBefore time.Time // backoff gate (statePending)
 	lastErr   string    // most recent attempt failure
-	onLease   func(Task)
 	onDone    func(Outcome)
 }
 
@@ -110,7 +110,7 @@ type QueueStats struct {
 // workers in batches with rendezvous-hash affinity (so one item tends to
 // revisit one worker's warm trace memos) and work-stealing (an idle worker
 // drains the oldest pending work regardless of affinity). It is safe for
-// concurrent use; OnLease/OnDone callbacks fire outside the queue's lock.
+// concurrent use; onDone callbacks fire outside the queue's lock.
 // A task leaves the queue when it reaches a terminal state, so the queue
 // holds only live work however many campaigns it has run.
 type Queue struct {
@@ -173,54 +173,27 @@ func (q *Queue) Close() {
 	}
 }
 
-// Entry is one task to enqueue with its callbacks. OnLease (optional)
-// fires on every lease grant — including re-leases after a failure — with
-// the granted Task; OnDone (optional) fires exactly once when the task
-// reaches a terminal state. Both fire outside the queue lock.
-type Entry struct {
-	Task    Task
-	OnLease func(Task)
-	OnDone  func(Outcome)
-}
-
-// Add enqueues one task; see Entry for the callbacks.
-func (q *Queue) Add(t Task, onLease func(Task), onDone func(Outcome)) error {
-	return q.AddAll([]Entry{{Task: t, OnLease: onLease, OnDone: onDone}})
-}
-
-// AddAll enqueues a batch atomically: every entry or, on an ID that is
-// already queued or repeated within the batch, none. Held lease requests
-// wake once, with the whole batch in view, so a campaign is dispatched by
-// affinity from its first lease rather than in whatever slices the enqueue
-// loop happened to expose.
-func (q *Queue) AddAll(entries []Entry) error {
+// Add enqueues one task. onDone (optional) fires exactly once, outside the
+// queue lock, when the task reaches a terminal state. An ID that is
+// already queued is an error.
+func (q *Queue) Add(t Task, onDone func(Outcome)) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	seen := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		if _, ok := q.tasks[e.Task.ID]; ok || seen[e.Task.ID] {
-			return fmt.Errorf("fleet: duplicate task %q", e.Task.ID)
-		}
-		seen[e.Task.ID] = true
+	if _, ok := q.tasks[t.ID]; ok {
+		return fmt.Errorf("fleet: duplicate task %q", t.ID)
 	}
-	for _, e := range entries {
-		q.seq++
-		q.tasks[e.Task.ID] = &qtask{task: e.Task, seq: q.seq, state: statePending, onLease: e.OnLease, onDone: e.OnDone}
-	}
-	if len(entries) > 0 {
-		q.signalLocked()
-	}
+	q.seq++
+	q.tasks[t.ID] = &qtask{task: t, seq: q.seq, state: statePending, onDone: onDone}
+	q.signalLocked()
 	return nil
 }
 
-// Remove deletes tasks by ID regardless of state, without firing OnDone —
-// the caller is abandoning the run (campaign cancel) and handles its own
+// Remove deletes task id regardless of state, without firing onDone —
+// the caller is abandoning it (a cancelled Execute) and handles its own
 // accounting. A completion for a removed task is a duplicate no-op.
-func (q *Queue) Remove(ids []string) {
+func (q *Queue) Remove(id string) {
 	q.mu.Lock()
-	for _, id := range ids {
-		delete(q.tasks, id)
-	}
+	delete(q.tasks, id)
 	q.mu.Unlock()
 }
 
@@ -246,8 +219,7 @@ func owner(id string, live []string) string {
 // rendezvous shard first (oldest first), then — work-stealing — the oldest
 // pending tasks owned by other workers. Backoff-gated tasks are skipped
 // until their notBefore passes. Each granted task's attempt number
-// increments; OnLease callbacks fire after the lock is released. A closed
-// queue grants nothing.
+// increments. A closed queue grants nothing.
 func (q *Queue) Lease(workerID string, live []string, max int, ttl time.Duration) []Task {
 	out, _ := q.lease(workerID, live, max, ttl)
 	return out
@@ -350,7 +322,7 @@ func (q *Queue) lease(workerID string, live []string, max int, ttl time.Duration
 	}
 	sortBySeq(owned)
 	sortBySeq(steal)
-	granted := make([]*qtask, 0, max)
+	granted := make([]*qtask, 0, min(max, len(owned)+len(steal)))
 	for _, t := range append(owned, steal...) {
 		if len(granted) == max {
 			break
@@ -363,18 +335,21 @@ func (q *Queue) lease(workerID string, live []string, max int, ttl time.Duration
 		granted = append(granted, t)
 	}
 	out := make([]Task, len(granted))
-	callbacks := make([]func(Task), len(granted))
 	for i, t := range granted {
 		out[i] = t.task
-		callbacks[i] = t.onLease
 	}
 	q.mu.Unlock()
-	for i, cb := range callbacks {
-		if cb != nil {
-			cb(out[i])
-		}
-	}
 	return out, w
+}
+
+// spec returns the spec of live task id.
+func (q *Queue) spec(id string) (experiments.Spec, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if t, ok := q.tasks[id]; ok {
+		return t.task.Spec, true
+	}
+	return experiments.Spec{}, false
 }
 
 // Renew extends every lease held by workerID to now+ttl (the heartbeat
@@ -398,7 +373,7 @@ func (q *Queue) Renew(workerID string, ttl time.Duration) int {
 // number; anything else (stale attempt after an expiry requeued the item,
 // a duplicate report, an unknown or terminal task) is counted and ignored,
 // which is what makes completion idempotent. An accepted success fires
-// OnDone; an accepted failure requeues with backoff or poisons at the
+// onDone; an accepted failure requeues with backoff or poisons at the
 // attempt cap.
 func (q *Queue) Complete(workerID string, c Completion) bool {
 	q.mu.Lock()

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -74,7 +73,7 @@ func TestExpiryRequeuesExactlyOnce(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
-	if err := q.Add(Task{ID: "a"}, nil, rec.onDone); err != nil {
+	if err := q.Add(Task{ID: "a"}, rec.onDone); err != nil {
 		t.Fatal(err)
 	}
 
@@ -107,7 +106,7 @@ func TestRenewalPreventsRequeue(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
-	q.Add(Task{ID: "a"}, nil, rec.onDone)
+	q.Add(Task{ID: "a"}, rec.onDone)
 	q.Lease("w1", []string{"w1"}, 1, ttl)
 
 	// Heartbeat renewals inside the ttl keep the lease alive arbitrarily
@@ -133,7 +132,7 @@ func TestDuplicateCompletionAfterExpiryIgnored(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
-	q.Add(Task{ID: "a"}, nil, rec.onDone)
+	q.Add(Task{ID: "a"}, rec.onDone)
 	q.Lease("w1", []string{"w1", "w2"}, 1, ttl)
 
 	// w1 goes silent; its lease expires and w2 picks the item up.
@@ -174,7 +173,7 @@ func TestDuplicateCompletionAfterExpiryIgnored(t *testing.T) {
 func TestCompletionFromWrongWorkerRejected(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
-	q.Add(Task{ID: "a"}, nil, nil)
+	q.Add(Task{ID: "a"}, nil)
 	q.Lease("w1", []string{"w1"}, 1, ttl)
 	if q.Complete("w2", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
 		t.Fatal("completion from a worker that does not hold the lease was accepted")
@@ -187,7 +186,7 @@ func TestCompletionFromWrongWorkerRejected(t *testing.T) {
 func TestBackoffGatesRelease(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5) // base 100ms, cap 1s
-	q.Add(Task{ID: "a"}, nil, nil)
+	q.Add(Task{ID: "a"}, nil)
 
 	q.Lease("w1", []string{"w1"}, 1, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
@@ -217,7 +216,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 2)
 	rec := newDoneRecorder(t)
-	q.Add(Task{ID: "a"}, nil, rec.onDone)
+	q.Add(Task{ID: "a"}, rec.onDone)
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		clk.advance(2 * time.Second) // clears any backoff
@@ -252,8 +251,8 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 func TestRequeueWorkerReclaimsImmediately(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
-	q.Add(Task{ID: "a"}, nil, nil)
-	q.Add(Task{ID: "b"}, nil, nil)
+	q.Add(Task{ID: "a"}, nil)
+	q.Add(Task{ID: "b"}, nil)
 	q.Lease("w1", []string{"w1"}, 2, ttl)
 
 	// The registry reaped w1: its leases die now, not at ttl.
@@ -274,7 +273,7 @@ func TestAffinityAndStealing(t *testing.T) {
 	live := []string{"w1", "w2"}
 	var w1Owned []string
 	for _, id := range []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"} {
-		q.Add(Task{ID: id}, nil, nil)
+		q.Add(Task{ID: id}, nil)
 		if owner(id, live) == "w1" {
 			w1Owned = append(w1Owned, id)
 		}
@@ -306,10 +305,10 @@ func TestRemoveSilencesCompletions(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
-	q.Add(Task{ID: "a"}, nil, rec.onDone)
+	q.Add(Task{ID: "a"}, rec.onDone)
 	q.Lease("w1", []string{"w1"}, 1, ttl)
 
-	q.Remove([]string{"a"})
+	q.Remove("a")
 	if q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
 		t.Fatal("completion for a removed task accepted")
 	}
@@ -353,7 +352,7 @@ func TestLeaseWaitWakesOnAdd(t *testing.T) {
 	ch := leaseAsync(q, "w1", 5*time.Second)
 	waitHeld(t, q, 1)
 	start := time.Now()
-	q.Add(Task{ID: "a"}, nil, nil)
+	q.Add(Task{ID: "a"}, nil)
 	r := <-ch
 	if r.err != nil || len(r.tasks) != 1 || r.tasks[0].ID != "a" {
 		t.Fatalf("held lease = %+v, want task a", r)
@@ -372,7 +371,7 @@ func TestLeaseWaitWakesOnAdd(t *testing.T) {
 func TestLeaseWaitWakesWhenBackoffPasses(t *testing.T) {
 	const backoff = 50 * time.Millisecond
 	q := NewQueue(4, backoff, backoff, nil)
-	q.Add(Task{ID: "a"}, nil, nil)
+	q.Add(Task{ID: "a"}, nil)
 	q.Lease("w1", []string{"w1"}, 1, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
 
@@ -419,7 +418,7 @@ func TestCloseReleasesHeldLeases(t *testing.T) {
 		t.Fatalf("held leases ended %s after Close, want under 100ms", d)
 	}
 	// Later requests fail at once, and nothing is dispatched.
-	q.Add(Task{ID: "a"}, nil, nil)
+	q.Add(Task{ID: "a"}, nil)
 	if r := <-leaseAsync(q, "w1", time.Minute); !errors.Is(r.err, errClosed) || len(r.tasks) != 0 {
 		t.Fatalf("lease on a closed queue = %+v", r)
 	}
@@ -432,7 +431,7 @@ func TestTerminalTasksLeaveQueue(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 1)
 	for _, id := range []string{"a", "b", "c"} {
-		q.Add(Task{ID: id}, nil, func(Outcome) {})
+		q.Add(Task{ID: id}, func(Outcome) {})
 	}
 	q.Lease("w1", []string{"w1"}, 3, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}})
@@ -454,51 +453,18 @@ func TestTerminalTasksLeaveQueue(t *testing.T) {
 	}
 }
 
-// TestAddAllIsAtomic pins the batch enqueue: a duplicate ID, within the
-// batch or already queued, rejects the whole batch.
-func TestAddAllIsAtomic(t *testing.T) {
+// TestAddRejectsDuplicate: an ID that is already queued is refused, and
+// the queued task is untouched.
+func TestAddRejectsDuplicate(t *testing.T) {
 	q := NewQueue(4, 0, 0, nil)
-	q.Add(Task{ID: "a"}, nil, nil)
-	for _, ids := range [][]string{{"b", "a"}, {"c", "c"}} {
-		entries := make([]Entry, len(ids))
-		for i, id := range ids {
-			entries[i] = Entry{Task: Task{ID: id}}
-		}
-		if err := q.AddAll(entries); err == nil {
-			t.Fatalf("AddAll(%v) accepted a duplicate", ids)
-		}
+	q.Add(Task{ID: "a", TraceLen: 1000}, nil)
+	if err := q.Add(Task{ID: "a", TraceLen: 2000}, nil); err == nil {
+		t.Fatal("Add accepted a duplicate ID")
 	}
 	if st := q.Stats(); st.Pending != 1 {
-		t.Fatalf("pending = %d after rejected batches, want 1", st.Pending)
+		t.Fatalf("pending = %d after the rejected Add, want 1", st.Pending)
 	}
-}
-
-// TestHeldLeaseSeesWholeBatch pins why campaigns enqueue with AddAll: the
-// held request wakes once the batch is in, so it takes its own affinity
-// shard, not the first task the enqueue happened to expose.
-func TestHeldLeaseSeesWholeBatch(t *testing.T) {
-	q := NewQueue(4, 0, 0, nil)
-	live := []string{"w1", "w2"}
-	var entries []Entry
-	var want []string // w1's shard, oldest first
-	for i := 0; len(want) < 2; i++ {
-		id := fmt.Sprintf("t%02d", i)
-		entries = append(entries, Entry{Task: Task{ID: id}})
-		if owner(id, live) == "w1" {
-			want = append(want, id)
-		}
-	}
-	ch := make(chan []Task, 1)
-	go func() {
-		tasks, _ := q.LeaseWait(context.Background(), "w1", func() []string { return live }, 2, ttl, 5*time.Second)
-		ch <- tasks
-	}()
-	waitHeld(t, q, 1)
-	if err := q.AddAll(entries); err != nil {
-		t.Fatal(err)
-	}
-	got := <-ch
-	if len(got) != 2 || got[0].ID != want[0] || got[1].ID != want[1] {
-		t.Fatalf("held lease took %+v, want w1's shard %v", got, want)
+	if got := q.Lease("w1", []string{"w1"}, 2, ttl); len(got) != 1 || got[0].TraceLen != 1000 {
+		t.Fatalf("leased %+v, want the original task only", got)
 	}
 }

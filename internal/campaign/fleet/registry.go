@@ -70,14 +70,6 @@ func (r *registry) heartbeat(id string) bool {
 	return true
 }
 
-// known reports whether id is currently registered.
-func (r *registry) known(id string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.workers[id]
-	return ok
-}
-
 // live returns the registered worker IDs (the rendezvous-hash population).
 func (r *registry) live() []string {
 	r.mu.Lock()

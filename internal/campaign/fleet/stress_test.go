@@ -63,7 +63,7 @@ func TestQueueStress(t *testing.T) {
 		done.Add(1)
 	}
 	for i := 0; i < numTasks; i++ {
-		if err := q.Add(Task{ID: fmt.Sprintf("t%03d", i)}, onLease, onDone); err != nil {
+		if err := q.Add(Task{ID: fmt.Sprintf("t%03d", i)}, onDone); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,6 +94,7 @@ func TestQueueStress(t *testing.T) {
 					tasks, _ = q.LeaseWait(ctx, id, func() []string { return live }, 4, 50*time.Microsecond, time.Millisecond)
 				}
 				for _, task := range tasks {
+					onLease(task)
 					switch rng.Intn(4) {
 					case 0: // abandon: say nothing, let the lease expire
 					case 1:

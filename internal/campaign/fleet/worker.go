@@ -7,12 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
@@ -40,20 +43,20 @@ type WorkerConfig struct {
 }
 
 // Worker is the fleet's data plane: it registers with a coordinator,
-// heartbeats in the background, pulls task batches and simulates them on a
-// local experiments.Runner whose store is layered memory → (optional
-// local disk) → coordinator remote store — so a result any fleet member
-// already produced is a store hit, not a re-execution.
+// heartbeats in the background, pulls task batches and simulates them on
+// the runners of a local campaign.Engine whose store is layered memory →
+// (optional local disk) → coordinator remote store — so a result any fleet
+// member already produced is a store hit, not a re-execution. The worker
+// keeps only the runners, and their trace memos, for the trace lengths of
+// the batch at hand.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
-	remote *store.Remote
+	eng    *campaign.Engine
 
 	mu        sync.Mutex
 	id        string
-	leaseTTL  time.Duration
 	heartbeat time.Duration
-	runners   map[int]*experiments.Runner
 
 	// Test seams (package-internal): observe task pickup and inject
 	// per-task execution failures without touching the simulation path.
@@ -77,11 +80,14 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
+	var st experiments.ResultStore = remote
+	if cfg.LocalStore != nil {
+		st = experiments.Layered(cfg.LocalStore, remote)
+	}
 	return &Worker{
-		cfg:     cfg,
-		client:  client,
-		remote:  remote,
-		runners: make(map[int]*experiments.Runner),
+		cfg:    cfg,
+		client: client,
+		eng:    &campaign.Engine{Store: st, Resume: true, Workers: cfg.Parallel},
 	}, nil
 }
 
@@ -160,7 +166,6 @@ func (w *Worker) register(ctx context.Context) error {
 		if err == nil && code == http.StatusOK {
 			w.mu.Lock()
 			w.id = resp.ID
-			w.leaseTTL = time.Duration(resp.LeaseTTLMs) * time.Millisecond
 			w.heartbeat = time.Duration(resp.HeartbeatMs) * time.Millisecond
 			w.mu.Unlock()
 			w.logf("registered as %s (heartbeat %s)", resp.ID, w.heartbeat)
@@ -233,29 +238,6 @@ func (w *Worker) lease(ctx context.Context) ([]Task, error) {
 	return resp.Tasks, nil
 }
 
-// runnerFor returns the worker's shared runner for trace length tl. The
-// store layering is the fleet's dedup path: memory first, then the
-// optional local disk store, then the coordinator over HTTP — and a
-// simulation's Put writes through all of them, replicating fresh results
-// fleet-wide.
-func (w *Worker) runnerFor(tl int) *experiments.Runner {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if r, ok := w.runners[tl]; ok {
-		return r
-	}
-	r := experiments.NewRunner(tl)
-	r.Workers = w.cfg.Parallel
-	layers := []experiments.ResultStore{experiments.NewMemStore()}
-	if w.cfg.LocalStore != nil {
-		layers = append(layers, w.cfg.LocalStore)
-	}
-	layers = append(layers, w.remote)
-	r.Store = experiments.Layered(layers...)
-	w.runners[tl] = r
-	return r
-}
-
 // execute simulates a leased batch and reports completions. Tasks whose
 // execution was cut off by ctx cancellation are deliberately NOT reported:
 // a dying worker stays silent, the lease expires, and the coordinator
@@ -275,29 +257,35 @@ func (w *Worker) execute(ctx context.Context, tasks []Task) {
 		}
 		byLen[t.TraceLen] = append(byLen[t.TraceLen], t)
 	}
-	for tl, group := range byLen {
-		r := w.runnerFor(tl)
-		specs := make([]experiments.Spec, len(group))
-		for i, t := range group {
-			specs[i] = t.Spec
-		}
-		p := &experiments.Progress{
-			Finished: func(i int, st *metrics.Stats, executed bool, err error) {
-				t := group[i]
-				if err != nil && isCtxErr(err) {
-					return // dying quietly; the lease requeues the item
-				}
-				comp := Completion{ID: t.ID, Attempt: t.Attempt, Key: r.CacheKey(t.Spec), Executed: executed, Stats: st}
-				if err != nil {
-					comp.Error = err.Error()
-					comp.Stats = nil
-				}
-				w.report(ctx, comp)
-			},
-		}
-		// Per-item errors already landed in the completions via the
-		// callback; a context cancellation is the loop condition's to see.
-		_, _ = r.RunAllCtx(ctx, specs, p)
+	lens := slices.Sorted(maps.Keys(byLen))
+	// Each campaign may bring new trace lengths: keep only the runners
+	// this batch uses, so memory does not grow with every length seen.
+	w.eng.Recycle(lens...)
+	for _, tl := range lens {
+		group := byLen[tl]
+		w.eng.WithRunner(tl, func(r *experiments.Runner) {
+			specs := make([]experiments.Spec, len(group))
+			for i, t := range group {
+				specs[i] = t.Spec
+			}
+			p := &experiments.Progress{
+				Finished: func(i int, st *metrics.Stats, executed bool, err error) {
+					t := group[i]
+					if err != nil && isCtxErr(err) {
+						return // dying quietly; the lease requeues the item
+					}
+					comp := Completion{ID: t.ID, Attempt: t.Attempt, Key: r.CacheKey(t.Spec), Executed: executed, Stats: st}
+					if err != nil {
+						comp.Error = err.Error()
+						comp.Stats = nil
+					}
+					w.report(ctx, comp)
+				},
+			}
+			// Per-item errors already landed in the completions via the
+			// callback; a context cancellation is the loop condition's to see.
+			_, _ = r.RunAllCtx(ctx, specs, p)
+		})
 	}
 }
 

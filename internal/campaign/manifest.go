@@ -13,6 +13,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -47,7 +48,17 @@ const (
 	// simulator's event-wheel capacity (core.Config.Validate enforces the
 	// exact bound; this catches typos at manifest-validation time).
 	maxMemLatencyAxis = 50000
+
+	// MaxItems caps a manifest's expansion. Validation counts the items
+	// before anything is built, so a tiny body cannot make Expand allocate
+	// without limit. It admits the paper's full-pool grids: every named
+	// scheme × two IQ sizes × two register-file sizes with single-thread
+	// baselines over the 120-workload pool is 6,720 items.
+	MaxItems = 20000
 )
+
+// ErrTooManyItems marks a manifest refused for expanding above MaxItems.
+var ErrTooManyItems = errors.New("manifest: too many items")
 
 // Manifest declares a campaign: which workloads, which schemes, and the
 // machine axes to sweep. The cross product of all axes, times repetitions,
@@ -154,24 +165,50 @@ func Parse(b []byte) (*Manifest, error) {
 }
 
 // Validate checks the manifest against the component and scheme
-// registries, the workload pool and the axis rules (see Manifest).
+// registries, the workload pool, the axis rules (see Manifest) and the
+// expansion cap (MaxItems).
 func (m *Manifest) Validate() error {
-	if _, err := m.schemeList(); err != nil {
-		return err
-	}
-	return m.validateAxes()
+	_, _, err := m.validate()
+	return err
 }
 
-// validateAxes checks everything except the scheme list — Expand resolves
-// the scheme list itself (one expansion, not two) and calls this for the
-// rest.
-func (m *Manifest) validateAxes() error {
+// validate is Validate returning the canonical scheme list and the
+// workload pool, which Expand iterates.
+func (m *Manifest) validate() ([]string, []workload.Workload, error) {
+	schemes, err := m.schemeList()
+	if err != nil {
+		return nil, nil, err
+	}
+	points, err := m.validateAxes()
+	if err != nil {
+		return nil, nil, err
+	}
+	pool, err := m.selectedWorkloads()
+	if err != nil {
+		return nil, nil, err
+	}
+	perPoint := 0 // items per axis point, summed over the pool
+	for _, w := range pool {
+		perPoint += len(schemes)
+		if m.SingleThreadBaselines {
+			perPoint += len(w.Threads)
+		}
+	}
+	if n := float64(perPoint) * float64(max(1, m.Repetitions)) * points; n > MaxItems {
+		return nil, nil, fmt.Errorf("%w: expands to %.0f, above the cap of %d", ErrTooManyItems, n, MaxItems)
+	}
+	return schemes, pool, nil
+}
+
+// validateAxes checks the axis rules and returns the number of points
+// the axes span.
+func (m *Manifest) validateAxes() (float64, error) {
 	if err := workload.CheckCategories(m.Categories); err != nil {
-		return fmt.Errorf("manifest: %w", err)
+		return 0, fmt.Errorf("manifest: %w", err)
 	}
 	for _, w := range m.Workloads {
 		if _, err := workload.Find(w); err != nil {
-			return fmt.Errorf("manifest: %w", err)
+			return 0, fmt.Errorf("manifest: %w", err)
 		}
 	}
 	axes := []struct {
@@ -189,26 +226,28 @@ func (m *Manifest) validateAxes() error {
 		{"link_latency", m.LinkLatency, 1, 1024},
 		{"mem_latency", m.MemLatency, 1, maxMemLatencyAxis},
 	}
+	points := 1.0
 	for _, a := range axes {
+		points *= float64(max(1, len(a.vals)))
 		if a.vals != nil && len(a.vals) == 0 {
-			return fmt.Errorf("manifest: axis %s is empty (omit it for the default, or list values)", a.name)
+			return 0, fmt.Errorf("manifest: axis %s is empty (omit it for the default, or list values)", a.name)
 		}
 		for _, v := range a.vals {
 			if v < a.minVal {
-				return fmt.Errorf("manifest: axis %s value %d below minimum %d", a.name, v, a.minVal)
+				return 0, fmt.Errorf("manifest: axis %s value %d below minimum %d", a.name, v, a.minVal)
 			}
 			if a.maxVal > 0 && v > a.maxVal {
-				return fmt.Errorf("manifest: axis %s value %d above maximum %d", a.name, v, a.maxVal)
+				return 0, fmt.Errorf("manifest: axis %s value %d above maximum %d", a.name, v, a.maxVal)
 			}
 		}
 	}
 	if m.MaxPerCategory < 0 {
-		return fmt.Errorf("manifest: negative max_per_category")
+		return 0, fmt.Errorf("manifest: negative max_per_category")
 	}
 	if m.Repetitions < 0 {
-		return fmt.Errorf("manifest: negative repetitions")
+		return 0, fmt.Errorf("manifest: negative repetitions")
 	}
-	return nil
+	return points, nil
 }
 
 // SchemeAxes sweeps scheme components as campaign axes. The expansion is
@@ -525,16 +564,7 @@ func axis(vals []int, def int) []int {
 // SingleThreadBaselines is set. Dry runs print exactly this list; real
 // runs execute exactly this list.
 func (m *Manifest) Expand() ([]Item, error) {
-	// schemeList is the scheme half of Validate; calling it directly (plus
-	// validateAxes) avoids expanding the scheme_axes cross product twice.
-	schemes, err := m.schemeList()
-	if err != nil {
-		return nil, err
-	}
-	if err := m.validateAxes(); err != nil {
-		return nil, err
-	}
-	pool, err := m.selectedWorkloads()
+	schemes, pool, err := m.validate()
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,10 @@ import (
 // Plan is the placement half of a campaign, split from execution: the
 // validated, deterministic item expansion, the grouping of items by trace
 // length (one experiments.Runner per length), and the assembly of raw
-// simulation outcomes into the campaign's ResultSet. The local Engine and
-// the fleet coordinator (internal/campaign/fleet) are two execution
-// strategies over one Plan — in-process worker pool vs distributed
-// lease-based dispatch — and produce identical ResultSets because every
-// per-item decision (ordering, labeling, result shaping, fairness,
-// tallies) lives here, not in the executor.
+// simulation outcomes into the campaign's ResultSet. Engine.RunCtx
+// executes it whether its simulations run in-process or on the fleet, and
+// every per-item decision (ordering, labeling, result shaping, fairness,
+// tallies) lives here, not in where a simulation ran.
 type Plan struct {
 	// Manifest is the campaign declaration the plan was expanded from.
 	Manifest *Manifest

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -79,7 +80,11 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	m, err := campaign.Parse(body)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+		code := http.StatusUnprocessableEntity
+		if errors.Is(err, campaign.ErrTooManyItems) {
+			code = http.StatusBadRequest // a size limit, like 413
+		}
+		writeErr(w, code, "%v", err)
 		return
 	}
 	st, err := s.Submit(m)

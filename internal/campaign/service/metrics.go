@@ -64,9 +64,8 @@ func (m *svcMetrics) cyclesPerSecond(now time.Time) float64 {
 // handleMetrics serves the daemon's operational metrics in the Prometheus
 // text exposition format (version 0.0.4): jobs by state, queue depth,
 // in-flight simulations against the shared gate, lifetime item counters,
-// simulation throughput, and either the engine's failed store writes (local
-// mode) or the coordinator's worker, dispatch-queue and shared-store
-// counters (fleet mode).
+// simulation throughput, the engine's failed store writes, and in fleet
+// mode the coordinator's worker and dispatch-queue counters.
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	states := map[State]int{
 		StateQueued: 0, StateRunning: 0, StateDone: 0, StateFailed: 0, StateCanceled: 0,
@@ -93,7 +92,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "clustersmt_job_queue_depth %d\n", queueDepth)
 	fmt.Fprintf(w, "# HELP clustersmt_sims_inflight Simulations currently holding a slot of the shared worker gate.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_sims_inflight gauge\n")
-	fmt.Fprintf(w, "clustersmt_sims_inflight %d\n", len(s.eng.Gate))
+	fmt.Fprintf(w, "clustersmt_sims_inflight %d\n", s.eng.Inflight())
 	fmt.Fprintf(w, "# HELP clustersmt_sims_executed_total Fresh simulations completed since the daemon started.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_sims_executed_total counter\n")
 	fmt.Fprintf(w, "clustersmt_sims_executed_total %d\n", s.met.executed.Load())
@@ -109,17 +108,16 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# HELP clustersmt_sim_cycles_per_second Mean simulated-cycle rate since the previous scrape.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_sim_cycles_per_second gauge\n")
 	fmt.Fprintf(w, "clustersmt_sim_cycles_per_second %g\n", s.met.cyclesPerSecond(time.Now()))
-	if s.fleet != nil {
-		writeFleetMetrics(w, s.fleet.Status())
-		return
-	}
 	fmt.Fprintf(w, "# HELP clustersmt_store_put_errors_total Fresh results the daemon failed to write into its result store.\n")
 	fmt.Fprintf(w, "# TYPE clustersmt_store_put_errors_total counter\n")
 	fmt.Fprintf(w, "clustersmt_store_put_errors_total %d\n", s.eng.StorePutErrors())
+	if s.fleet != nil {
+		writeFleetMetrics(w, s.fleet.Status())
+	}
 }
 
-// writeFleetMetrics appends the coordinator's registry, dispatch-queue and
-// shared-store counters to a scrape (fleet mode only).
+// writeFleetMetrics appends the coordinator's registry and dispatch-queue
+// counters to a scrape (fleet mode only).
 func writeFleetMetrics(w http.ResponseWriter, st fleet.Status) {
 	q := st.Queue
 	for _, m := range []struct {
@@ -135,7 +133,6 @@ func writeFleetMetrics(w http.ResponseWriter, st fleet.Status) {
 		{"clustersmt_fleet_requeues_total", "counter", "Returns to pending: failed attempts, expired leases and lost workers.", q.Requeues},
 		{"clustersmt_fleet_lease_expirations_total", "counter", "Leases reclaimed by timeout or worker loss.", q.Expirations},
 		{"clustersmt_fleet_duplicate_completions_total", "counter", "Rejected stale or duplicate completion reports.", q.Duplicates},
-		{"clustersmt_fleet_store_put_errors_total", "counter", "Completed results the coordinator failed to write into the shared store.", st.StorePutErrors},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
 		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)

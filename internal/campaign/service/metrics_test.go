@@ -125,8 +125,9 @@ func (putFails) Put(string, *metrics.Stats) error         { return errors.New("d
 
 // TestFleetMetrics checks the coordinator's section of the scrape in fleet
 // mode: registry and queue gauges, dispatch counters, the held-lease gauge
-// of an idle worker, and the shared-store write failures — here one per
-// item, since the store rejects every Put.
+// of an idle worker, and the store write failures, which the engine counts
+// in fleet mode as in local mode — here one per item, since the store
+// rejects every Put.
 func TestFleetMetrics(t *testing.T) {
 	coord := fleet.NewCoordinator(fleet.Config{Store: putFails{}, PollInterval: 5 * time.Second})
 	srv := startServer(t, Config{Workers: 2, Store: putFails{}, Fleet: coord, SampleInterval: -1})
@@ -141,7 +142,7 @@ func TestFleetMetrics(t *testing.T) {
 		"clustersmt_fleet_requeues_total",
 		"clustersmt_fleet_lease_expirations_total",
 		"clustersmt_fleet_duplicate_completions_total",
-		"clustersmt_fleet_store_put_errors_total",
+		"clustersmt_store_put_errors_total",
 	}
 	m := scrape(t, srv.URL)
 	for _, name := range names {
@@ -166,12 +167,12 @@ func TestFleetMetrics(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for name, want := range map[string]float64{
-		"clustersmt_fleet_workers":                1,
-		"clustersmt_fleet_tasks_pending":          0,
-		"clustersmt_fleet_tasks_leased":           0,
-		"clustersmt_fleet_tasks_done_total":       2,
-		"clustersmt_fleet_tasks_poisoned_total":   0,
-		"clustersmt_fleet_store_put_errors_total": 2,
+		"clustersmt_fleet_workers":              1,
+		"clustersmt_fleet_tasks_pending":        0,
+		"clustersmt_fleet_tasks_leased":         0,
+		"clustersmt_fleet_tasks_done_total":     2,
+		"clustersmt_fleet_tasks_poisoned_total": 0,
+		"clustersmt_store_put_errors_total":     2,
 	} {
 		if m[name] != want {
 			t.Errorf("%s = %v, want %v", name, m[name], want)

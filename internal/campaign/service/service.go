@@ -74,14 +74,15 @@ type Config struct {
 	// or absent SSE consumer costs at most this many retained events per
 	// job; older events are dropped, and the stream marks the gap.
 	EventBuffer int
-	// Fleet, when set, turns the daemon into a fleet coordinator: jobs
-	// execute on the coordinator's distributed dispatch queue (remote
-	// workers lease items over the fleet routes, which Handler mounts)
-	// instead of the in-process engine, and Store should be the same store
-	// handed to the coordinator so the fleet's shared cache and the
-	// daemon's result history are one. Nil keeps the default single-process
-	// mode, byte-identical to previous releases. Fleet jobs carry no
-	// per-item time series (workers do not stream samples).
+	// Fleet, when set, turns the daemon into a fleet coordinator: the
+	// engine still runs every job and answers store hits itself, but sends
+	// each simulation its store cannot answer to the coordinator's dispatch
+	// queue (remote workers lease tasks over the fleet routes, which
+	// Handler mounts) instead of simulating in-process. Store should be the
+	// same store handed to the coordinator, so the fleet's shared cache and
+	// the daemon's result history are one; nil Store uses the
+	// coordinator's. Nil Fleet keeps the default single-process mode. Fleet
+	// jobs carry no per-item time series (workers do not stream samples).
 	Fleet *fleet.Coordinator
 }
 
@@ -153,7 +154,6 @@ type Service struct {
 	fleet *fleet.Coordinator
 	met   svcMetrics
 
-	verbose     func(string)
 	maxFinished int
 	eventBuffer int
 
@@ -169,8 +169,8 @@ type Service struct {
 }
 
 // New starts a service: JobWorkers goroutines consuming the job queue, all
-// executing on one shared campaign.Engine whose simulation concurrency is
-// gated at Workers machine-wide.
+// executing on one shared campaign.Engine whose local simulation
+// concurrency is gated at Workers machine-wide.
 func New(cfg Config) *Service {
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -199,17 +199,22 @@ func New(cfg Config) *Service {
 	case sample == 0:
 		sample = core.DefaultSampleInterval
 	}
+	eng := &campaign.Engine{
+		Store:          cfg.Store,
+		Resume:         true,
+		Workers:        workers,
+		Verbose:        cfg.Verbose,
+		SampleInterval: sample,
+	}
+	if cfg.Fleet != nil {
+		eng.Exec = cfg.Fleet.Execute
+		if eng.Store == nil {
+			eng.Store = cfg.Fleet.Store()
+		}
+	}
 	s := &Service{
-		eng: &campaign.Engine{
-			Store:          cfg.Store,
-			Resume:         true,
-			Workers:        workers,
-			Gate:           make(chan struct{}, workers),
-			Verbose:        cfg.Verbose,
-			SampleInterval: sample,
-		},
+		eng:         eng,
 		fleet:       cfg.Fleet,
-		verbose:     cfg.Verbose,
 		maxFinished: maxFinished,
 		eventBuffer: eventBuffer,
 		jobs:        make(map[string]*job),
@@ -419,7 +424,15 @@ func (s *Service) worker() {
 		s.mu.Lock()
 		s.running++
 		s.mu.Unlock()
-		s.runJob(j)
+		if j.begin() {
+			//smtlint:allow detcheck: queue delivery order picks when a job runs, not its rows, which depend on its manifest alone
+			rs, err := s.eng.RunCtx(j.ctx, j.manifest, func(ev campaign.ItemEvent) {
+				s.met.onItem(ev)
+				j.onEvent(ev)
+				j.publish(ev)
+			})
+			j.end(rs, err)
+		}
 		s.mu.Lock()
 		s.running--
 		idle := s.running == 0
@@ -436,30 +449,21 @@ func (s *Service) worker() {
 	}
 }
 
-// runJob executes one dequeued job on the shared engine.
-func (s *Service) runJob(j *job) {
+// begin moves a dequeued job to running. It reports false for a job
+// canceled while it waited in the queue.
+func (j *job) begin() bool {
 	j.mu.Lock()
-	if j.state != StateQueued { // canceled while waiting in the queue
-		j.mu.Unlock()
-		return
+	defer j.mu.Unlock()
+	if j.state != StateQueued {
+		return false
 	}
 	j.state = StateRunning
 	j.started = time.Now()
-	j.mu.Unlock()
+	return true
+}
 
-	// Both executors share one signature and one progress/cancellation
-	// contract over the campaign Plan; fleet mode swaps where the
-	// simulations run, not what the job observes.
-	runCtx := s.eng.RunCtx
-	if s.fleet != nil {
-		runCtx = s.fleet.RunCtx
-	}
-	rs, err := runCtx(j.ctx, j.manifest, func(ev campaign.ItemEvent) {
-		s.met.onItem(ev)
-		j.onEvent(ev)
-		j.publish(ev)
-	})
-
+// end records the engine's outcome for j.
+func (j *job) end(rs *campaign.ResultSet, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {

@@ -310,6 +310,18 @@ func TestValidationAndErrors(t *testing.T) {
 		}
 	}
 
+	// A manifest that expands above the item cap is a bad request, refused
+	// before anything is built.
+	bomb, err := http.Post(srv.URL+"/v1/campaigns", "application/json",
+		strings.NewReader(`{"schemes": ["icount"], "repetitions": 1000000000}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bomb.Body.Close()
+	if bomb.StatusCode != http.StatusBadRequest {
+		t.Errorf("too many items: code = %d, want 400", bomb.StatusCode)
+	}
+
 	// Unknown job ids 404 on every per-job route.
 	for _, probe := range []struct{ method, path string }{
 		{http.MethodGet, "/v1/campaigns/zzz"},

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -51,12 +53,18 @@ type gcEntry struct {
 // an age or count cap are removed, oldest first. Removing a valid entry is
 // always safe: the store is a cache over deterministic simulation, so the
 // worst case is one re-execution. Concurrent writers are tolerated (a file
-// that disappears mid-pass is skipped, not an error).
+// that disappears mid-pass is skipped, not an error). Files the pass could
+// not remove are reported in the error, next to the completed report.
 func (s *Store) GC(o GCOptions) (*GCReport, error) {
 	rep := &GCReport{}
+	var rmErrs []error
 	remove := func(path string) {
-		if !o.DryRun {
-			os.Remove(path)
+		if o.DryRun {
+			return
+		}
+		err := os.Remove(path)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			rmErrs = append(rmErrs, err)
 		}
 	}
 
@@ -131,5 +139,5 @@ func (s *Store) GC(o GCOptions) (*GCReport, error) {
 			}
 		}
 	}
-	return rep, nil
+	return rep, errors.Join(rmErrs...)
 }

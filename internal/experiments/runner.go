@@ -157,11 +157,17 @@ type Runner struct {
 	Shape MachineShape
 	// Gate, when non-nil, is acquired around every actual simulation (not
 	// store hits). Sharing one gate between runners bounds total simulation
-	// concurrency across them — the campaign service uses this so that
-	// concurrent jobs share one machine-wide worker budget instead of each
-	// bringing its own Workers-sized pool. Nil means Workers alone bounds
-	// parallelism.
+	// concurrency across them — the campaign engine uses this so that
+	// concurrent campaigns share one machine-wide worker budget instead of
+	// each bringing its own Workers-sized pool. Nil means Workers alone
+	// bounds parallelism.
 	Gate chan struct{}
+	// Exec, when non-nil, simulates every store miss in place of the local
+	// simulator, under the spec's singleflight; the runner stores and
+	// counts what it returns (executed = false: a store hit on Exec's
+	// side). An Exec'd spec uses no local CPU, so the runner then takes no
+	// Gate and puts every spec in flight at once. No samples are taken.
+	Exec func(ctx context.Context, traceLen int, s Spec) (st *metrics.Stats, executed bool, err error)
 	// SampleInterval is the time-series observation window in cycles for
 	// runs requested with a Progress.Sample callback (see
 	// core.Processor.SetSampler for rounding; <= 0 selects the core
@@ -430,10 +436,11 @@ func (r *Runner) computeKey(s Spec, k string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// execute runs one spec to completion (uncached). A context cancellation
-// mid-simulation discards the partial run: it is not counted as executed
-// and never reaches the store. A non-nil onSample attaches a time-series
-// sampler for the duration of the run (see SampleInterval).
+// execute runs one spec to completion (uncached) on the local simulator. A
+// context cancellation mid-simulation discards the partial run: it is not
+// counted as executed and never reaches the store. A non-nil onSample
+// attaches a time-series sampler for the duration of the run (see
+// SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
 	p, err := core.NewScheme(r.configFor(s), s.Scheme, r.buildPrograms(s.Workload, s.SingleThread))
 	if err != nil {
@@ -442,12 +449,7 @@ func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Samp
 	if onSample != nil {
 		p.SetSampler(r.SampleInterval, onSample)
 	}
-	st, err := p.RunCtx(ctx)
-	if err != nil {
-		return nil, err
-	}
-	r.executed.Add(1)
-	return st, nil
+	return p.RunCtx(ctx)
 }
 
 // Run executes (or recalls) one spec. Concurrent calls for the same spec
@@ -540,7 +542,7 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 		close(f.done)
 	}
 
-	if r.Gate != nil {
+	if r.Gate != nil && r.Exec == nil {
 		select {
 		case r.Gate <- struct{}{}:
 			defer func() { <-r.Gate }()
@@ -551,7 +553,15 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 		}
 	}
 
-	f.st, f.err = r.execute(ctx, s, onSample)
+	if r.Exec != nil {
+		f.st, executed, f.err = r.Exec(ctx, r.TraceLen, s)
+	} else {
+		f.st, f.err = r.execute(ctx, s, onSample)
+		executed = f.err == nil
+	}
+	if executed {
+		r.executed.Add(1)
+	}
 
 	var putErr error
 	if f.err == nil {
@@ -569,7 +579,7 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Samp
 			r.Verbose(fmt.Sprintf("%-60s store put: %v", k, putErr))
 		}
 	}
-	return f.st, f.err == nil, f.err, false
+	return f.st, executed, f.err, false
 }
 
 // ctxErr reports whether err is a context cancellation/deadline error.
@@ -610,7 +620,10 @@ func (r *Runner) RunAll(specs []Spec) ([]*metrics.Stats, error) {
 // fully before RunAllCtx returns.
 func (r *Runner) RunAllCtx(ctx context.Context, specs []Spec, p *Progress) ([]*metrics.Stats, error) {
 	workers := r.Workers
-	if workers <= 0 {
+	switch {
+	case r.Exec != nil:
+		workers = len(specs) // every spec in flight: Exec uses no local CPU
+	case workers <= 0:
 		workers = runtime.NumCPU()
 	}
 	if workers > len(specs) {

@@ -5,7 +5,8 @@
 // or a corrupt cache entry, so the rules are strict there and not
 // enforced elsewhere (packages named service, fleet, or store).
 //
-// Two rules:
+// Two rules, applied to every function body — declared functions and the
+// function literals inside them alike:
 //
 //  1. Dropped errors: a call whose last result is an error, used as a
 //     bare statement, is a bug. Writes to an http.ResponseWriter are
@@ -44,22 +45,19 @@ func run(pass *lint.Pass) error {
 	default:
 		return nil
 	}
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkDropped(pass, fd)
-			checkOverwritten(pass, fd)
+	for _, fg := range cfg.BuildAll(pass.Files) {
+		if fg.Body == nil {
+			continue
 		}
+		checkDropped(pass, fg.Body)
+		checkOverwritten(pass, fg.Graph)
 	}
 	return nil
 }
 
 // --- rule 1: dropped error results ---
 
-func checkDropped(pass *lint.Pass, fd *ast.FuncDecl) {
+func checkDropped(pass *lint.Pass, body *ast.BlockStmt) {
 	// Walk statement lists so a drop can see its block's later statements
 	// (the cleanup-on-error-path exemption).
 	var walkList func(list []ast.Stmt)
@@ -112,7 +110,7 @@ func checkDropped(pass *lint.Pass, fd *ast.FuncDecl) {
 			walk(s.Stmt)
 		}
 	}
-	walkList(fd.Body.List)
+	walkList(body.List)
 }
 
 // returnsError reports whether the call's last result is the error type.
@@ -273,8 +271,7 @@ func clearReads(pass *lint.Pass, n ast.Node, st errState) {
 	})
 }
 
-func checkOverwritten(pass *lint.Pass, fd *ast.FuncDecl) {
-	g := cfg.New(fd.Name.Name, fd.Body)
+func checkOverwritten(pass *lint.Pass, g *cfg.Graph) {
 	p := &errProblem{pass: pass}
 	facts := dataflow.Forward[errState](g, p)
 	// Replay with reporting on, from the solved facts.

@@ -4,7 +4,7 @@
 // stuck simulation can never wedge the API) rests on every s.mu/j.mu/
 // events.mu critical section being a short, purely local computation, and
 // the fleet coordinator's argument (a slow worker can never wedge the
-// dispatch queue — OnLease/OnDone callbacks fire after unlock) rests on
+// dispatch queue — onDone callbacks fire after unlock) rests on
 // the same rule for queue/registry/coordinator sections; this analyzer
 // rejects channel sends/receives, selects without a default, time.Sleep,
 // Run/Wait-style calls, and http.ResponseWriter writes performed between a

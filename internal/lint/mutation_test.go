@@ -162,3 +162,20 @@ func TestMutationCodecDropsError(t *testing.T) {
 	requireFinding(t, findings(t, root),
 		"error result of json.Unmarshal is dropped")
 }
+
+// TestMutationClosureDropsError drops an error inside a function literal —
+// the store GC's remove helper — rather than a declared function; errflow
+// must flag it, because closures (callbacks, goroutine bodies, helpers like
+// this one) drop errors as easily as declared functions do, and a failed
+// removal would otherwise vanish from the GC's report.
+func TestMutationClosureDropsError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "campaign", "store", "gc.go"),
+		"err := os.Remove(path)\n",
+		"os.Remove(path)\n\t\tvar err error\n")
+	requireFinding(t, findings(t, root),
+		"error result of os.Remove is dropped")
+}
