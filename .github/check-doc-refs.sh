@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# check-doc-refs.sh — fail when DESIGN.md or README.md references a
-# repository path that does not exist, or when godoc references a
+# check-doc-refs.sh — fail when DESIGN.md, README.md, docs/API.md or the
+# verify skill references a repository path that does not exist, or when godoc references a
 # DESIGN.md section that is missing (the class of rot this repo had when
 # runner.go cited a DESIGN.md §4 that was never written).
 set -euo pipefail
@@ -11,7 +11,7 @@ fail=0
 # 1. Path-shaped references in the docs must exist. Only paths under the
 #    tracked top-level trees are checked, so generated artifacts
 #    (out.csv, headline.json, ...) never false-positive.
-for doc in DESIGN.md README.md docs/API.md; do
+for doc in DESIGN.md README.md docs/API.md .claude/skills/verify/SKILL.md; do
   for ref in $(grep -oE '(internal|cmd|examples|\.github)/[A-Za-z0-9_./-]*[A-Za-z0-9_]' "$doc" | sort -u); do
     if [ ! -e "$ref" ]; then
       echo "$doc references nonexistent path: $ref" >&2

@@ -7,6 +7,9 @@
 //
 // Usage:
 //
+//	expdriver sim -workload ispec00.mix.2.1 -scheme cdprf -len 100000 # one simulation
+//	expdriver sim -single 0                                           # thread 0 alone
+//
 //	expdriver -exp fig2                 # one figure
 //	expdriver -exp all -quick           # everything on a reduced pool
 //	expdriver -exp headline -len 100000 # the 17.6%/24% claim
@@ -48,6 +51,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -63,6 +67,8 @@ func main() {
 	if len(os.Args) > 1 {
 		sub, rest := os.Args[1], os.Args[2:]
 		switch sub {
+		case "sim":
+			os.Exit(runSim(rest, os.Stdout, os.Stderr))
 		case "diff":
 			os.Exit(runDiff(rest))
 		case "bench":
@@ -91,7 +97,7 @@ func main() {
 			// Only flags fall through to figure/campaign mode; a mistyped
 			// subcommand must not silently start the full experiment suite.
 			if !strings.HasPrefix(sub, "-") {
-				fmt.Fprintf(os.Stderr, "expdriver: unknown subcommand %q (diff|bench|serve|worker|store|submit|status|cancel|report|schemes|components|workloads; flags select figure/campaign mode)\n", sub)
+				fmt.Fprintf(os.Stderr, "expdriver: unknown subcommand %q (sim|diff|bench|serve|worker|store|submit|status|cancel|report|schemes|components|workloads; flags select figure/campaign mode)\n", sub)
 				os.Exit(2)
 			}
 		}
@@ -161,6 +167,23 @@ func main() {
 		os.Exit(code)
 	}
 
+	// usageErr reports a bad figure-mode flag and exits 2 before anything
+	// runs.
+	usageErr := func(err error) {
+		fmt.Fprintln(os.Stderr, "expdriver:", err)
+		flushProfiles() // before the deferless exit
+		os.Exit(2)
+	}
+	if err := checkAxisFlags(
+		axisFlag{name: "len", axis: "trace_lens", v: *traceLen},
+		axisFlag{name: "clusters", axis: "num_clusters", v: *clusters, zeroDefault: true},
+		axisFlag{name: "links", axis: "links", v: *links, zeroDefault: true},
+		axisFlag{name: "link-latency", axis: "link_latency", v: *linkLat, zeroDefault: true},
+		axisFlag{name: "mem-latency", axis: "mem_latency", v: *memLat, zeroDefault: true},
+	); err != nil {
+		usageErr(err)
+	}
+
 	r := experiments.NewRunner(*traceLen)
 	r.Shape = experiments.MachineShape{
 		NumClusters: *clusters,
@@ -178,10 +201,36 @@ func main() {
 	if *cats != "" {
 		o.Categories = strings.Split(*cats, ",")
 		if err := workload.CheckCategories(o.Categories); err != nil {
-			fmt.Fprintln(os.Stderr, "expdriver:", err)
-			flushProfiles() // before the deferless exit
-			os.Exit(2)
+			usageErr(err)
 		}
+	}
+
+	figures := []struct {
+		name string
+		fn   func() (any, error)
+	}{
+		{"fig2", func() (any, error) { return fig2(r, o, schemeFlags) }},
+		{"fig3", func() (any, error) { return figMetric(r, o, 3, schemeFlags) }},
+		{"fig4", func() (any, error) { return figMetric(r, o, 4, schemeFlags) }},
+		{"fig5", func() (any, error) { return fig5(r, o, schemeFlags) }},
+		{"fig6", func() (any, error) { return fig6(r, o, schemeFlags) }},
+		{"fig9", func() (any, error) { return fig9(r, o, schemeFlags) }},
+		{"fig10", func() (any, error) { return fig10(r, o, schemeFlags) }},
+		{"headline", func() (any, error) { return headline(r, o) }},
+		{"future", func() (any, error) { return future(r, o) }},
+		{"clusterscale", func() (any, error) {
+			if *clusters != 0 {
+				fmt.Fprintln(os.Stderr, "warning: -clusters is ignored by -exp clusterscale (the figure sweeps its own cluster axis)")
+			}
+			return clusterScale(r, o, schemeFlags, *csvOut)
+		}},
+	}
+	names := []string{"all"}
+	for _, f := range figures {
+		names = append(names, f.name)
+	}
+	if !slices.Contains(names, *exp) {
+		usageErr(fmt.Errorf("unknown experiment %q (%s)", *exp, strings.Join(names, "|")))
 	}
 
 	if len(schemeFlags) > 0 && (*exp == "headline" || *exp == "future") {
@@ -190,34 +239,18 @@ func main() {
 
 	start := time.Now()
 	emitted := map[string]any{}
-	run := func(name string, fn func() (any, error)) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, f := range figures {
+		if *exp != "all" && *exp != f.name {
+			continue
 		}
-		v, err := fn()
+		v, err := f.fn()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", f.name, err)
 			flushProfiles() // before the deferless exit
 			os.Exit(1)
 		}
-		emitted[name] = v
+		emitted[f.name] = v
 	}
-
-	run("fig2", func() (any, error) { return fig2(r, o, schemeFlags) })
-	run("fig3", func() (any, error) { return figMetric(r, o, 3, schemeFlags) })
-	run("fig4", func() (any, error) { return figMetric(r, o, 4, schemeFlags) })
-	run("fig5", func() (any, error) { return fig5(r, o, schemeFlags) })
-	run("fig6", func() (any, error) { return fig6(r, o, schemeFlags) })
-	run("fig9", func() (any, error) { return fig9(r, o, schemeFlags) })
-	run("fig10", func() (any, error) { return fig10(r, o, schemeFlags) })
-	run("headline", func() (any, error) { return headline(r, o) })
-	run("future", func() (any, error) { return future(r, o) })
-	run("clusterscale", func() (any, error) {
-		if *clusters != 0 {
-			fmt.Fprintln(os.Stderr, "warning: -clusters is ignored by -exp clusterscale (the figure sweeps its own cluster axis)")
-		}
-		return clusterScale(r, o, schemeFlags, *csvOut)
-	})
 	if *jsonOut != "" {
 		if err := report.WriteJSONFile(*jsonOut, emitted); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)

@@ -10,55 +10,101 @@ import (
 	"testing"
 )
 
-// TestFigureModeRejectsUnknownCategory runs the driver in a child process:
-// an unknown -categories key must exit 2 with the manifest's message
-// instead of printing a row of zeros.
-func TestFigureModeRejectsUnknownCategory(t *testing.T) {
-	if os.Getenv("EXPDRIVER_TEST_MAIN") == "1" {
-		os.Args = []string{"expdriver", "-exp", "fig3", "-categories", "bogus,dh", "-quick", "-len", "1000"}
+// childArgsEnv carries a child process's expdriver arguments, one per
+// line; TestMain runs main on them instead of the tests.
+const childArgsEnv = "EXPDRIVER_TEST_ARGS"
+
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(childArgsEnv); ok {
+		os.Args = append([]string{"expdriver"}, strings.Split(args, "\n")...)
 		main()
-		return
+		os.Exit(0)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestFigureModeRejectsUnknownCategory$")
-	cmd.Env = append(os.Environ(), "EXPDRIVER_TEST_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	os.Exit(m.Run())
+}
+
+// runChild runs expdriver with args in a child process (main calls
+// os.Exit, so it cannot run in the test's own) and returns its exit code
+// and output.
+func runChild(t *testing.T, args ...string) (code int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), childArgsEnv+"="+strings.Join(args, "\n"))
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
 	err := cmd.Run()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2\nstderr: %s", err, stderr.String())
+	switch {
+	case err == nil:
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	default:
+		t.Fatalf("running child: %v", err)
 	}
-	if !strings.Contains(stderr.String(), `unknown category "bogus"`) {
-		t.Errorf("stderr %q does not name the unknown category", stderr.String())
+	return code, out.String(), errb.String()
+}
+
+// TestFigureModeRejectsUnknownCategory: an unknown -categories key must
+// exit 2 with the manifest's message instead of printing a row of zeros.
+func TestFigureModeRejectsUnknownCategory(t *testing.T) {
+	code, stdout, stderr := runChild(t, "-exp", "fig3", "-categories", "bogus,dh", "-quick", "-len", "1000")
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
 	}
-	if strings.Contains(stdout.String(), "Figure 3") {
-		t.Errorf("figure printed despite the bad category:\n%s", stdout.String())
+	if !strings.Contains(stderr, `unknown category "bogus"`) {
+		t.Errorf("stderr %q does not name the unknown category", stderr)
+	}
+	if strings.Contains(stdout, "Figure 3") {
+		t.Errorf("figure printed despite the bad category:\n%s", stdout)
 	}
 }
 
-// TestCampaignModeRejectsOversizedManifest runs expdriver in a child
-// process on a tiny manifest whose repetitions would expand to a billion
-// items: validation must refuse it with exit 2 before anything is built.
-func TestCampaignModeRejectsOversizedManifest(t *testing.T) {
-	if path := os.Getenv("EXPDRIVER_TEST_MANIFEST"); path != "" {
-		os.Args = []string{"expdriver", "-manifest", path, "-dry-run", "-store", ""}
-		main()
-		return
+// TestFigureModeRejectsBadFlags: an unknown experiment, or a length or
+// machine-shape flag outside the manifest's axis bounds, must exit 2
+// naming the flag before anything runs, rather than run nothing, panic,
+// print an all-zero figure or silently run the Table 1 machine.
+func TestFigureModeRejectsBadFlags(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-exp", "bogus"}, `unknown experiment "bogus"`},
+		{[]string{"-exp", "fig2", "-len", "-5"}, "-len: axis trace_lens value -5 below minimum 1000"},
+		{[]string{"-exp", "fig2", "-len", "0"}, "-len: axis trace_lens value 0 below minimum 1000"},
+		{[]string{"-exp", "fig2", "-len", "1000", "-clusters", "-3"}, "-clusters: axis num_clusters value -3 below minimum 1"},
+		{[]string{"-exp", "fig2", "-len", "1000", "-clusters", "5"}, "-clusters: axis num_clusters value 5 above maximum 4"},
+		{[]string{"-exp", "fig2", "-len", "1000", "-links", "-1"}, "-links: axis links value -1 below minimum 1"},
+		{[]string{"-exp", "fig2", "-len", "1000", "-link-latency", "-2"}, "-link-latency: axis link_latency value -2 below minimum 1"},
+		{[]string{"-exp", "fig2", "-len", "1000", "-mem-latency", "-5"}, "-mem-latency: axis mem_latency value -5 below minimum 1"},
+	} {
+		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
+			code, stdout, stderr := runChild(t, append(c.args, "-quick", "-categories", "dh")...)
+			if code != 2 {
+				t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
+			}
+			if !strings.Contains(stderr, c.want) {
+				t.Errorf("stderr %q does not contain %q", stderr, c.want)
+			}
+			if stdout != "" {
+				t.Errorf("stdout not empty:\n%s", stdout)
+			}
+		})
 	}
+}
+
+// TestCampaignModeRejectsOversizedManifest runs expdriver on a tiny
+// manifest whose repetitions would expand to a billion items: validation
+// must refuse it with exit 2 before anything is built.
+func TestCampaignModeRejectsOversizedManifest(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bomb.json")
 	if err := os.WriteFile(path, []byte(`{"schemes":["icount"],"repetitions":1000000000}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestCampaignModeRejectsOversizedManifest$")
-	cmd.Env = append(os.Environ(), "EXPDRIVER_TEST_MANIFEST="+path)
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want status 2\nstderr: %s", err, stderr.String())
+	code, _, stderr := runChild(t, "-manifest", path, "-dry-run", "-store", "")
+	if code != 2 {
+		t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
 	}
-	if !strings.Contains(stderr.String(), "above the cap") {
-		t.Errorf("stderr %q does not name the expansion cap", stderr.String())
+	if !strings.Contains(stderr, "above the cap") {
+		t.Errorf("stderr %q does not name the expansion cap", stderr)
 	}
 }

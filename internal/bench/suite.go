@@ -35,8 +35,14 @@ func suite() []benchDef {
 	}
 }
 
-// table1Progs builds the shared Table 1 benchmark programs.
-func table1Progs() ([]core.ThreadProgram, error) {
+// benchProgs builds the benchmarks' ispec00.mix.2.1 thread programs at
+// traceLen uops per thread. It deliberately bypasses experiments.Programs
+// and experiments.Machine: the suite runs the raw core.DefaultConfig(2)
+// machine with no warm-up, un-xored wrong-path seeds and the 50M-cycle
+// default bound. Warm-up changes what Stats.Cycles counts, so the spec
+// constructors would move the sim-cycles/op count the baseline pins
+// exactly and break the cycles/s comparison with earlier reports.
+func benchProgs(traceLen int) ([]core.ThreadProgram, error) {
 	w, err := workload.Find("ispec00.mix.2.1")
 	if err != nil {
 		return nil, err
@@ -45,7 +51,7 @@ func table1Progs() ([]core.ThreadProgram, error) {
 	for i, prof := range w.Threads {
 		g := trace.NewGenerator(prof, w.Seeds[i])
 		progs = append(progs, core.ThreadProgram{
-			Trace: g.Generate(benchTraceLen), Profile: prof, Seed: w.Seeds[i],
+			Trace: g.Generate(traceLen), Profile: prof, Seed: w.Seeds[i],
 		})
 	}
 	return progs, nil
@@ -57,7 +63,7 @@ func table1Progs() ([]core.ThreadProgram, error) {
 // check in `bench diff`.
 func simBench(polling bool) func(o Options) (Benchmark, error) {
 	return func(o Options) (Benchmark, error) {
-		progs, err := table1Progs()
+		progs, err := benchProgs(benchTraceLen)
 		if err != nil {
 			return Benchmark{}, err
 		}
@@ -219,16 +225,9 @@ func benchSteadyAlloc(o Options) (Benchmark, error) {
 	// structures reach their high-water marks and reports phantom
 	// allocations, and the full measurement costs only about a second.
 	traceLen, warm, runs := 400000, 30000, 5
-	w, err := workload.Find("ispec00.mix.2.1")
+	progs, err := benchProgs(traceLen)
 	if err != nil {
 		return Benchmark{}, err
-	}
-	var progs []core.ThreadProgram
-	for i, prof := range w.Threads {
-		g := trace.NewGenerator(prof, w.Seeds[i])
-		progs = append(progs, core.ThreadProgram{
-			Trace: g.Generate(traceLen), Profile: prof, Seed: w.Seeds[i],
-		})
 	}
 	p, err := core.NewScheme(core.DefaultConfig(2), "cdprf", progs)
 	if err != nil {

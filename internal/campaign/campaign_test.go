@@ -400,3 +400,37 @@ func TestEngineCountsStorePutErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCycleBoundFailsItem runs a manifest whose one item wedges
+// (isfs.mix.2.1 under Icount with 16 registers per cluster): the run that
+// hits its cycle bound is a failed item carrying the error, not an
+// executed result, and nothing reaches the store.
+func TestCycleBoundFailsItem(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &campaign.Manifest{
+		Name:           "wedge",
+		Workloads:      []string{"isfs.mix.2.1"},
+		Schemes:        []string{"icount"},
+		RegsPerCluster: []int{16},
+		TraceLens:      []int{1000},
+	}
+	rs, err := (&campaign.Engine{Store: st, Resume: true}).Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Executed != 0 || rs.Failed != 1 {
+		t.Fatalf("executed %d, failed %d; want 0 executed, 1 failed", rs.Executed, rs.Failed)
+	}
+	if r := rs.Results[0]; !strings.Contains(r.Error, "cycle bound") || r.IPC != 0 {
+		t.Errorf("row error %q, ipc %v; want the cycle-bound error and no result", r.Error, r.IPC)
+	}
+	if rs.Err() == nil {
+		t.Error("ResultSet.Err() = nil for a failed item")
+	}
+	if n, err := st.Len(); err != nil || n != 0 {
+		t.Errorf("store holds %d entries (err %v), want 0", n, err)
+	}
+}

@@ -245,3 +245,43 @@ func TestPoisonedItemsFailCampaign(t *testing.T) {
 		t.Fatalf("queue shows %d poisoned, want %d", st.Poisoned, rs.Total)
 	}
 }
+
+// TestCycleBoundFailsAttempt runs a spec that wedges (isfs.mix.2.1 under
+// Icount with 16 registers per cluster) on a real worker: each attempt
+// hits the simulation's cycle bound and reports a failure, so the item
+// poisons with the bound in its error and nothing is stored.
+func TestCycleBoundFailsAttempt(t *testing.T) {
+	m, err := campaign.Parse([]byte(`{
+		"name": "wedge",
+		"workloads": ["isfs.mix.2.1"],
+		"schemes": ["icount"],
+		"regs_per_cluster": [16],
+		"trace_lens": [1000]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, srv := startCoordinator(t, Config{
+		LeaseTTL:     time.Second,
+		PollInterval: 10 * time.Millisecond,
+		RetryBase:    time.Millisecond,
+		RetryCap:     5 * time.Millisecond,
+		MaxAttempts:  2,
+	})
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "w", Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, w)
+
+	rs := runFleet(t, coord, m)
+	if rs.Total != 1 || rs.Failed != 1 || rs.Executed != 0 {
+		t.Fatalf("total %d, failed %d, executed %d; want 1 failed item", rs.Total, rs.Failed, rs.Executed)
+	}
+	if e := rs.Results[0].Error; !strings.Contains(e, "poisoned") || !strings.Contains(e, "cycle bound") {
+		t.Errorf("item error = %q, want poison diagnosis naming the cycle bound", e)
+	}
+	if _, ok, _ := coord.Store().Get(rs.Results[0].Key); ok {
+		t.Error("the bounded run reached the coordinator's store")
+	}
+}

@@ -21,6 +21,7 @@ import (
 	"sort"
 	"strings"
 
+	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/policy"
 	"clustersmt/internal/workload"
@@ -212,19 +213,17 @@ func (m *Manifest) validateAxes() (float64, error) {
 		}
 	}
 	axes := []struct {
-		name   string
-		vals   []int
-		minVal int
-		maxVal int // 0 = unbounded
+		name string
+		vals []int
 	}{
-		{"iq_sizes", m.IQSizes, 4, 0},
-		{"regs_per_cluster", m.RegsPerCluster, 0, 0},
-		{"rob_per_thread", m.ROBPerThread, 0, 0},
-		{"trace_lens", m.TraceLens, 1000, 0},
-		{"num_clusters", m.NumClusters, 1, 4},
-		{"links", m.Links, 1, 64},
-		{"link_latency", m.LinkLatency, 1, 1024},
-		{"mem_latency", m.MemLatency, 1, maxMemLatencyAxis},
+		{"iq_sizes", m.IQSizes},
+		{"regs_per_cluster", m.RegsPerCluster},
+		{"rob_per_thread", m.ROBPerThread},
+		{"trace_lens", m.TraceLens},
+		{"num_clusters", m.NumClusters},
+		{"links", m.Links},
+		{"link_latency", m.LinkLatency},
+		{"mem_latency", m.MemLatency},
 	}
 	points := 1.0
 	for _, a := range axes {
@@ -233,11 +232,8 @@ func (m *Manifest) validateAxes() (float64, error) {
 			return 0, fmt.Errorf("manifest: axis %s is empty (omit it for the default, or list values)", a.name)
 		}
 		for _, v := range a.vals {
-			if v < a.minVal {
-				return 0, fmt.Errorf("manifest: axis %s value %d below minimum %d", a.name, v, a.minVal)
-			}
-			if a.maxVal > 0 && v > a.maxVal {
-				return 0, fmt.Errorf("manifest: axis %s value %d above maximum %d", a.name, v, a.maxVal)
+			if err := CheckAxisValue(a.name, v); err != nil {
+				return 0, fmt.Errorf("manifest: %w", err)
 			}
 		}
 	}
@@ -248,6 +244,38 @@ func (m *Manifest) validateAxes() (float64, error) {
 		return 0, fmt.Errorf("manifest: negative repetitions")
 	}
 	return points, nil
+}
+
+// axisBounds are the admissible ranges of the integer axes; a zero max is
+// unbounded.
+var axisBounds = map[string]struct{ minVal, maxVal int }{
+	"iq_sizes":         {4, 0},
+	"regs_per_cluster": {0, 0},
+	"rob_per_thread":   {0, 0},
+	"trace_lens":       {1000, 0},
+	"num_clusters":     {1, core.MaxClusters},
+	"links":            {1, 64},
+	"link_latency":     {1, 1024},
+	"mem_latency":      {1, maxMemLatencyAxis},
+}
+
+// CheckAxisValue reports whether v lies within the named integer axis's
+// bounds (iq_sizes, regs_per_cluster, rob_per_thread, trace_lens,
+// num_clusters, links, link_latency, mem_latency). Manifest validation
+// applies it to every listed value; command-line front ends apply it to
+// the flags that set the same quantities.
+func CheckAxisValue(axis string, v int) error {
+	b, ok := axisBounds[axis]
+	if !ok {
+		return fmt.Errorf("unknown axis %q", axis)
+	}
+	if v < b.minVal {
+		return fmt.Errorf("axis %s value %d below minimum %d", axis, v, b.minVal)
+	}
+	if b.maxVal > 0 && v > b.maxVal {
+		return fmt.Errorf("axis %s value %d above maximum %d", axis, v, b.maxVal)
+	}
+	return nil
 }
 
 // SchemeAxes sweeps scheme components as campaign axes. The expansion is

@@ -44,7 +44,7 @@ func NewPlan(m *Manifest) (*Plan, error) {
 
 // TraceLens returns the distinct per-thread trace lengths of the plan's
 // items, ascending. Each length needs its own runner (trace memoization
-// and MaxCycles are per-length).
+// and the cycle bound are per-length).
 func (p *Plan) TraceLens() []int { return p.lens }
 
 // Indices returns the item indices with trace length tl, in expansion

@@ -79,12 +79,12 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	m, err := campaign.Parse(body)
-	if err != nil {
-		code := http.StatusUnprocessableEntity
-		if errors.Is(err, campaign.ErrTooManyItems) {
-			code = http.StatusBadRequest // a size limit, like 413
-		}
-		writeErr(w, code, "%v", err)
+	switch {
+	case errors.Is(err, campaign.ErrTooManyItems):
+		writeErr(w, http.StatusBadRequest, "%v", err) // a size limit, like 413
+		return
+	case err != nil:
+		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
 	st, err := s.Submit(m)

@@ -39,7 +39,7 @@ import (
 // The machine-shape fields (NumClusters, Links, LinkLatency, MemLatency)
 // sweep the back-end geometry; 0 inherits the runner's Shape default and
 // ultimately the Table 1 value (2 clusters, 2 one-cycle links, 60-cycle
-// memory). They feed configFor, so the content-addressed CacheKey
+// memory). They feed Machine, so the content-addressed CacheKey
 // distinguishes shapes automatically.
 type Spec struct {
 	Workload     workload.Workload
@@ -106,23 +106,6 @@ type MachineShape struct {
 	MemLatency  int
 }
 
-// overlay returns a with zero fields replaced from b.
-func overlayShape(a, b MachineShape) MachineShape {
-	if a.NumClusters == 0 {
-		a.NumClusters = b.NumClusters
-	}
-	if a.Links == 0 {
-		a.Links = b.Links
-	}
-	if a.LinkLatency == 0 {
-		a.LinkLatency = b.LinkLatency
-	}
-	if a.MemLatency == 0 {
-		a.MemLatency = b.MemLatency
-	}
-	return a
-}
-
 // Runner executes Specs with memoization and a bounded worker pool.
 // It is safe for concurrent use.
 //
@@ -138,10 +121,9 @@ func overlayShape(a, b MachineShape) MachineShape {
 // workload thread rather than once per spec. Traces are read-only to the
 // core, which is what makes the sharing safe.
 type Runner struct {
-	// TraceLen is the per-thread trace length in uops.
+	// TraceLen is the per-thread trace length in uops; it also sets each
+	// simulation's warm-up and cycle bound (see Machine).
 	TraceLen int
-	// MaxCycles bounds each simulation.
-	MaxCycles int64
 	// Workers bounds simulation parallelism (default: NumCPU).
 	Workers int
 	// Verbose, when set, receives one line per completed run.
@@ -259,12 +241,11 @@ type traceEntry struct {
 // NewRunner returns a runner with the given per-thread trace length.
 func NewRunner(traceLen int) *Runner {
 	return &Runner{
-		TraceLen:  traceLen,
-		MaxCycles: int64(traceLen) * 40,
-		Store:     NewMemStore(),
-		inflight:  make(map[string]*flight),
-		keys:      make(map[string]keyEntry),
-		traces:    make(map[traceKey]*traceEntry),
+		TraceLen: traceLen,
+		Store:    NewMemStore(),
+		inflight: make(map[string]*flight),
+		keys:     make(map[string]keyEntry),
+		traces:   make(map[traceKey]*traceEntry),
 	}
 }
 
@@ -312,16 +293,30 @@ func (r *Runner) traceFor(w workload.Workload, i int) []isa.Uop {
 	return e.uops
 }
 
-// buildPrograms materializes the workload's traces (or a single thread's),
-// recalling memoized ones.
-func (r *Runner) buildPrograms(w workload.Workload, single int) []core.ThreadProgram {
+// Programs returns the thread programs spec s simulates at traceLen uops
+// per thread: every workload thread, or only s.SingleThread. Each thread's
+// trace is synthesized from its profile and pool seed, and its wrong-path
+// stream from the same seed xored with a constant, so the two streams
+// differ. Together with Machine it is the one way a spec becomes a
+// simulation; Runner uses the same builder over its memoized traces.
+func Programs(s Spec, traceLen int) []core.ThreadProgram {
+	w := s.Workload
+	return buildPrograms(s, func(i int) []isa.Uop {
+		return trace.NewGenerator(w.Threads[i], w.Seeds[i]).Generate(traceLen)
+	})
+}
+
+// buildPrograms is Programs over a caller-supplied trace source: traceOf(i)
+// returns thread i's trace.
+func buildPrograms(s Spec, traceOf func(i int) []isa.Uop) []core.ThreadProgram {
+	w := s.Workload
 	var progs []core.ThreadProgram
 	for i, prof := range w.Threads {
-		if single >= 0 && i != single {
+		if s.SingleThread >= 0 && i != s.SingleThread {
 			continue
 		}
 		progs = append(progs, core.ThreadProgram{
-			Trace:   r.traceFor(w, i),
+			Trace:   traceOf(i),
 			Profile: prof,
 			Seed:    w.Seeds[i] ^ 0xabcdef,
 		})
@@ -329,12 +324,13 @@ func (r *Runner) buildPrograms(w workload.Workload, single int) []core.ThreadPro
 	return progs
 }
 
-// configFor returns the exact machine configuration execute builds for s.
-// CacheKey hashes it, so the two must stay in lockstep. The spec's shape
-// fields override the runner's Shape, which overrides Table 1; a fully
-// default shape therefore produces a byte-identical canonical config (and
-// cache key) to the pre-shape-axis runner.
-func (r *Runner) configFor(s Spec) core.Config {
+// Machine returns the machine spec s runs on at traceLen uops per thread:
+// the Table 1 configuration resized by s's IQ, register and ROB fields and
+// reshaped by its nonzero shape fields. Statistics start after a warm-up
+// of a fifth of the trace, and the run is bounded at 40 cycles per uop,
+// far above any healthy run (see Simulate). CacheKey hashes this config,
+// so every simulated outcome is a function of what Machine returns.
+func Machine(s Spec, traceLen int) core.Config {
 	n := len(s.Workload.Threads)
 	if s.SingleThread >= 0 {
 		n = 1
@@ -344,27 +340,66 @@ func (r *Runner) configFor(s Spec) core.Config {
 	cfg.IntRegsPerCluster = s.RegsPerClust
 	cfg.FpRegsPerCluster = s.RegsPerClust
 	cfg.ROBPerThread = s.ROBPerThread
-	cfg.MaxCycles = r.MaxCycles
-	cfg.WarmupUops = uint64(r.TraceLen / 5)
-	shape := overlayShape(MachineShape{
-		NumClusters: s.NumClusters,
-		Links:       s.Links,
-		LinkLatency: s.LinkLatency,
-		MemLatency:  s.MemLatency,
-	}, r.Shape)
-	if shape.NumClusters > 0 {
-		cfg.NumClusters = shape.NumClusters
+	cfg.MaxCycles = int64(traceLen) * 40
+	cfg.WarmupUops = uint64(traceLen / 5)
+	if s.NumClusters > 0 {
+		cfg.NumClusters = s.NumClusters
 	}
-	if shape.Links > 0 {
-		cfg.Net.Links = shape.Links
+	if s.Links > 0 {
+		cfg.Net.Links = s.Links
 	}
-	if shape.LinkLatency > 0 {
-		cfg.Net.Latency = shape.LinkLatency
+	if s.LinkLatency > 0 {
+		cfg.Net.Latency = s.LinkLatency
 	}
-	if shape.MemLatency > 0 {
-		cfg.Cache.MemLatency = shape.MemLatency
+	if s.MemLatency > 0 {
+		cfg.Cache.MemLatency = s.MemLatency
 	}
 	return cfg
+}
+
+// ErrCycleBound marks a simulation that reached its machine's cycle bound
+// before any thread (or, with RunToCompletion, every thread) finished its
+// trace: a wedged machine. Its statistics describe the wedge, not the
+// workload, so they are neither reported nor stored.
+var ErrCycleBound = errors.New("simulation hit its cycle bound")
+
+// Simulate runs p until its termination condition holds and returns the
+// statistics. A cancelled context stops the run with the context's error;
+// a run that stops at the cycle bound instead fails with ErrCycleBound.
+func Simulate(ctx context.Context, p *core.Processor) (*metrics.Stats, error) {
+	st, err := p.RunCtx(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if !p.Done() {
+		return nil, fmt.Errorf("%w after %d cycles", ErrCycleBound, p.Now())
+	}
+	return st, nil
+}
+
+// programs is Programs over the runner's memoized traces.
+func (r *Runner) programs(s Spec) []core.ThreadProgram {
+	return buildPrograms(s, func(i int) []isa.Uop { return r.traceFor(s.Workload, i) })
+}
+
+// config returns the machine the runner builds for s: Machine with the
+// runner's Shape filling the shape fields s leaves zero. A fully default
+// shape therefore produces a byte-identical canonical config (and cache
+// key) to the pre-shape-axis runner.
+func (r *Runner) config(s Spec) core.Config {
+	if s.NumClusters == 0 {
+		s.NumClusters = r.Shape.NumClusters
+	}
+	if s.Links == 0 {
+		s.Links = r.Shape.Links
+	}
+	if s.LinkLatency == 0 {
+		s.LinkLatency = r.Shape.LinkLatency
+	}
+	if s.MemLatency == 0 {
+		s.MemLatency = r.Shape.MemLatency
+	}
+	return Machine(s, r.TraceLen)
 }
 
 // specFingerprint is everything that determines a spec's simulated outcome:
@@ -417,7 +452,7 @@ func canonicalScheme(s string) string {
 }
 
 func (r *Runner) computeKey(s Spec, k string) string {
-	cb, err := r.configFor(s).Canonical()
+	cb, err := r.config(s).Canonical()
 	if err != nil {
 		return "spec:" + k // unhashable: session-local key, never persisted as content
 	}
@@ -437,19 +472,20 @@ func (r *Runner) computeKey(s Spec, k string) string {
 }
 
 // execute runs one spec to completion (uncached) on the local simulator. A
-// context cancellation mid-simulation discards the partial run: it is not
-// counted as executed and never reaches the store. A non-nil onSample
+// context cancellation mid-simulation, or a run stopped at its cycle bound
+// (ErrCycleBound), discards the partial run: it is not counted as executed
+// and never reaches the store. A non-nil onSample
 // attaches a time-series sampler for the duration of the run (see
 // SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
-	p, err := core.NewScheme(r.configFor(s), s.Scheme, r.buildPrograms(s.Workload, s.SingleThread))
+	p, err := core.NewScheme(r.config(s), s.Scheme, r.programs(s))
 	if err != nil {
 		return nil, err
 	}
 	if onSample != nil {
 		p.SetSampler(r.SampleInterval, onSample)
 	}
-	return p.RunCtx(ctx)
+	return Simulate(ctx, p)
 }
 
 // Run executes (or recalls) one spec. Concurrent calls for the same spec

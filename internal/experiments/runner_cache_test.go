@@ -69,8 +69,8 @@ func TestRunnerTraceMemoized(t *testing.T) {
 	}
 
 	// The SMT run and the single-thread fairness baseline see one slice.
-	smt := r.buildPrograms(w, -1)
-	solo := r.buildPrograms(w, 1)
+	smt := r.programs(Spec{Workload: w, SingleThread: -1})
+	solo := r.programs(Spec{Workload: w, SingleThread: 1})
 	if &smt[1].Trace[0] != &solo[0].Trace[0] {
 		t.Error("single-thread run regenerated the SMT thread's trace")
 	}
@@ -176,7 +176,7 @@ func TestRunnerShapeChangesCacheKey(t *testing.T) {
 // TestRunnerZeroValueUsable guards the lazy map initialization: a Runner
 // built as a struct literal (no NewRunner) must still memoize safely.
 func TestRunnerZeroValueUsable(t *testing.T) {
-	r := &Runner{TraceLen: 1200, MaxCycles: 1200 * 40}
+	r := &Runner{TraceLen: 1200}
 	w := workload.ByCategory("ispec00")[0]
 	spec := iqStudySpec(w, "icount", 32)
 	a, err := r.Run(spec)

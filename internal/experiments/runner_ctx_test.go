@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"clustersmt/internal/core"
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/workload"
 )
@@ -96,5 +97,59 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 	}
 	if st, ok, _ := r.Store.Get(r.CacheKey(spec)); ok {
 		t.Fatalf("cancelled run stored a result: %+v", st)
+	}
+}
+
+// wedgedSpec is a simulation that never finishes: isfs.mix.2.1 under
+// Icount with 16 registers per cluster stops committing, so it runs into
+// its machine's cycle bound.
+func wedgedSpec(t *testing.T) Spec {
+	t.Helper()
+	w, err := workload.Find("isfs.mix.2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Spec{Workload: w, Scheme: "icount", IQSize: 32, RegsPerClust: 16, SingleThread: -1}
+}
+
+// TestRunCycleBoundIsAnError pins that a run stopped by its cycle bound
+// fails with ErrCycleBound instead of returning the wedge's statistics: it
+// is neither counted as executed nor stored, so a later run retries it.
+func TestRunCycleBoundIsAnError(t *testing.T) {
+	r := NewRunner(1000)
+	s := wedgedSpec(t)
+	st, err := r.Run(s)
+	if !errors.Is(err, ErrCycleBound) {
+		t.Fatalf("Run = %v, %v; want ErrCycleBound", st, err)
+	}
+	if st != nil {
+		t.Errorf("bounded run returned stats %v", st)
+	}
+	if n := r.Executed(); n != 0 {
+		t.Errorf("Executed = %d, want 0", n)
+	}
+	if _, ok, _ := r.Store.Get(r.CacheKey(s)); ok {
+		t.Error("bounded run reached the store")
+	}
+}
+
+// TestSimulateCycleBound runs the same wedge outside the runner, built by
+// the exported constructors: Simulate reports the bound, and the machine
+// stopped exactly there.
+func TestSimulateCycleBound(t *testing.T) {
+	s := wedgedSpec(t)
+	cfg := Machine(s, 1000)
+	if cfg.MaxCycles != 40*1000 {
+		t.Fatalf("MaxCycles = %d, want 40 per uop", cfg.MaxCycles)
+	}
+	p, err := core.NewScheme(cfg, s.Scheme, Programs(s, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Simulate(context.Background(), p); !errors.Is(err, ErrCycleBound) {
+		t.Fatalf("Simulate = %v, want ErrCycleBound", err)
+	}
+	if p.Now() != cfg.MaxCycles {
+		t.Errorf("stopped at cycle %d, want the bound %d", p.Now(), cfg.MaxCycles)
 	}
 }

@@ -402,6 +402,10 @@ func (b *builder) stmt(s ast.Stmt) {
 func (b *builder) multiway(s ast.Stmt, lbl *labelTarget) {
 	var clauses []ast.Stmt
 	var bodyOf func(ast.Stmt) []ast.Stmt
+	// clauseNode is what a clause contributes to the head of its block:
+	// the clause itself (its type list or comm op) unless the cond block
+	// already holds its case expressions.
+	clauseNode := func(c ast.Stmt) ast.Node { return c }
 	hasDefault := false
 	switch s := s.(type) {
 	case *ast.SwitchStmt:
@@ -413,11 +417,20 @@ func (b *builder) multiway(s ast.Stmt, lbl *labelTarget) {
 		if s.Tag != nil {
 			cond.Nodes = append(cond.Nodes, s.Tag)
 		}
+		// The case expressions decide which clause runs, and a path that
+		// matches no case (to the default or past the switch) evaluates
+		// all of them, so they belong to the cond block. In a tag-less
+		// switch they are the only reads the branch makes.
 		clauses = s.Body.List
 		bodyOf = func(c ast.Stmt) []ast.Stmt { return c.(*ast.CaseClause).Body }
+		clauseNode = func(ast.Stmt) ast.Node { return nil }
 		for _, c := range clauses {
-			if c.(*ast.CaseClause).List == nil {
+			list := c.(*ast.CaseClause).List
+			if list == nil {
 				hasDefault = true
+			}
+			for _, e := range list {
+				cond.Nodes = append(cond.Nodes, e)
 			}
 		}
 	case *ast.TypeSwitchStmt:
@@ -463,7 +476,9 @@ func (b *builder) multiway(s ast.Stmt, lbl *labelTarget) {
 	clauseBlocks := make([]*Block, len(clauses))
 	for i, c := range clauses {
 		cb := b.newBlock(KindBody)
-		cb.Nodes = append(cb.Nodes, c) // the clause (case exprs / comm op)
+		if n := clauseNode(c); n != nil {
+			cb.Nodes = append(cb.Nodes, n)
+		}
 		addEdge(cond, cb)
 		clauseBlocks[i] = cb
 	}

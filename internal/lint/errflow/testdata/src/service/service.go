@@ -5,6 +5,7 @@
 package service
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -91,5 +92,41 @@ func redeclared() error {
 	_ = n
 	m, err := two() // want `err overwritten before the error assigned on line \d+ is checked`
 	_ = m
+	return err
+}
+
+var errLimit = errors.New("limit")
+
+func taglessSwitchChecks() error {
+	n, err := two()
+	switch {
+	case errors.Is(err, errLimit):
+		return fmt.Errorf("too big: %w", err)
+	case err != nil:
+		return err
+	}
+	_ = n
+	m, err := two() // clean: every path past the switch evaluated the cases reading err
+	_ = m
+	return err
+}
+
+func taglessSwitchIgnores(b bool) error {
+	err := post()
+	switch {
+	case b:
+		consume(err)
+	}
+	err = cleanup() // clean: the matching path read it
+	return err
+}
+
+func taglessSwitchNeverReads(b bool) error {
+	err := post()
+	switch {
+	case b:
+		return nil
+	}
+	err = cleanup() // want `err overwritten before the error assigned on line \d+ is checked`
 	return err
 }

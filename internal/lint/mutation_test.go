@@ -179,3 +179,48 @@ func TestMutationClosureDropsError(t *testing.T) {
 	requireFinding(t, findings(t, root),
 		"error result of os.Remove is dropped")
 }
+
+// TestMutationQueueSendUnderLock replaces the fleet queue's broadcast wake
+// in Close (close and replace the changed channel) with a send on it,
+// still under q.mu; lockcheck must flag it, because a send with no ready
+// receiver blocks while the lock every lease and completion needs is held.
+func TestMutationQueueSendUnderLock(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "campaign", "fleet", "queue.go"),
+		"q.closed = true\n\t\tq.signalLocked()",
+		"q.closed = true\n\t\tq.changed <- struct{}{}")
+	requireFinding(t, findings(t, root), "channel send while holding q.mu")
+}
+
+// TestMutationRunLoopIgnoresContext deletes the context poll from the core
+// cycle loop in Processor.RunCtx; ctxflow must flag the loop, because a
+// campaign DELETE or a dying fleet worker stops a simulation only through
+// that poll.
+func TestMutationRunLoopIgnoresContext(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "core", "run.go"),
+		"\t\t\tselect {\n\t\t\tcase <-ctx.Done():\n\t\t\t\treturn p.stats, ctx.Err()\n\t\t\tdefault:\n\t\t\t}\n",
+		"")
+	requireFinding(t, findings(t, root), "long-running loop never observes ctx")
+}
+
+// TestMutationSchemeDescBlank blanks the description of the registered
+// cdprf scheme; registryref must flag it, because the scheme listings
+// (`expdriver schemes`, GET /v1/components, the README table check) would
+// then publish an undocumented scheme.
+func TestMutationSchemeDescBlank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "policy", "scheme.go"),
+		`Desc: "CSSP plus the proposed dynamic register partition (the paper's best)"`,
+		`Desc: ""`)
+	requireFinding(t, findings(t, root), "registration has empty Desc")
+}

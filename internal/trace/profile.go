@@ -1,4 +1,4 @@
-// Package trace generates and stores the uop streams the simulator consumes.
+// Package trace generates the uop streams the simulator consumes.
 //
 // The paper drives its simulator with 120 proprietary two-threaded x86
 // traces (Table 2). Those traces are not available, so this package

@@ -1,11 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 
 	"clustersmt/internal/isa"
 )
@@ -219,103 +216,6 @@ func TestWrongPathGeneratorNoBranches(t *testing.T) {
 	}
 }
 
-func TestIORoundTrip(t *testing.T) {
-	uops := NewGenerator(MemProfile("io"), 123).Generate(2000)
-	var buf bytes.Buffer
-	if err := Write(&buf, uops); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(uops) {
-		t.Fatalf("length %d != %d", len(got), len(uops))
-	}
-	for i := range got {
-		if got[i] != uops[i] {
-			t.Fatalf("record %d mismatch: %v vs %v", i, got[i], uops[i])
-		}
-	}
-}
-
-func TestIOEmptyRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty roundtrip: %v, %d records", err, len(got))
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("WRNG"),
-		[]byte("CSMT"), // truncated header
-		append([]byte("CSMT"), make([]byte, 12)...), // version 0
-	}
-	for i, c := range cases {
-		if _, err := Read(bytes.NewReader(c)); !errors.Is(err, ErrBadTrace) {
-			t.Errorf("case %d: want ErrBadTrace, got %v", i, err)
-		}
-	}
-}
-
-func TestReadRejectsTruncatedBody(t *testing.T) {
-	uops := NewGenerator(ILPProfile("tr"), 1).Generate(10)
-	var buf bytes.Buffer
-	if err := Write(&buf, uops); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Bytes()[:buf.Len()-5]
-	if _, err := Read(bytes.NewReader(cut)); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("truncated body: want ErrBadTrace, got %v", err)
-	}
-}
-
-func TestReadRejectsInvalidClass(t *testing.T) {
-	uops := []isa.Uop{{Class: isa.Int, Src1: isa.RegNone, Src2: isa.RegNone, Dst: 1}}
-	var buf bytes.Buffer
-	if err := Write(&buf, uops); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[4+12+8] = 99 // class byte of the first record
-	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrBadTrace) {
-		t.Errorf("invalid class: want ErrBadTrace, got %v", err)
-	}
-}
-
-// Property: any generated stream round-trips bit-exactly.
-func TestIORoundTripProperty(t *testing.T) {
-	f := func(seed uint64, n uint8) bool {
-		uops := NewGenerator(MixProfile("prop"), seed).Generate(int(n))
-		var buf bytes.Buffer
-		if err := Write(&buf, uops); err != nil {
-			return false
-		}
-		got, err := Read(&buf)
-		if err != nil || len(got) != len(uops) {
-			return false
-		}
-		for i := range got {
-			if got[i] != uops[i] {
-				return false
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 25}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: dependency distances follow the configured geometry roughly —
-// closer DepP means shorter mean distance to the producing uop.
 func TestDependencyDistanceOrdering(t *testing.T) {
 	meanDist := func(depp float64) float64 {
 		p := ILPProfile("dep")
