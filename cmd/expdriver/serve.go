@@ -57,10 +57,9 @@ func runServe(args []string) int {
 		cfg.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
 	}
 	if *fleetMode {
-		// The coordinator shares the daemon's store: fleet workers read and
-		// write it over /v1/store, so local and fleet runs hit one cache.
+		// The daemon's engine alone reads and writes the store; workers
+		// only simulate what it cannot answer.
 		cfg.Fleet = fleet.NewCoordinator(fleet.Config{
-			Store:       cfg.Store,
 			LeaseTTL:    *leaseTTL,
 			MaxAttempts: *retryMax,
 			Verbose:     cfg.Verbose,

@@ -9,24 +9,21 @@ import (
 	"syscall"
 
 	"clustersmt/internal/campaign/fleet"
-	"clustersmt/internal/campaign/store"
 )
 
 // runWorker implements `expdriver worker`: a fleet worker process that
-// registers with a coordinator (`expdriver serve -fleet`), leases campaign
-// items and simulates them locally. Results flow back through the
-// coordinator's shared store, so any result one fleet member produced is a
-// cache hit for the rest.
+// registers with a coordinator (`expdriver serve -fleet`), leases
+// simulation tasks, simulates them in memory and reports the stats. The
+// coordinator alone writes them to its store.
 func runWorker(args []string) int {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	coordinator := fs.String("coordinator", "http://localhost:8080", "coordinator base URL (expdriver serve -fleet)")
 	name := fs.String("name", "", "worker label in the registry (default: hostname)")
 	parallel := fs.Int("parallel", 0, "concurrent simulations on this worker (0 = NumCPU)")
 	batch := fs.Int("batch", 0, "max items per lease request (0 = 2×parallel)")
-	storeDir := fs.String("store", "", "optional worker-local result store directory (layered above the coordinator's)")
 	verbose := fs.Bool("v", false, "log worker lifecycle events")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: expdriver worker [-coordinator URL] [-name label] [-parallel N] [-batch N] [-store dir] [-v]")
+		fmt.Fprintln(os.Stderr, "usage: expdriver worker [-coordinator URL] [-name label] [-parallel N] [-batch N] [-v]")
 		fs.PrintDefaults()
 	}
 	fs.Parse(args)
@@ -45,15 +42,6 @@ func runWorker(args []string) int {
 		if host, err := os.Hostname(); err == nil {
 			cfg.Name = host
 		}
-	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		cfg.LocalStore = st
-		fmt.Fprintf(os.Stderr, "store: %s\n", st.Dir())
 	}
 	if *verbose {
 		cfg.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }

@@ -13,10 +13,10 @@ import (
 // Config sizes a Coordinator. The zero value is usable: in-memory store,
 // 10s leases, 4 attempts per item.
 type Config struct {
-	// Store is the fleet-shared result layer (typically *store.Store),
-	// served to workers over GET/PUT /v1/store/{key}. Nil selects a private
-	// in-memory store — the fleet still dedups, but results die with the
-	// coordinator.
+	// Store is the result store a fleet-mode service's engine reads and
+	// writes when service.Config.Store is nil (typically *store.Store).
+	// The coordinator itself never touches it, and workers never see it.
+	// Nil selects a private in-memory store: results die with the process.
 	Store experiments.ResultStore
 	// LeaseTTL is how long a leased item stays assigned without a heartbeat
 	// before it requeues; it is also the worker-liveness ttl (0 = 10s).
@@ -41,15 +41,13 @@ type Config struct {
 	Verbose func(string)
 }
 
-// Coordinator is the fleet's control plane: the worker registry, the
-// dispatch queue and the shared result store, exposed over HTTP (see
-// Register). It runs simulations, not campaigns: a campaign.Engine with
-// Exec set to Execute sends each simulation its store cannot answer here,
-// and the coordinator hands it to a worker. Concurrent campaigns' tasks
-// interleave in one queue.
+// Coordinator is the fleet's control plane: the worker registry and the
+// dispatch queue, exposed over HTTP (see Register). It runs simulations,
+// not campaigns: a campaign.Engine with Exec set to Execute sends each
+// simulation its store cannot answer here, and the coordinator hands it to
+// a worker. Concurrent campaigns' tasks interleave in one queue.
 type Coordinator struct {
 	cfg   Config
-	store experiments.ResultStore
 	queue *Queue
 	reg   *registry
 
@@ -80,20 +78,19 @@ func NewCoordinator(cfg Config) *Coordinator {
 	if clock == nil {
 		clock = time.Now
 	}
-	st := cfg.Store
-	if st == nil {
-		st = experiments.NewMemStore()
+	if cfg.Store == nil {
+		cfg.Store = experiments.NewMemStore()
 	}
 	return &Coordinator{
 		cfg:   cfg,
-		store: st,
 		queue: NewQueue(cfg.MaxAttempts, cfg.RetryBase, cfg.RetryCap, clock),
 		reg:   newRegistry(cfg.LeaseTTL, clock),
 	}
 }
 
-// Store returns the coordinator's shared result store.
-func (c *Coordinator) Store() experiments.ResultStore { return c.store }
+// Store returns Config.Store, or the in-memory store standing in for a
+// nil one.
+func (c *Coordinator) Store() experiments.ResultStore { return c.cfg.Store }
 
 // Close ends every held lease request at once and makes later lease
 // requests answer 503, so an HTTP server's Shutdown — which waits for

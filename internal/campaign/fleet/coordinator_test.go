@@ -47,9 +47,8 @@ func driveQueue(t *testing.T, c *Coordinator, eng *campaign.Engine, m *campaign.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		live := func() []string { return []string{"w1"} }
 		for ctx.Err() == nil {
-			tasks, _ := c.queue.LeaseWait(ctx, "w1", live, 8, time.Minute, 10*time.Millisecond)
+			tasks, _ := c.queue.LeaseWait(ctx, "w1", 8, time.Minute, 10*time.Millisecond)
 			for _, task := range tasks {
 				c.queue.Complete("w1", complete(task))
 			}

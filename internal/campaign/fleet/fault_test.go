@@ -13,6 +13,7 @@ import (
 
 	"clustersmt/internal/campaign"
 	"clustersmt/internal/experiments"
+	"clustersmt/internal/metrics"
 )
 
 // faultManifest is the fault-injection campaign: one dh workload × three
@@ -200,6 +201,55 @@ func TestFaultInjection(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptSharedEntryIsReSimulated: an entry the coordinator's store
+// cannot validate is a miss for the engine, as in local mode, so the item
+// goes to a worker again.
+func TestCorruptSharedEntryIsReSimulated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("worker integration test")
+	}
+	m := faultManifest(t)
+	mem := experiments.NewMemStore()
+	coord, srv := fastFleet(t, corrupting{mem})
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "w", Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, w)
+	first := runFleet(t, coord, m)
+	if mem.Len() != first.Total {
+		t.Fatalf("store holds %d entries after the first run, want %d", mem.Len(), first.Total)
+	}
+	// Every entry now fails validation: the rerun must send each item to
+	// the worker again and produce the same rows.
+	second := runFleet(t, coord, m)
+	if done := coord.Status().Queue.Done; second.Failed != 0 || done != int64(2*second.Total) {
+		t.Fatalf("rerun over corrupt entries: %d failed, %d tasks done over both runs, want 0 and %d", second.Failed, done, 2*second.Total)
+	}
+	for i := range first.Results {
+		// The worker may answer from its in-memory results, so only the
+		// Cached flag may differ.
+		a, b := first.Results[i], second.Results[i]
+		a.Cached, b.Cached = false, false
+		if !reflect.DeepEqual(a, b) {
+			t.Errorf("row %d diverges over corrupt entries:\nfirst:  %+v\nsecond: %+v", i, a, b)
+		}
+	}
+}
+
+// corrupting wraps a store so every Get of a stored key errors — the
+// shape a failing disk or checksum mismatch produces.
+type corrupting struct{ inner experiments.ResultStore }
+
+func (c corrupting) Get(key string) (*metrics.Stats, bool, error) {
+	if _, ok, _ := c.inner.Get(key); ok {
+		return nil, false, fmt.Errorf("store: entry %s failed its checksum", key)
+	}
+	return nil, false, nil
+}
+
+func (c corrupting) Put(key string, st *metrics.Stats) error { return c.inner.Put(key, st) }
 
 // TestPoisonedItemsFailCampaign drives a campaign through a worker whose
 // every execution fails: each item must exhaust its attempt cap, poison,

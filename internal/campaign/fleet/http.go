@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 
-	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/report"
@@ -42,12 +41,12 @@ type LeaseRequest struct {
 	Max int `json:"max"`
 }
 
-// LeaseResponse carries a leased batch. The coordinator holds a request
-// until work can be leased or PollMs passes, so an empty Tasks slice means
-// the hold ran out: the worker should lease again at once.
+// LeaseResponse carries a leased batch, oldest tasks first. The
+// coordinator holds a request until work can be leased or poll_ms (see
+// RegisterResponse) passes, so an empty Tasks slice means the hold ran
+// out: the worker should lease again at once.
 type LeaseResponse struct {
-	Tasks  []Task `json:"tasks"`
-	PollMs int64  `json:"poll_ms"`
+	Tasks []Task `json:"tasks"`
 }
 
 // CompleteResponse reports whether a completion was accepted; false means
@@ -71,10 +70,8 @@ func (c *Coordinator) Handler() http.Handler {
 //	POST /v1/workers                 register; returns id + cadence contract
 //	GET  /v1/workers                 registry + queue snapshot (Status)
 //	POST /v1/workers/{id}/heartbeat  liveness; renews the worker's leases
-//	POST /v1/workers/{id}/lease      pull a task batch (work-stealing; held until work or poll_ms)
+//	POST /v1/workers/{id}/lease      pull a task batch (oldest first; held until work or poll_ms)
 //	POST /v1/workers/{id}/complete   report one task's outcome (idempotent)
-//	GET  /v1/store/{key}             fetch a shared-store entry
-//	PUT  /v1/store/{key}             upload a checksummed entry (422 if invalid)
 //
 // docs/API.md documents the schemas and failure codes; CI cross-checks its
 // route list against these registrations.
@@ -84,8 +81,6 @@ func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/workers/{id}/heartbeat", c.handleHeartbeat)
 	mux.HandleFunc("POST /v1/workers/{id}/lease", c.handleLease)
 	mux.HandleFunc("POST /v1/workers/{id}/complete", c.handleComplete)
-	mux.HandleFunc("GET /v1/store/{key}", c.handleStoreGet)
-	mux.HandleFunc("PUT /v1/store/{key}", c.handleStorePut)
 }
 
 func fleetJSON(w http.ResponseWriter, code int, v any) {
@@ -165,7 +160,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
-	tasks, err := c.queue.LeaseWait(r.Context(), id, c.reg.live, max, c.cfg.LeaseTTL, c.cfg.PollInterval)
+	tasks, err := c.queue.LeaseWait(r.Context(), id, max, c.cfg.LeaseTTL, c.cfg.PollInterval)
 	switch {
 	case errors.Is(err, errClosed):
 		fleetErr(w, http.StatusServiceUnavailable, "%v", err)
@@ -176,10 +171,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if len(tasks) > 0 {
 		c.logf("worker %s leased %d task(s)", id, len(tasks))
 	}
-	fleetJSON(w, http.StatusOK, LeaseResponse{
-		Tasks:  tasks,
-		PollMs: c.cfg.PollInterval.Milliseconds(),
-	})
+	fleetJSON(w, http.StatusOK, LeaseResponse{Tasks: tasks})
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
@@ -210,58 +202,6 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		c.logf("worker %s: stale/duplicate completion for %s attempt %d ignored", id, comp.ID, comp.Attempt)
 	}
 	fleetJSON(w, http.StatusOK, CompleteResponse{Accepted: accepted})
-}
-
-func (c *Coordinator) handleStoreGet(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidKey(key) {
-		fleetErr(w, http.StatusBadRequest, "invalid store key %q", key)
-		return
-	}
-	st, ok, err := c.store.Get(key)
-	if err != nil || !ok {
-		// A corrupt coordinator-side entry is a miss here too: the worker
-		// re-simulates and its PUT overwrites the bad entry.
-		fleetErr(w, http.StatusNotFound, "no entry for %s", key)
-		return
-	}
-	b, err := store.EncodeEntry(key, st)
-	if err != nil {
-		fleetErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(b)
-}
-
-func (c *Coordinator) handleStorePut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if !store.ValidKey(key) {
-		fleetErr(w, http.StatusBadRequest, "invalid store key %q", key)
-		return
-	}
-	b, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-	if err != nil {
-		fleetErr(w, http.StatusBadRequest, "read body: %v", err)
-		return
-	}
-	if len(b) > maxBodyBytes {
-		fleetErr(w, http.StatusRequestEntityTooLarge, "entry exceeds %d bytes", maxBodyBytes)
-		return
-	}
-	// Full validation before the shared store sees anything: a tampered or
-	// checksum-broken entry is rejected, not cached.
-	st, err := store.DecodeEntry(key, b)
-	if err != nil {
-		fleetErr(w, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
-	if err := c.store.Put(key, st); err != nil {
-		fleetErr(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // checkStats rejects a success whose stats result assembly cannot use: nil

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/workload"
@@ -64,12 +63,12 @@ func TestWorkerLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// Empty queue: the request is held for the poll interval, then answers
-	// OK with zero tasks and the hold in poll_ms.
+	// OK with zero tasks.
 	var lease LeaseResponse
 	if code := postJSON(t, srv.URL+"/v1/workers/"+reg.ID+"/lease", LeaseRequest{Max: 4}, &lease); code != http.StatusOK {
 		t.Fatalf("lease status = %d", code)
 	}
-	if len(lease.Tasks) != 0 || lease.PollMs <= 0 {
+	if len(lease.Tasks) != 0 {
 		t.Fatalf("lease response = %+v", lease)
 	}
 	if code := postJSON(t, srv.URL+"/v1/workers/w999999/lease", LeaseRequest{Max: 1}, nil); code != http.StatusNotFound {
@@ -171,131 +170,6 @@ func TestHeldLeaseEndsOnClose(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
-
-func TestStoreRoutes(t *testing.T) {
-	dir := t.TempDir()
-	disk, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startCoordinator(t, Config{Store: disk})
-
-	key := strings.Repeat("ab", 32)
-	st := &metrics.Stats{Cycles: 12345, Committed: []uint64{10, 20}, IQStalls: 7}
-
-	// Round trip through the coordinator.
-	remote, err := store.NewRemote(srv.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := remote.Put(key, st); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := remote.Get(key)
-	if err != nil || !ok {
-		t.Fatalf("remote get = (%v, %v)", ok, err)
-	}
-	if got.Cycles != st.Cycles || got.IQStalls != st.IQStalls {
-		t.Fatalf("round trip mangled stats: %+v", got)
-	}
-	// The entry landed in the coordinator's disk store, identical to a
-	// local Put.
-	if onDisk, ok, _ := disk.Get(key); !ok || onDisk.Cycles != st.Cycles {
-		t.Fatal("entry did not reach the coordinator's disk store")
-	}
-
-	// Missing key: 404.
-	missing := strings.Repeat("cd", 32)
-	if _, ok, err := remote.Get(missing); ok || err != nil {
-		t.Fatalf("missing key = (%v, %v), want plain miss", ok, err)
-	}
-
-	// Bad key: 400.
-	resp, err := http.Get(srv.URL + "/v1/store/not-a-key")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad-key get status = %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestStorePutTamperedChecksumRejected(t *testing.T) {
-	dir := t.TempDir()
-	disk, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, srv := startCoordinator(t, Config{Store: disk})
-
-	key := strings.Repeat("ef", 32)
-	entry, err := store.EncodeEntry(key, &metrics.Stats{Cycles: 999})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip the stats content without recomputing the checksum.
-	tampered := bytes.Replace(entry, []byte(`"Cycles":999`), []byte(`"Cycles":998`), 1)
-	if bytes.Equal(tampered, entry) {
-		t.Fatal("tamper had no effect; test is broken")
-	}
-
-	req, err := http.NewRequest(http.MethodPut, srv.URL+"/v1/store/"+key, bytes.NewReader(tampered))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("tampered put status = %d, want 422", resp.StatusCode)
-	}
-	// Nothing was cached: the shared store stays empty and a GET misses.
-	if n, _ := disk.Len(); n != 0 {
-		t.Fatalf("tampered entry reached the store (%d entries)", n)
-	}
-	remote, _ := store.NewRemote(srv.URL, nil)
-	if _, ok, _ := remote.Get(key); ok {
-		t.Fatal("tampered entry served back")
-	}
-}
-
-func TestCorruptCoordinatorEntryIsARemoteMiss(t *testing.T) {
-	// A coordinator whose stored entry fails validation must answer 404 —
-	// workers then re-simulate and overwrite, same as a corrupt disk entry
-	// in single-process mode.
-	key := strings.Repeat("12", 32)
-	bad := experiments.NewMemStore()
-	bad.Put(key, &metrics.Stats{Cycles: 1})
-	c := NewCoordinator(Config{Store: corrupting{bad}})
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	remote, _ := store.NewRemote(srv.URL, nil)
-	mem := experiments.NewMemStore()
-	layered := experiments.Layered(mem, remote)
-	if _, ok, err := layered.Get(key); ok {
-		t.Fatalf("corrupt coordinator entry served as data (err=%v)", err)
-	}
-	if mem.Len() != 0 {
-		t.Fatal("corrupt remote entry backfilled the local cache")
-	}
-}
-
-// corrupting wraps a store so every Get errors — the shape a failing disk
-// or checksum mismatch produces on the coordinator.
-type corrupting struct{ inner experiments.ResultStore }
-
-func (c corrupting) Get(key string) (*metrics.Stats, bool, error) {
-	if _, ok, _ := c.inner.Get(key); ok {
-		return nil, false, fmt.Errorf("store: entry %s failed its checksum", key)
-	}
-	return nil, false, nil
-}
-
-func (c corrupting) Put(key string, st *metrics.Stats) error { return c.inner.Put(key, st) }
 
 // TestLeaseHugeMax: the lease batch bound comes from the request body, so
 // the grant is sized by what can actually be leased — a huge max must

@@ -1,11 +1,11 @@
 // Package fleet scales the campaign service across processes: a
-// coordinator owning the work queue, the worker registry and the shared
-// result store, and pull-based workers that lease simulation tasks over
-// HTTP, simulate them locally and report completions. The fleet runs
-// simulations, not campaigns: campaign.Engine still turns every manifest
-// into its ResultSet and sends each simulation its store cannot answer to
-// Coordinator.Execute, which is what makes a fleet run of a manifest
-// bit-for-bit identical to a local one.
+// coordinator owning the work queue and the worker registry, and
+// pull-based workers that lease simulation tasks over HTTP, simulate them
+// locally and report completions. The fleet runs simulations, not
+// campaigns: campaign.Engine still turns every manifest into its
+// ResultSet, reads and writes the result store, and sends each simulation
+// its store cannot answer to Coordinator.Execute, which is what makes a
+// fleet run of a manifest bit-for-bit identical to a local one.
 //
 // The failure model is lease-based: a worker that stops heartbeating (or
 // never reports a leased task) loses its leases, and the tasks requeue
@@ -17,10 +17,11 @@
 package fleet
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,13 +40,13 @@ type Task struct {
 }
 
 // Completion is a worker's report for one leased task. Executed
-// distinguishes a fresh simulation from a store hit on the worker, feeding
-// the campaign's executed/store-hit tally. Error marks a failed attempt:
-// the item requeues (with backoff) until the attempt cap poisons it.
+// distinguishes a fresh simulation from a hit in the worker's in-memory
+// results, feeding the campaign's executed/store-hit tally. Error marks a
+// failed attempt: the item requeues (with backoff) until the attempt cap
+// poisons it.
 type Completion struct {
 	ID       string         `json:"id"`
 	Attempt  int            `json:"attempt"`
-	Key      string         `json:"key,omitempty"`
 	Executed bool           `json:"executed"`
 	Error    string         `json:"error,omitempty"`
 	Stats    *metrics.Stats `json:"stats,omitempty"`
@@ -107,10 +108,8 @@ type QueueStats struct {
 }
 
 // Queue is the coordinator's dispatch queue: pending tasks are leased to
-// workers in batches with rendezvous-hash affinity (so one item tends to
-// revisit one worker's warm trace memos) and work-stealing (an idle worker
-// drains the oldest pending work regardless of affinity). It is safe for
-// concurrent use; onDone callbacks fire outside the queue's lock.
+// workers in batches, oldest first. It is safe for concurrent use; onDone
+// callbacks fire outside the queue's lock.
 // A task leaves the queue when it reaches a terminal state, so the queue
 // holds only live work however many campaigns it has run.
 type Queue struct {
@@ -197,31 +196,12 @@ func (q *Queue) Remove(id string) {
 	q.mu.Unlock()
 }
 
-// owner returns the rendezvous-hash (highest-random-weight) owner of id
-// among the live workers: each (task, worker) pair gets a stateless score
-// and the max wins, so worker churn only remaps the items of the workers
-// that actually changed.
-func owner(id string, live []string) string {
-	best, bestScore := "", uint64(0)
-	for _, w := range live {
-		h := fnv.New64a()
-		_, _ = h.Write([]byte(id)) // fnv.Write cannot fail
-		_, _ = h.Write([]byte{0})
-		_, _ = h.Write([]byte(w))
-		if s := h.Sum64(); best == "" || s > bestScore {
-			best, bestScore = w, s
-		}
-	}
-	return best
-}
-
-// Lease grants workerID up to max pending tasks under a ttl lease: its own
-// rendezvous shard first (oldest first), then — work-stealing — the oldest
-// pending tasks owned by other workers. Backoff-gated tasks are skipped
-// until their notBefore passes. Each granted task's attempt number
-// increments. A closed queue grants nothing.
-func (q *Queue) Lease(workerID string, live []string, max int, ttl time.Duration) []Task {
-	out, _ := q.lease(workerID, live, max, ttl)
+// Lease grants workerID up to max pending tasks under a ttl lease, oldest
+// first. Backoff-gated tasks are skipped until their notBefore passes.
+// Each granted task's attempt number increments. A closed queue grants
+// nothing.
+func (q *Queue) Lease(workerID string, max int, ttl time.Duration) []Task {
+	out, _ := q.lease(workerID, max, ttl)
 	return out
 }
 
@@ -232,9 +212,8 @@ var errClosed = errors.New("fleet: coordinator shutting down")
 // next change that may make work leasable — an Add, a requeue, a reclaimed
 // lease, or a backoff gate passing — and tries again. It returns empty once
 // hold elapses, ctx's error once ctx is done, and errClosed once the queue
-// closes. live is re-read on every try, so workers that join or leave
-// during the hold reshape affinity.
-func (q *Queue) LeaseWait(ctx context.Context, workerID string, live func() []string, max int, ttl, hold time.Duration) ([]Task, error) {
+// closes.
+func (q *Queue) LeaseWait(ctx context.Context, workerID string, max int, ttl, hold time.Duration) ([]Task, error) {
 	expired := time.NewTimer(hold)
 	defer expired.Stop()
 	var gate *time.Timer // the earliest backoff gate, reset per wait
@@ -250,7 +229,7 @@ func (q *Queue) LeaseWait(ctx context.Context, workerID string, live func() []st
 		}
 	}()
 	for {
-		out, w := q.lease(workerID, live(), max, ttl)
+		out, w := q.lease(workerID, max, ttl)
 		if w.closed {
 			return nil, errClosed
 		}
@@ -295,7 +274,7 @@ type waitFor struct {
 }
 
 // lease is Lease plus the waitFor of its scan.
-func (q *Queue) lease(workerID string, live []string, max int, ttl time.Duration) ([]Task, waitFor) {
+func (q *Queue) lease(workerID string, max int, ttl time.Duration) ([]Task, waitFor) {
 	now := q.clock()
 	q.mu.Lock()
 	w := waitFor{changed: q.changed, closed: q.closed}
@@ -303,7 +282,7 @@ func (q *Queue) lease(workerID string, live []string, max int, ttl time.Duration
 		q.mu.Unlock()
 		return nil, w
 	}
-	var owned, steal []*qtask
+	var ready []*qtask
 	for _, t := range q.tasks {
 		if t.state != statePending {
 			continue
@@ -314,25 +293,16 @@ func (q *Queue) lease(workerID string, live []string, max int, ttl time.Duration
 			}
 			continue
 		}
-		if owner(t.task.ID, live) == workerID {
-			owned = append(owned, t)
-		} else {
-			steal = append(steal, t)
-		}
+		ready = append(ready, t)
 	}
-	sortBySeq(owned)
-	sortBySeq(steal)
-	granted := make([]*qtask, 0, min(max, len(owned)+len(steal)))
-	for _, t := range append(owned, steal...) {
-		if len(granted) == max {
-			break
-		}
+	slices.SortFunc(ready, func(a, b *qtask) int { return cmp.Compare(a.seq, b.seq) })
+	granted := ready[:min(max, len(ready))]
+	for _, t := range granted {
 		t.state = stateLeased
 		t.worker = workerID
 		t.attempt++
 		t.task.Attempt = t.attempt
 		t.expires = now.Add(ttl)
-		granted = append(granted, t)
 	}
 	out := make([]Task, len(granted))
 	for i, t := range granted {
@@ -499,16 +469,6 @@ func (q *Queue) Stats() QueueStats {
 		}
 	}
 	return s
-}
-
-// sortBySeq orders tasks oldest-first by enqueue sequence (insertion
-// sort: lease batches are small).
-func sortBySeq(ts []*qtask) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].seq < ts[j-1].seq; j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
 }
 
 // errPoisoned lets callers distinguish poison outcomes structurally.

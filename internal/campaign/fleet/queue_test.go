@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -77,7 +78,7 @@ func TestExpiryRequeuesExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got := q.Lease("w1", []string{"w1"}, 10, ttl)
+	got := q.Lease("w1", 10, ttl)
 	if len(got) != 1 || got[0].Attempt != 1 {
 		t.Fatalf("lease = %+v, want 1 task at attempt 1", got)
 	}
@@ -96,7 +97,7 @@ func TestExpiryRequeuesExactlyOnce(t *testing.T) {
 
 	// The requeued item leases again with a bumped attempt (after backoff).
 	clk.advance(2 * time.Second)
-	got = q.Lease("w1", []string{"w1"}, 10, ttl)
+	got = q.Lease("w1", 10, ttl)
 	if len(got) != 1 || got[0].Attempt != 2 {
 		t.Fatalf("re-lease = %+v, want attempt 2", got)
 	}
@@ -107,7 +108,7 @@ func TestRenewalPreventsRequeue(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, rec.onDone)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 
 	// Heartbeat renewals inside the ttl keep the lease alive arbitrarily
 	// long past the original deadline.
@@ -133,13 +134,13 @@ func TestDuplicateCompletionAfterExpiryIgnored(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, rec.onDone)
-	q.Lease("w1", []string{"w1", "w2"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 
 	// w1 goes silent; its lease expires and w2 picks the item up.
 	clk.advance(ttl + time.Second)
 	q.ExpireLeases()
 	clk.advance(time.Second)
-	got := q.Lease("w2", []string{"w2"}, 1, ttl)
+	got := q.Lease("w2", 1, ttl)
 	if len(got) != 1 || got[0].Attempt != 2 {
 		t.Fatalf("w2 lease = %+v, want attempt 2", got)
 	}
@@ -174,7 +175,7 @@ func TestCompletionFromWrongWorkerRejected(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	q.Add(Task{ID: "a"}, nil)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 	if q.Complete("w2", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
 		t.Fatal("completion from a worker that does not hold the lease was accepted")
 	}
@@ -188,26 +189,26 @@ func TestBackoffGatesRelease(t *testing.T) {
 	q := newTestQueue(clk, 5) // base 100ms, cap 1s
 	q.Add(Task{ID: "a"}, nil)
 
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
 
 	// Immediately after the failure the item is backing off.
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
 		t.Fatalf("leased %d tasks during backoff, want 0", len(got))
 	}
 	clk.advance(150 * time.Millisecond) // past base<<0
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 1 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 1 {
 		t.Fatal("item not leasable after backoff elapsed")
 	}
 
 	// Second failure doubles the backoff window.
 	q.Complete("w1", Completion{ID: "a", Attempt: 2, Error: "boom"})
 	clk.advance(150 * time.Millisecond)
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
 		t.Fatal("second backoff did not grow")
 	}
 	clk.advance(100 * time.Millisecond) // total 250ms > base<<1
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 1 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 1 {
 		t.Fatal("item not leasable after doubled backoff")
 	}
 }
@@ -220,7 +221,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		clk.advance(2 * time.Second) // clears any backoff
-		got := q.Lease("w1", []string{"w1"}, 1, ttl)
+		got := q.Lease("w1", 1, ttl)
 		if len(got) != 1 {
 			t.Fatalf("attempt %d not leased", attempt)
 		}
@@ -243,7 +244,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 	}
 	// Terminal: never leased again.
 	clk.advance(time.Hour)
-	if got := q.Lease("w1", []string{"w1"}, 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
 		t.Fatal("poisoned task leased again")
 	}
 }
@@ -253,7 +254,7 @@ func TestRequeueWorkerReclaimsImmediately(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	q.Add(Task{ID: "a"}, nil)
 	q.Add(Task{ID: "b"}, nil)
-	q.Lease("w1", []string{"w1"}, 2, ttl)
+	q.Lease("w1", 2, ttl)
 
 	// The registry reaped w1: its leases die now, not at ttl.
 	if n := q.RequeueWorker("w1"); n != 2 {
@@ -267,37 +268,39 @@ func TestRequeueWorkerReclaimsImmediately(t *testing.T) {
 	}
 }
 
-func TestAffinityAndStealing(t *testing.T) {
+// TestLeaseOldestFirst: every worker is granted the oldest leasable tasks
+// in enqueue order, whatever their IDs, and a task requeued after a failed
+// attempt keeps its place once its backoff passes.
+func TestLeaseOldestFirst(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
-	live := []string{"w1", "w2"}
-	var w1Owned []string
-	for _, id := range []string{"t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7"} {
+	order := []string{"t7", "t3", "t5", "t0", "t6", "t1", "t4", "t2"}
+	for _, id := range order {
 		q.Add(Task{ID: id}, nil)
-		if owner(id, live) == "w1" {
-			w1Owned = append(w1Owned, id)
+	}
+	ids := func(ts []Task) []string {
+		out := make([]string, len(ts))
+		for i, t := range ts {
+			out[i] = t.ID
 		}
+		return out
 	}
-	if len(w1Owned) == 0 || len(w1Owned) == 8 {
-		t.Fatalf("degenerate rendezvous split: w1 owns %d of 8", len(w1Owned))
+	if got := ids(q.Lease("w1", 3, ttl)); !slices.Equal(got, order[:3]) {
+		t.Fatalf("w1 leased %v, want the three oldest %v", got, order[:3])
 	}
-
-	// Affinity: a lease capped at w1's shard size returns exactly its shard.
-	got := q.Lease("w1", live, len(w1Owned), ttl)
-	gotIDs := make(map[string]bool)
-	for _, task := range got {
-		gotIDs[task.ID] = true
+	if got := ids(q.Lease("w2", 2, ttl)); !slices.Equal(got, order[3:5]) {
+		t.Fatalf("w2 leased %v, want the next two %v", got, order[3:5])
 	}
-	for _, id := range w1Owned {
-		if !gotIDs[id] {
-			t.Fatalf("w1's lease %v skipped its own shard item %s", gotIDs, id)
-		}
+	// t3 fails: it backs off, so the next lease skips it...
+	q.Complete("w1", Completion{ID: "t3", Attempt: 1, Error: "boom"})
+	if got := ids(q.Lease("w2", 1, ttl)); !slices.Equal(got, order[5:6]) {
+		t.Fatalf("w2 leased %v during t3's backoff, want %v", got, order[5:6])
 	}
-
-	// Stealing: w1 asks again and drains w2's untouched shard.
-	rest := q.Lease("w1", live, 8, ttl)
-	if len(got)+len(rest) != 8 {
-		t.Fatalf("w1 leased %d+%d items, want all 8", len(got), len(rest))
+	// ...and once the backoff passes it is the oldest again.
+	clk.advance(time.Second)
+	want := []string{"t3", "t4", "t2"}
+	if got := ids(q.Lease("w2", 8, ttl)); !slices.Equal(got, want) {
+		t.Fatalf("w2 leased %v after t3's backoff, want %v", got, want)
 	}
 }
 
@@ -306,7 +309,7 @@ func TestRemoveSilencesCompletions(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, rec.onDone)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 
 	q.Remove("a")
 	if q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
@@ -329,7 +332,7 @@ func leaseAsync(q *Queue, worker string, hold time.Duration) <-chan leaseResult 
 	ch := make(chan leaseResult, 1)
 	go func() {
 		start := time.Now()
-		tasks, err := q.LeaseWait(context.Background(), worker, func() []string { return []string{worker} }, 4, ttl, hold)
+		tasks, err := q.LeaseWait(context.Background(), worker, 4, ttl, hold)
 		ch <- leaseResult{tasks, err, time.Since(start)}
 	}()
 	return ch
@@ -372,7 +375,7 @@ func TestLeaseWaitWakesWhenBackoffPasses(t *testing.T) {
 	const backoff = 50 * time.Millisecond
 	q := NewQueue(4, backoff, backoff, nil)
 	q.Add(Task{ID: "a"}, nil)
-	q.Lease("w1", []string{"w1"}, 1, ttl)
+	q.Lease("w1", 1, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
 
 	r := <-leaseAsync(q, "w2", 5*time.Second)
@@ -433,7 +436,7 @@ func TestTerminalTasksLeaveQueue(t *testing.T) {
 	for _, id := range []string{"a", "b", "c"} {
 		q.Add(Task{ID: id}, func(Outcome) {})
 	}
-	q.Lease("w1", []string{"w1"}, 3, ttl)
+	q.Lease("w1", 3, ttl)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}})
 	q.Complete("w1", Completion{ID: "b", Attempt: 1, Stats: &metrics.Stats{}})
 	q.Complete("w1", Completion{ID: "c", Attempt: 1, Error: "bad spec"})
@@ -464,7 +467,7 @@ func TestAddRejectsDuplicate(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 {
 		t.Fatalf("pending = %d after the rejected Add, want 1", st.Pending)
 	}
-	if got := q.Lease("w1", []string{"w1"}, 2, ttl); len(got) != 1 || got[0].TraceLen != 1000 {
+	if got := q.Lease("w1", 2, ttl); len(got) != 1 || got[0].TraceLen != 1000 {
 		t.Fatalf("leased %+v, want the original task only", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // TestQueueStress hammers one queue from 8 goroutines — six worker loops
-// leasing/stealing/completing/failing/abandoning, one lease expirer, one
+// leasing/completing/failing/abandoning, one lease expirer, one
 // whole-worker requeuer — and checks the dispatch invariants. Half the
 // workers hold their lease requests open (LeaseWait), so the wake-ups race
 // the requeues and reclaims that fire them:
@@ -79,7 +79,6 @@ func TestQueueStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			id := fmt.Sprintf("w%d", w)
-			live := []string{"w0", "w1", "w2", "w3", "w4", "w5"}
 			rng := rand.New(rand.NewSource(int64(w)))
 			for {
 				select {
@@ -89,9 +88,9 @@ func TestQueueStress(t *testing.T) {
 				}
 				var tasks []Task
 				if w%2 == 0 {
-					tasks = q.Lease(id, live, 4, 50*time.Microsecond)
+					tasks = q.Lease(id, 4, 50*time.Microsecond)
 				} else {
-					tasks, _ = q.LeaseWait(ctx, id, func() []string { return live }, 4, 50*time.Microsecond, time.Millisecond)
+					tasks, _ = q.LeaseWait(ctx, id, 4, 50*time.Microsecond, time.Millisecond)
 				}
 				for _, task := range tasks {
 					onLease(task)

@@ -9,6 +9,7 @@ import (
 	"io"
 	"maps"
 	"net/http"
+	"net/url"
 	"runtime"
 	"slices"
 	"strings"
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"clustersmt/internal/campaign"
-	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
 )
@@ -32,10 +32,6 @@ type WorkerConfig struct {
 	// BatchSize bounds tasks per lease request (0 = 2×Parallel, so the
 	// worker always has a next item ready without hoarding the queue).
 	BatchSize int
-	// LocalStore, when set, is a worker-local persistent layer (typically
-	// *store.Store) between the in-memory cache and the coordinator's
-	// remote store.
-	LocalStore experiments.ResultStore
 	// Client overrides the HTTP client (nil = http.DefaultClient).
 	Client *http.Client
 	// Verbose, when set, receives one line per worker lifecycle event.
@@ -43,12 +39,12 @@ type WorkerConfig struct {
 }
 
 // Worker is the fleet's data plane: it registers with a coordinator,
-// heartbeats in the background, pulls task batches and simulates them on
-// the runners of a local campaign.Engine whose store is layered memory →
-// (optional local disk) → coordinator remote store — so a result any fleet
-// member already produced is a store hit, not a re-execution. The worker
-// keeps only the runners, and their trace memos, for the trace lengths of
-// the batch at hand.
+// heartbeats in the background, pulls task batches, simulates them on the
+// in-memory runners of a local campaign.Engine and reports the stats. It
+// never reads or writes the shared store: the coordinator's engine answers
+// store hits before a task is queued and puts every result it accepts.
+// The worker keeps only the runners, and their trace memos, for the trace
+// lengths of the batch at hand.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
@@ -65,11 +61,17 @@ type Worker struct {
 }
 
 // NewWorker validates cfg and returns an unstarted worker; Run drives it.
+// A coordinator URL without scheme://host is an error here, not at the
+// first request.
 func NewWorker(cfg WorkerConfig) (*Worker, error) {
-	remote, err := store.NewRemote(cfg.Coordinator, cfg.Client)
+	u, err := url.Parse(cfg.Coordinator)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fleet: coordinator %q: %w", cfg.Coordinator, err)
 	}
+	if u.Scheme == "" || u.Host == "" {
+		return nil, fmt.Errorf("fleet: coordinator %q: need scheme://host", cfg.Coordinator)
+	}
+	cfg.Coordinator = strings.TrimRight(cfg.Coordinator, "/")
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.NumCPU()
 	}
@@ -80,14 +82,10 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	var st experiments.ResultStore = remote
-	if cfg.LocalStore != nil {
-		st = experiments.Layered(cfg.LocalStore, remote)
-	}
 	return &Worker{
 		cfg:    cfg,
 		client: client,
-		eng:    &campaign.Engine{Store: st, Resume: true, Workers: cfg.Parallel},
+		eng:    &campaign.Engine{Resume: true, Workers: cfg.Parallel},
 	}, nil
 }
 
@@ -274,7 +272,7 @@ func (w *Worker) execute(ctx context.Context, tasks []Task) {
 					if err != nil && isCtxErr(err) {
 						return // dying quietly; the lease requeues the item
 					}
-					comp := Completion{ID: t.ID, Attempt: t.Attempt, Key: r.CacheKey(t.Spec), Executed: executed, Stats: st}
+					comp := Completion{ID: t.ID, Attempt: t.Attempt, Executed: executed, Stats: st}
 					if err != nil {
 						comp.Error = err.Error()
 						comp.Stats = nil
@@ -319,8 +317,7 @@ func (w *Worker) postJSON(ctx context.Context, path string, body, out any) (int,
 		}
 		rd = bytes.NewReader(b)
 	}
-	base := strings.TrimRight(w.cfg.Coordinator, "/")
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.cfg.Coordinator+path, rd)
 	if err != nil {
 		return 0, err
 	}

@@ -47,3 +47,17 @@ func TestWorkerKeepsOnlyBatchRunners(t *testing.T) {
 		}
 	}
 }
+
+// TestNewWorkerValidatesCoordinator: a coordinator URL without
+// scheme://host is a configuration error caught at construction, not at
+// the first request.
+func TestNewWorkerValidatesCoordinator(t *testing.T) {
+	for _, base := range []string{"", "localhost:8080", "/just/a/path", "://nope"} {
+		if _, err := NewWorker(WorkerConfig{Coordinator: base}); err == nil {
+			t.Errorf("NewWorker accepted coordinator %q", base)
+		}
+	}
+	if _, err := NewWorker(WorkerConfig{Coordinator: "http://localhost:8080/"}); err != nil {
+		t.Errorf("NewWorker rejected a good coordinator URL: %v", err)
+	}
+}

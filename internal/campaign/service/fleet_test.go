@@ -3,26 +3,31 @@ package service
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"clustersmt/internal/campaign/fleet"
 	"clustersmt/internal/experiments"
+	"clustersmt/internal/metrics"
 )
 
 // startFleetWorkers joins n in-process workers to the coordinator behind
 // srv (the service handler mounts the fleet routes) and tears them down
-// with the test.
-func startFleetWorkers(t *testing.T, srv *httptest.Server, n int) {
+// with the test. A nil client selects http.DefaultClient.
+func startFleetWorkers(t *testing.T, srv *httptest.Server, n int, client *http.Client) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		w, err := fleet.NewWorker(fleet.WorkerConfig{
 			Coordinator: srv.URL,
 			Name:        fmt.Sprintf("w%d", i),
 			Parallel:    2,
+			Client:      client,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -59,7 +64,7 @@ func TestFleetServiceMatchesLocal(t *testing.T) {
 		PollInterval: 20 * time.Millisecond,
 	})
 	fleetSrv := startServer(t, Config{Workers: 4, Store: shared, Fleet: coord, SampleInterval: -1})
-	startFleetWorkers(t, fleetSrv, 3)
+	startFleetWorkers(t, fleetSrv, 3, nil)
 
 	st := submit(t, fleetSrv, string(manifest))
 	final := waitFinished(t, fleetSrv, st.ID)
@@ -115,5 +120,91 @@ func TestFleetServiceMatchesLocal(t *testing.T) {
 	}
 	if got := m["clustersmt_store_hits_total"]; got != float64(rs2.Total) {
 		t.Errorf("store_hits_total = %v, want %d", got, rs2.Total)
+	}
+}
+
+// countingStore counts Gets and Puts per key over an in-memory store.
+type countingStore struct {
+	inner      *experiments.MemStore
+	mu         sync.Mutex
+	gets, puts map[string]int
+}
+
+func newCountingStore() *countingStore {
+	return &countingStore{inner: experiments.NewMemStore(), gets: map[string]int{}, puts: map[string]int{}}
+}
+
+func (c *countingStore) Get(key string) (*metrics.Stats, bool, error) {
+	c.mu.Lock()
+	c.gets[key]++
+	c.mu.Unlock()
+	return c.inner.Get(key)
+}
+
+func (c *countingStore) Put(key string, st *metrics.Stats) error {
+	c.mu.Lock()
+	c.puts[key]++
+	c.mu.Unlock()
+	return c.inner.Put(key, st)
+}
+
+// pathRecorder is a transport that records every request path it carries.
+type pathRecorder struct {
+	mu    sync.Mutex
+	paths []string
+}
+
+func (p *pathRecorder) RoundTrip(r *http.Request) (*http.Response, error) {
+	p.mu.Lock()
+	p.paths = append(p.paths, r.URL.Path)
+	p.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestFleetEngineIsTheOnlyStoreClient: in fleet mode the daemon's engine
+// is the store's one reader and writer. Each item costs one Get and each
+// executed item one Put, workers talk to the coordinator only over the
+// /v1/workers routes, and no route serves store entries.
+func TestFleetEngineIsTheOnlyStoreClient(t *testing.T) {
+	st := newCountingStore()
+	coord := fleet.NewCoordinator(fleet.Config{Store: st, PollInterval: 20 * time.Millisecond})
+	srv := startServer(t, Config{Workers: 2, Store: st, Fleet: coord, SampleInterval: -1})
+	rec := &pathRecorder{}
+	startFleetWorkers(t, srv, 2, &http.Client{Transport: rec})
+
+	job := submit(t, srv, `{"workloads": ["dh.ilp.2.1"], "schemes": ["icount", "cssp", "cisp"], "trace_lens": [2000]}`)
+	if final := waitFinished(t, srv, job.ID); final.State != StateDone || final.Failed != 0 {
+		t.Fatalf("fleet job state = %s, %d failed (%s)", final.State, final.Failed, final.Error)
+	}
+	rs := getResults(t, srv, job.ID)
+	if rs.Executed != rs.Total {
+		t.Fatalf("executed %d of %d items on a fresh store", rs.Executed, rs.Total)
+	}
+	st.mu.Lock()
+	for _, r := range rs.Results {
+		if st.gets[r.Key] != 1 || st.puts[r.Key] != 1 {
+			t.Errorf("item %s: %d gets, %d puts; want 1 and 1", r.Label, st.gets[r.Key], st.puts[r.Key])
+		}
+	}
+	if len(st.gets) != rs.Total || len(st.puts) != rs.Total {
+		t.Errorf("store saw %d keys read and %d written, want %d each", len(st.gets), len(st.puts), rs.Total)
+	}
+	st.mu.Unlock()
+
+	rec.mu.Lock()
+	for _, p := range rec.paths {
+		if !strings.HasPrefix(p, "/v1/workers") {
+			t.Errorf("worker requested %s", p)
+		}
+	}
+	rec.mu.Unlock()
+
+	resp, err := http.Get(srv.URL + "/v1/store/" + rs.Results[0].Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/store/<stored key> = %d, want 404", resp.StatusCode)
 	}
 }

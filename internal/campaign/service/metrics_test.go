@@ -151,7 +151,7 @@ func TestFleetMetrics(t *testing.T) {
 		}
 	}
 
-	startFleetWorkers(t, srv, 1)
+	startFleetWorkers(t, srv, 1, nil)
 	st := submit(t, srv, `{"workloads": ["dh.ilp.2.1"], "schemes": ["icount", "cssp"], "trace_lens": [2000]}`)
 	if final := waitFinished(t, srv, st.ID); final.State != StateDone {
 		t.Fatalf("fleet job state = %s (%s)", final.State, final.Error)

@@ -75,14 +75,14 @@ type Config struct {
 	// job; older events are dropped, and the stream marks the gap.
 	EventBuffer int
 	// Fleet, when set, turns the daemon into a fleet coordinator: the
-	// engine still runs every job and answers store hits itself, but sends
-	// each simulation its store cannot answer to the coordinator's dispatch
-	// queue (remote workers lease tasks over the fleet routes, which
-	// Handler mounts) instead of simulating in-process. Store should be the
-	// same store handed to the coordinator, so the fleet's shared cache and
-	// the daemon's result history are one; nil Store uses the
-	// coordinator's. Nil Fleet keeps the default single-process mode. Fleet
-	// jobs carry no per-item time series (workers do not stream samples).
+	// engine still runs every job, answers store hits and puts every fresh
+	// result itself, but sends each simulation its store cannot answer to
+	// the coordinator's dispatch queue (remote workers lease tasks over the
+	// fleet routes, which Handler mounts) instead of simulating in-process.
+	// Workers never touch the store. Nil Store uses the coordinator's
+	// (fleet.Config.Store). Nil Fleet keeps the default single-process
+	// mode. Fleet jobs carry no per-item time series (workers do not stream
+	// samples).
 	Fleet *fleet.Coordinator
 }
 

@@ -27,10 +27,9 @@ func ValidKey(key string) bool {
 	return true
 }
 
-// EncodeEntry renders one result in the store's checksummed entry format —
-// the same bytes whether the entry lands on disk or travels the fleet's
-// /v1/store wire: a self-validating JSON document carrying its format
-// version, its key and a SHA-256 over the embedded stats.
+// EncodeEntry renders one result in the store's checksummed entry format:
+// a self-validating JSON document carrying its format version, its key and
+// a SHA-256 over the embedded stats.
 func EncodeEntry(key string, st *metrics.Stats) ([]byte, error) {
 	payload, err := json.Marshal(st)
 	if err != nil {
@@ -53,9 +52,8 @@ func EncodeEntry(key string, st *metrics.Stats) ([]byte, error) {
 
 // DecodeEntry parses and fully validates entry bytes claimed to hold key:
 // format version, key echo and checksum must all match before the stats
-// are trusted. Every failure is an error — callers (disk reads, the remote
-// store client, the coordinator's PUT handler) treat it as "no such
-// result", never as data.
+// are trusted. Every failure is an error — its callers (Store.Get and the
+// store GC's scan) treat it as "no such result", never as data.
 //
 // Only the canonical envelope EncodeEntry writes is accepted,
 // {"format":1,"key":"<key>","checksum":"<64 hex>","stats":<stats>} and a

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzDecodeEntry drives the entry parser, the trust boundary for disk
-// reads and the fleet's /v1/store wire, with arbitrary bytes. It must never
+// reads, with arbitrary bytes. It must never
 // panic, and whatever it accepts must be exactly what EncodeEntry writes
 // for the decoded stats: the strict envelope drops nothing an entry holds.
 func FuzzDecodeEntry(f *testing.F) {

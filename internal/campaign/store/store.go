@@ -91,9 +91,10 @@ func (s *Store) Put(key string, st *metrics.Stats) error {
 		return err
 	}
 	// Keys are content addresses and the encoding is deterministic, so a
-	// re-put usually carries the stored bytes: the fleet coordinator copies
-	// every completed result, most of which workers stored already. Reading
-	// the entry is much cheaper than a temp file, a write and a rename.
+	// re-put usually carries the stored bytes: a campaign run without
+	// resume re-executes and re-puts every item, and processes sharing one
+	// store directory put the same results. Reading the entry is much
+	// cheaper than a temp file, a write and a rename.
 	if old, err := os.ReadFile(s.path(key)); err == nil && bytes.Equal(old, b) {
 		return nil
 	}

@@ -104,11 +104,11 @@ func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
 
 // RunConcurrent is Run with target packages analyzed by up to workers
 // goroutines. Type-checking happened once at load time and the module is
-// read-only during analysis (directive bookkeeping is mutex-guarded;
-// the dataflow package's module-level indexes are built once behind
-// sync.Once), so packages are embarrassingly parallel. Diagnostics
-// collect per-package and merge into one deterministically sorted slice,
-// so output order never depends on scheduling. A context cancellation
+// read-only during analysis (the dataflow package's module-level indexes
+// are built once behind sync.Once), so packages are embarrassingly
+// parallel. Diagnostics collect per-package and merge into one
+// deterministically sorted slice, so output order never depends on
+// scheduling. A context cancellation
 // stops dispatching new packages; diagnostics already produced are
 // returned (partial output is marked by the caller's ctx.Err()).
 func RunConcurrent(ctx context.Context, m *Module, analyzers []*Analyzer, workers int) []Diagnostic {
@@ -170,23 +170,14 @@ func RunConcurrent(ctx context.Context, m *Module, analyzers []*Analyzer, worker
 	return diags
 }
 
-// allowDirective is an //smtlint:allow occurrence.
-type allowDirective struct {
-	reason string
-	used   bool
-}
-
 // allowed reports whether diagnostics on file:line are suppressed. A
 // directive suppresses its own line and the line directly below (so it can
 // sit either trailing the offending code or on its own line above it).
-// Safe for concurrent use: RunConcurrent analyzes packages in parallel and
-// every Reportf lands here.
+// Load fills the directives and analysis only reads them, so concurrent
+// calls from RunConcurrent need no lock.
 func (m *Module) allowed(file string, line int) bool {
-	m.allowMu.Lock()
-	defer m.allowMu.Unlock()
 	for _, l := range []int{line, line - 1} {
-		if d, ok := m.allows[allowKey{file, l}]; ok && d.reason != "" {
-			d.used = true
+		if reason, ok := m.allows[allowKey{file, l}]; ok && reason != "" {
 			return true
 		}
 	}
@@ -210,7 +201,7 @@ func (m *Module) collectDirectives(pkg *Package, f *ast.File) {
 			}
 			reason := strings.TrimSpace(strings.TrimPrefix(text, "smtlint:allow"))
 			pos := m.Fset.Position(c.Pos())
-			m.allows[allowKey{pos.Filename, pos.Line}] = &allowDirective{reason: reason}
+			m.allows[allowKey{pos.Filename, pos.Line}] = reason
 			if reason == "" {
 				m.badAllows = append(m.badAllows, pos)
 			}

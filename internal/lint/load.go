@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // A Package is one type-checked package: syntax plus type information.
@@ -42,8 +41,7 @@ type Module struct {
 	// //smtlint:noalloc, across all loaded packages.
 	Noalloc map[*types.Func]bool
 
-	allowMu   sync.Mutex
-	allows    map[allowKey]*allowDirective
+	allows    map[allowKey]string // directive position -> reason
 	badAllows []token.Position
 
 	goVersion  string
@@ -136,7 +134,7 @@ func newModule() *Module {
 		Fset:    token.NewFileSet(),
 		Pkgs:    map[string]*Package{},
 		Noalloc: map[*types.Func]bool{},
-		allows:  map[allowKey]*allowDirective{},
+		allows:  map[allowKey]string{},
 		loading: map[string]bool{},
 	}
 }
