@@ -10,6 +10,8 @@
 // completion cycle. L2 misses are what the Stall/Flush+ policies key on.
 package cachesim
 
+import "sync"
+
 // Level identifies which level of the hierarchy served an access.
 type Level uint8
 
@@ -146,12 +148,29 @@ type setAssocCache struct {
 	tags      []uint64
 	valid     []bool
 	lastUse   []int64
-	accesses  uint64
-	misses    uint64
 	setMask   uint64
 	wayStride int
 }
 
+// geometry identifies a tag array's shape. Released arrays are pooled by
+// geometry, not by Config, so runs that differ only in latencies or MSHR
+// count (a -mem-latency sweep) share arrays.
+type geometry struct{ sets, assoc int }
+
+// tagPools maps a geometry to the *sync.Pool of released arrays of that
+// shape.
+var tagPools sync.Map
+
+func poolFor(g geometry) *sync.Pool {
+	if p, ok := tagPools.Load(g); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := tagPools.LoadOrStore(g, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// newSetAssoc returns an empty tag array, recycled from the pool when one
+// of the same geometry has been released.
 func newSetAssoc(totalEntries, assoc int, shift uint) *setAssocCache {
 	if assoc <= 0 {
 		assoc = 1
@@ -166,6 +185,11 @@ func newSetAssoc(totalEntries, assoc int, shift uint) *setAssocCache {
 		p *= 2
 	}
 	sets = p
+	if c, ok := poolFor(geometry{sets, assoc}).Get().(*setAssocCache); ok {
+		c.shift = shift
+		c.reset()
+		return c
+	}
 	n := sets * assoc
 	return &setAssocCache{
 		sets:      sets,
@@ -179,11 +203,23 @@ func newSetAssoc(totalEntries, assoc int, shift uint) *setAssocCache {
 	}
 }
 
+// reset empties the array. Only the valid bits are cleared: access and
+// probe never read the tag or LRU stamp of an invalid way.
+func (c *setAssocCache) reset() { clear(c.valid) }
+
+// release returns the array to its geometry's pool; c must not be used
+// afterwards.
+func (c *setAssocCache) release() {
+	poolFor(geometry{c.sets, c.assoc}).Put(c)
+}
+
 // access looks up addr at time now, filling on miss; it reports hit/miss.
+// It reads a way's tag and lastUse only when the way is valid, and fills a
+// way by writing all three. That invariant is what lets reset clear only
+// the valid bits of a recycled array.
 //
 //smtlint:noalloc
 func (c *setAssocCache) access(addr uint64, now int64) bool {
-	c.accesses++
 	block := addr >> c.shift
 	set := int(block & c.setMask)
 	base := set * c.wayStride
@@ -203,7 +239,6 @@ func (c *setAssocCache) access(addr uint64, now int64) bool {
 			oldest = c.lastUse[i]
 		}
 	}
-	c.misses++
 	c.tags[victim] = block
 	c.valid[victim] = true
 	c.lastUse[victim] = now
@@ -476,6 +511,24 @@ func (h *Hierarchy) Stats() Stats { return h.stats }
 
 // Reset clears all cache contents and counters but keeps the configuration.
 func (h *Hierarchy) Reset() {
-	cfg := h.cfg
-	*h = *New(cfg)
+	h.l1.reset()
+	h.l2.reset()
+	h.dtlb.reset()
+	h.mshr.lines = h.mshr.lines[:0]
+	h.mshr.done = h.mshr.done[:0]
+	h.portCycle, h.readsUsed, h.writesUsed = 0, 0, 0
+	h.stats = Stats{}
+}
+
+// Release returns the hierarchy's tag arrays to the pool New draws from.
+// The hierarchy must not be used afterwards: its arrays may already belong
+// to another simulation. Releasing twice is a no-op.
+func (h *Hierarchy) Release() {
+	if h.l1 == nil {
+		return
+	}
+	h.l1.release()
+	h.l2.release()
+	h.dtlb.release()
+	h.l1, h.l2, h.dtlb = nil, nil, nil
 }

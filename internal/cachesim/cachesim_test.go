@@ -1,6 +1,10 @@
 package cachesim
 
 import (
+	"reflect"
+	"runtime"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +164,84 @@ func TestReset(t *testing.T) {
 	if h.ProbeL1(0x1000) {
 		t.Error("contents survive Reset")
 	}
+}
+
+// replay drives a fixed pseudo-random load stream over an 8 MB footprint,
+// twice the L2, through h with port and MSHR arbitration, and returns
+// every result followed by the final counters.
+func replay(h *Hierarchy) ([]Result, Stats) {
+	var out []Result
+	x := uint64(1)
+	for now := int64(0); now < 20000; now++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		addr := (x >> 20) % (8 << 20)
+		if h.MSHRAvailable(now) && h.TryReadPort(now) {
+			out = append(out, h.Access(addr, now))
+		}
+	}
+	return out, h.Stats()
+}
+
+// TestRecycledMatchesFresh checks that a hierarchy built on released,
+// dirty tag arrays, and one Reset in place, replay a stream exactly like
+// a freshly allocated hierarchy, and that Reset does not allocate.
+func TestRecycledMatchesFresh(t *testing.T) {
+	runtime.GC() // two collections empty the tag-array pools
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := DefaultConfig()
+	h := New(cfg)
+	want, wantStats := replay(h)
+	h.Release()
+	h.Release() // a second Release is a no-op
+
+	for _, tc := range []struct {
+		name  string
+		build func() *Hierarchy
+	}{
+		{"recycled", func() *Hierarchy { return New(cfg) }},
+		{"reset", func() *Hierarchy { h := New(cfg); replay(h); h.Reset(); return h }},
+	} {
+		h := tc.build()
+		got, gotStats := replay(h)
+		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+			t.Errorf("%s: replay differs from a fresh hierarchy: stats %+v, want %+v", tc.name, gotStats, wantStats)
+		}
+		h.Release()
+	}
+	if wantStats.L2Misses == 0 || wantStats.Coalesced == 0 {
+		t.Errorf("stream never misses the L2 or coalesces: %+v", wantStats)
+	}
+
+	h = New(cfg)
+	replay(h)
+	if allocs := testing.AllocsPerRun(5, h.Reset); allocs != 0 {
+		t.Errorf("Reset allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestRecycledConcurrently builds, replays and releases hierarchies from
+// several goroutines at once, as a campaign's parallel runners do, so the
+// race detector sees arrays change hands between goroutines.
+func TestRecycledConcurrently(t *testing.T) {
+	want, wantStats := replay(New(DefaultConfig()))
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				h := New(DefaultConfig())
+				got, gotStats := replay(h)
+				h.Release()
+				if !reflect.DeepEqual(got, want) || gotStats != wantStats {
+					t.Errorf("round %d: replay differs from a fresh hierarchy", round)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestDefaultsFilled(t *testing.T) {

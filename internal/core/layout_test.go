@@ -7,6 +7,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -21,10 +22,12 @@ var updateLayoutGolden = flag.Bool("update-layout-golden", false,
 // layoutFingerprint runs scheme on w under cfg mutations and returns a
 // SHA-256 over the complete run statistics plus the memory-hierarchy
 // counters. Any behavioral drift in the IQ/ROB/MSHR/wheel storage layouts —
-// not just the headline numbers — changes the hash.
-func layoutFingerprint(t *testing.T, wname, scheme string, n int, mut func(*Config)) string {
+// not just the headline numbers — changes the hash. built reports the
+// bytes NewScheme allocated; with release set, the processor's tag arrays
+// are released after the run.
+func layoutFingerprint(t *testing.T, lc layoutCase, n int, release bool) (sum string, built uint64) {
 	t.Helper()
-	w, err := workload.Find(wname)
+	w, err := workload.Find(lc.workload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,13 +37,16 @@ func layoutFingerprint(t *testing.T, wname, scheme string, n int, mut func(*Conf
 		progs = append(progs, ThreadProgram{Trace: g.Generate(n), Profile: prof, Seed: w.Seeds[i]})
 	}
 	cfg := DefaultConfig(len(progs))
-	if mut != nil {
-		mut(&cfg)
+	if lc.mut != nil {
+		lc.mut(&cfg)
 	}
-	p, err := NewScheme(cfg, scheme, progs)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := NewScheme(cfg, lc.scheme, progs)
 	if err != nil {
-		t.Fatalf("NewScheme(%s): %v", scheme, err)
+		t.Fatalf("NewScheme(%s): %v", lc.scheme, err)
 	}
+	runtime.ReadMemStats(&after)
 	st := p.Run()
 	blob, err := json.Marshal(struct {
 		Stats any
@@ -49,25 +55,59 @@ func layoutFingerprint(t *testing.T, wname, scheme string, n int, mut func(*Conf
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:])
+	if release {
+		p.Release()
+	}
+	h := sha256.Sum256(blob)
+	return hex.EncodeToString(h[:]), after.TotalAlloc - before.TotalAlloc
+}
+
+// layoutCase is one pinned run: a scheme on a workload, with an optional
+// mutation of the Table 1 configuration.
+type layoutCase struct {
+	name, workload, scheme string
+	mut                    func(*Config)
 }
 
 // layoutCases enumerates the pinned runs: all 12 named schemes on a fixed
 // workload at Table 1 defaults, plus shape variants that stress the
 // structures this PR re-laid out (bounded/unbounded ROB ring, tight MOB,
-// tiny MSHR table, grown wheel).
-func layoutCases() []struct{ name, workload, scheme string } {
-	var cases []struct{ name, workload, scheme string }
+// tiny MSHR table, grown wheel). Every case has the Table 1 cache
+// geometry, so consecutive cases can share recycled tag arrays.
+func layoutCases() []layoutCase {
+	var cases []layoutCase
 	names := policy.Names()
 	sort.Strings(names)
 	for _, s := range names {
-		cases = append(cases, struct{ name, workload, scheme string }{
-			"scheme/" + s, "ispec00.mix.2.1", s,
-		})
+		cases = append(cases, layoutCase{name: "scheme/" + s, workload: "ispec00.mix.2.1", scheme: s})
 	}
-	return cases
+	// Shape variants: stress each refactored structure.
+	return append(cases,
+		layoutCase{"shape/tight-mob", "server.mem.2.1", "icount", func(c *Config) {
+			c.MOBSize = 24
+		}},
+		layoutCase{"shape/tiny-mshr", "server.mem.2.1", "cssp", func(c *Config) {
+			c.Cache.MSHRs = 2
+		}},
+		layoutCase{"shape/unbounded-rob", "ispec00.mix.2.1", "cssp", func(c *Config) {
+			c.ROBPerThread = 0
+			c.IntRegsPerCluster = 0
+			c.FpRegsPerCluster = 0
+		}},
+		layoutCase{"shape/big-rob", "fspec00.mix.2.1", "cdprf", func(c *Config) {
+			c.ROBPerThread = 512
+		}},
+		layoutCase{"shape/slow-memory", "ispec00.mix.2.1", "icount", func(c *Config) {
+			c.Cache.MemLatency = 400 // grown completion wheel
+		}},
+		layoutCase{"shape/four-clusters", "server.mix.2.1", "cdprf", func(c *Config) {
+			c.NumClusters = 4
+		}},
+	)
 }
+
+// layoutTraceLen is the per-thread trace length of every pinned run.
+const layoutTraceLen = 6000
 
 // TestLayoutGolden pins bit-identical statistics for every named scheme
 // across the PR's memory-layout overhaul (value ROB ring, MOB arena,
@@ -78,34 +118,12 @@ func layoutCases() []struct{ name, workload, scheme string } {
 //
 //	go test ./internal/core -run TestLayoutGolden -update-layout-golden
 func TestLayoutGolden(t *testing.T) {
-	const traceLen = 6000
 	path := filepath.Join("testdata", "layout_golden.json")
 
 	got := map[string]string{}
-	for _, tc := range layoutCases() {
-		got[tc.name] = layoutFingerprint(t, tc.workload, tc.scheme, traceLen, nil)
+	for _, lc := range layoutCases() {
+		got[lc.name], _ = layoutFingerprint(t, lc, layoutTraceLen, false)
 	}
-	// Shape variants: stress each refactored structure.
-	got["shape/tight-mob"] = layoutFingerprint(t, "server.mem.2.1", "icount", traceLen, func(c *Config) {
-		c.MOBSize = 24
-	})
-	got["shape/tiny-mshr"] = layoutFingerprint(t, "server.mem.2.1", "cssp", traceLen, func(c *Config) {
-		c.Cache.MSHRs = 2
-	})
-	got["shape/unbounded-rob"] = layoutFingerprint(t, "ispec00.mix.2.1", "cssp", traceLen, func(c *Config) {
-		c.ROBPerThread = 0
-		c.IntRegsPerCluster = 0
-		c.FpRegsPerCluster = 0
-	})
-	got["shape/big-rob"] = layoutFingerprint(t, "fspec00.mix.2.1", "cdprf", traceLen, func(c *Config) {
-		c.ROBPerThread = 512
-	})
-	got["shape/slow-memory"] = layoutFingerprint(t, "ispec00.mix.2.1", "icount", traceLen, func(c *Config) {
-		c.Cache.MemLatency = 400 // grown completion wheel
-	})
-	got["shape/four-clusters"] = layoutFingerprint(t, "server.mix.2.1", "cdprf", traceLen, func(c *Config) {
-		c.NumClusters = 4
-	})
 
 	if *updateLayoutGolden {
 		blob, err := json.MarshalIndent(got, "", "  ")
@@ -122,6 +140,12 @@ func TestLayoutGolden(t *testing.T) {
 		return
 	}
 
+	checkLayoutGolden(t, path, got)
+}
+
+// checkLayoutGolden compares fingerprints against the pinned golden file.
+func checkLayoutGolden(t *testing.T, path string, got map[string]string) {
+	t.Helper()
 	blob, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading golden (regenerate with -update-layout-golden): %v", err)

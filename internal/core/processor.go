@@ -224,8 +224,24 @@ func (p *Processor) Config() Config { return p.cfg }
 // Stats returns the run statistics collected so far.
 func (p *Processor) Stats() *metrics.Stats { return p.stats }
 
-// Mem exposes the memory hierarchy (for stats and tests).
-func (p *Processor) Mem() *cachesim.Hierarchy { return p.mem }
+// Mem exposes the memory hierarchy (for stats and tests). It panics after
+// Release: the hierarchy's arrays may then belong to another simulation.
+func (p *Processor) Mem() *cachesim.Hierarchy {
+	if p.mem == nil {
+		panic("core: Mem called after Release")
+	}
+	return p.mem
+}
+
+// Release hands the memory hierarchy's tag arrays back for reuse by the
+// next processor built. Call it once the run is over and its statistics
+// are read; the processor must not be stepped again, and Mem panics.
+func (p *Processor) Release() {
+	if p.mem != nil {
+		p.mem.Release()
+		p.mem = nil
+	}
+}
 
 // Predictor exposes the branch predictor (for stats and tests).
 func (p *Processor) Predictor() *bpred.Predictor { return p.pred }

@@ -474,7 +474,8 @@ func (r *Runner) computeKey(s Spec, k string) string {
 // execute runs one spec to completion (uncached) on the local simulator. A
 // context cancellation mid-simulation, or a run stopped at its cycle bound
 // (ErrCycleBound), discards the partial run: it is not counted as executed
-// and never reaches the store. A non-nil onSample
+// and never reaches the store. On every path the processor's cache tag
+// arrays are released for the next simulation to reuse. A non-nil onSample
 // attaches a time-series sampler for the duration of the run (see
 // SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
@@ -482,6 +483,7 @@ func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Samp
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	if onSample != nil {
 		p.SetSampler(r.SampleInterval, onSample)
 	}

@@ -180,22 +180,23 @@ func Latency(c Class) int {
 }
 
 // Uop is one micro-operation as it appears in a trace or in flight.
-// The zero value is a Nop with no operands.
+// The zero value is a Nop with no operands. The fields are ordered widest
+// first so a Uop packs into 32 bytes (DESIGN.md §7).
 type Uop struct {
 	// PC is the synthetic program counter of the parent instruction.
 	PC uint64
-	// Class is the execution class.
-	Class Class
+	// Addr is the effective address for Load/Store uops.
+	Addr uint64
+	// Target is the branch target PC for taken branches.
+	Target uint64
 	// Src1, Src2 are logical source registers, RegNone if absent.
 	Src1, Src2 int16
 	// Dst is the logical destination register, RegNone if absent.
 	Dst int16
-	// Addr is the effective address for Load/Store uops.
-	Addr uint64
+	// Class is the execution class.
+	Class Class
 	// Taken is the architectural outcome for Branch uops.
 	Taken bool
-	// Target is the branch target PC for taken branches.
-	Target uint64
 }
 
 // HasDest reports whether the uop writes a logical register.
