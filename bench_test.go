@@ -319,7 +319,7 @@ func BenchmarkAblationGuarantee(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				p, err := core.New(core.DefaultConfig(2), policy.NewIcount(2),
 					&policy.CSPSP{GuaranteeFrac: frac},
-					policy.NewNoRF(policy.RFConfig{}), nil, progs)
+					policy.NoRF{}, nil, progs)
 				if err != nil {
 					b.Fatal(err)
 				}

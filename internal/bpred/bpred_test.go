@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -147,7 +148,7 @@ func TestDeterministicProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

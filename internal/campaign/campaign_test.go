@@ -401,6 +401,40 @@ func TestEngineCountsStorePutErrors(t *testing.T) {
 	}
 }
 
+// TestCacheKeyStableAcrossRecycle: the content keys an engine reports are
+// the keys a fresh runner derives (whose fingerprints
+// TestCacheKeyFingerprintMatchesJSON pins byte for byte), before and after
+// Recycle drops the runners and their encoding memos, and the resubmission
+// after Recycle is answered wholly from the store.
+func TestCacheKeyStableAcrossRecycle(t *testing.T) {
+	eng := &campaign.Engine{Store: experiments.NewMemStore(), Resume: true, Workers: 1}
+	plan, err := campaign.NewPlan(tinyManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *campaign.ResultSet
+	for pass := 0; pass < 2; pass++ {
+		rs, err := eng.Run(tinyManifest())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pass == 1 && rs.StoreHits != rs.Total {
+			t.Errorf("after Recycle: %d of %d items from the store, want all", rs.StoreHits, rs.Total)
+		}
+		for i, res := range rs.Results {
+			it := plan.Items[i]
+			if want := experiments.NewRunner(it.TraceLen).CacheKey(it.Spec); res.Key != want {
+				t.Errorf("pass %d, %s: key %s, want %s", pass, res.Label, res.Key, want)
+			}
+			if first != nil && res.Key != first.Results[i].Key {
+				t.Errorf("%s: key changed across Recycle", res.Label)
+			}
+		}
+		first = rs
+		eng.Recycle()
+	}
+}
+
 // TestCycleBoundFailsItem runs a manifest whose one item wedges
 // (isfs.mix.2.1 under Icount with 16 registers per cluster): the run that
 // hits its cycle bound is a failed item carrying the error, not an

@@ -318,9 +318,9 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 			specs[j] = plan.Items[i].Spec
 		}
 		p := &experiments.Progress{
-			Finished: func(j int, st *metrics.Stats, executed bool, err error) {
+			Finished: func(j int, key string, st *metrics.Stats, executed bool, err error) {
 				i := idxs[j]
-				res := plan.Result(i, r.CacheKey(plan.Items[i].Spec), st, executed, err)
+				res := plan.Result(i, key, st, executed, err)
 				if executed && samples != nil {
 					res.Samples = samples[i]
 				}

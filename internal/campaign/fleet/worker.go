@@ -267,7 +267,7 @@ func (w *Worker) execute(ctx context.Context, tasks []Task) {
 				specs[i] = t.Spec
 			}
 			p := &experiments.Progress{
-				Finished: func(i int, st *metrics.Stats, executed bool, err error) {
+				Finished: func(i int, _ string, st *metrics.Stats, executed bool, err error) {
 					t := group[i]
 					if err != nil && isCtxErr(err) {
 						return // dying quietly; the lease requeues the item

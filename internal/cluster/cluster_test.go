@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -259,7 +260,7 @@ func TestRegFileConservationProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -301,7 +302,7 @@ func TestIssueQueueOrderProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -243,9 +243,6 @@ func (p *Processor) Release() {
 	}
 }
 
-// Predictor exposes the branch predictor (for stats and tests).
-func (p *Processor) Predictor() *bpred.Predictor { return p.pred }
-
 // entry pool --------------------------------------------------------------
 
 //smtlint:noalloc
@@ -373,11 +370,6 @@ func (p *Processor) RFInUse(t int, k isa.RegKind) int {
 //
 //smtlint:noalloc
 func (p *Processor) RFClusterTotal(k isa.RegKind) int { return p.rfs[0].Total(k) }
-
-// RFClusterFree implements policy.Machine.
-//
-//smtlint:noalloc
-func (p *Processor) RFClusterFree(c int, k isa.RegKind) int { return p.rfs[c].FreeCount(k) }
 
 // RFClusterInUse implements policy.Machine.
 //

@@ -15,6 +15,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -60,39 +61,48 @@ type Spec struct {
 // must not collapse into the named workload's flight or recall its
 // content-addressed key (the same aliasing rule traceKey enforces for
 // trace memoization).
-func (s Spec) key() string {
+func (s Spec) key() string { return s.keyOf(workloadDigest(s.Workload)) }
+
+// keyOf is key for a caller that already holds d = workloadDigest(s.Workload).
+func (s Spec) keyOf(d uint64) string {
+	if debugKeyWork != nil {
+		debugKeyWork("spec")
+	}
 	return fmt.Sprintf("%s@%x|%s|iq%d|rf%d|rob%d|st%d|c%d|lk%d|ll%d|ml%d",
-		s.Workload.Name, workloadDigest(s.Workload), s.Scheme,
+		s.Workload.Name, d, s.Scheme,
 		s.IQSize, s.RegsPerClust, s.ROBPerThread, s.SingleThread,
 		s.NumClusters, s.Links, s.LinkLatency, s.MemLatency)
 }
 
+// debugKeyWork, when set by a test, observes the key derivation's work:
+// "spec" for each session key, and "config" or "workload" for each
+// encoding a runner computes rather than recalls.
+var debugKeyWork func(what string)
+
 // workloadDigest hashes a workload's simulation-relevant content (seeds and
-// thread profiles; the name is carried separately for readability).
+// thread profiles; the name is carried separately for readability). It
+// mixes the fields a word at a time; the digest is session-local and never
+// persisted, so it only needs to be deterministic.
 func workloadDigest(w workload.Workload) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime64
-		}
-	}
+	var buf [512]byte
+	b := buf[:0]
 	for _, s := range w.Seeds {
-		mix(s)
+		b = binary.LittleEndian.AppendUint64(b, s)
 	}
 	for _, p := range w.Threads {
-		fp := profileFingerprint(p)
-		for i := 0; i < len(fp); i += 8 {
-			var v uint64
-			for j := 0; j < 8; j++ {
-				v = v<<8 | uint64(fp[i+j])
-			}
-			mix(v)
-		}
+		b = appendProfile(b, p)
+	}
+	h := uint64(offset64)
+	for ; len(b) >= 8; b = b[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(b)) * prime64
+		h ^= h >> 32
+	}
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
 	}
 	return h
 }
@@ -165,6 +175,12 @@ type Runner struct {
 	inflight map[string]*flight
 	keys     map[string]keyEntry // by spec key
 
+	// The JSON encodings content keys are assembled from (see
+	// fingerprint), each computed once per runner under encMu.
+	encMu     sync.Mutex
+	configs   map[core.Config][]byte
+	workloads map[workloadID][]byte
+
 	// executed counts actual simulations (store hits excluded).
 	executed atomic.Int64
 	// putErrors counts fresh results the store failed to take.
@@ -180,6 +196,15 @@ type keyEntry struct {
 	// stored marks that a flight for the spec has put its result in the
 	// store, so a caller whose unlocked Get missed re-checks the store.
 	stored bool
+}
+
+// workloadID identifies a workload's JSON encoding: its content digest
+// plus every field the digest leaves out. A name alone is not enough — a
+// hand-built workload may reuse a pool name with other seeds or profiles.
+type workloadID struct {
+	digest         uint64
+	name, category string
+	typ            workload.Type
 }
 
 // flight tracks one in-progress execution so duplicate requests wait for it
@@ -204,14 +229,19 @@ type traceKey struct {
 	profile [sha256.Size]byte
 }
 
-// profileFingerprint digests a trace profile for trace memoization and the
-// session-local spec key. It writes every field in declaration order into
-// a stack buffer (strings length-prefixed, floats as their IEEE bits) and
-// hashes that; no persisted key depends on it. A field of a kind it cannot
-// write is a programming error, caught by TestProfileFingerprintCoversEveryField.
+// profileFingerprint digests a trace profile for trace memoization: the
+// SHA-256 of appendProfile's encoding. No persisted key depends on it.
 func profileFingerprint(p trace.Profile) [sha256.Size]byte {
 	var buf [256]byte
-	b := buf[:0]
+	return sha256.Sum256(appendProfile(buf[:0], p))
+}
+
+// appendProfile writes every field of p in declaration order to b (strings
+// length-prefixed, numbers as 8 little-endian bytes, floats as their IEEE
+// bits), the input of profileFingerprint and workloadDigest. A field of a
+// kind it cannot write is a programming error, caught by
+// TestProfileFingerprintCoversEveryField.
+func appendProfile(b []byte, p trace.Profile) []byte {
 	v := reflect.ValueOf(&p).Elem()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
@@ -226,11 +256,11 @@ func profileFingerprint(p trace.Profile) [sha256.Size]byte {
 		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 			b = binary.LittleEndian.AppendUint64(b, f.Uint())
 		default:
-			panic(fmt.Sprintf("experiments: profileFingerprint cannot digest field %s of kind %s",
+			panic(fmt.Sprintf("experiments: appendProfile cannot write field %s of kind %s",
 				v.Type().Field(i).Name, f.Kind()))
 		}
 	}
-	return sha256.Sum256(b)
+	return b
 }
 
 type traceEntry struct {
@@ -241,11 +271,13 @@ type traceEntry struct {
 // NewRunner returns a runner with the given per-thread trace length.
 func NewRunner(traceLen int) *Runner {
 	return &Runner{
-		TraceLen: traceLen,
-		Store:    NewMemStore(),
-		inflight: make(map[string]*flight),
-		keys:     make(map[string]keyEntry),
-		traces:   make(map[traceKey]*traceEntry),
+		TraceLen:  traceLen,
+		Store:     NewMemStore(),
+		inflight:  make(map[string]*flight),
+		keys:      make(map[string]keyEntry),
+		traces:    make(map[traceKey]*traceEntry),
+		configs:   make(map[core.Config][]byte),
+		workloads: make(map[workloadID][]byte),
 	}
 }
 
@@ -261,6 +293,8 @@ func (r *Runner) init() {
 			r.inflight = make(map[string]*flight)
 			r.keys = make(map[string]keyEntry)
 			r.traces = make(map[traceKey]*traceEntry)
+			r.configs = make(map[core.Config][]byte)
+			r.workloads = make(map[workloadID][]byte)
 		}
 	})
 }
@@ -402,42 +436,34 @@ func (r *Runner) config(s Spec) core.Config {
 	return Machine(s, r.TraceLen)
 }
 
-// specFingerprint is everything that determines a spec's simulated outcome:
-// the simulator revision, the canonicalized machine configuration and the
-// complete workload definition (profiles and seeds — the trace streams are
-// a pure function of these plus the length, which the config's WarmupUops
-// does not capture on its own).
-type specFingerprint struct {
-	Version      string            `json:"version"`
-	Scheme       string            `json:"scheme"`
-	SingleThread int               `json:"single_thread"`
-	TraceLen     int               `json:"trace_len"`
-	Workload     workload.Workload `json:"workload"`
-	Config       json.RawMessage   `json:"config"`
-}
-
 // CacheKey returns the content-addressed result key for s under this
 // runner's settings: the hex SHA-256 of the spec fingerprint. Equal keys
 // mean equal simulated outcomes across processes and branches (for one
 // core.SimVersion), which is what lets a disk store answer for a re-run.
-func (r *Runner) CacheKey(s Spec) string { return r.cacheKey(s, s.key()) }
+func (r *Runner) CacheKey(s Spec) string {
+	_, ck := r.keysOf(s)
+	return ck
+}
 
-// cacheKey is CacheKey for a caller that already holds k = s.key().
-func (r *Runner) cacheKey(s Spec, k string) string {
+// keysOf derives s's session key (Spec.key) and its content key
+// (CacheKey), digesting the workload once for both.
+func (r *Runner) keysOf(s Spec) (k, ck string) {
 	r.init()
+	d := workloadDigest(s.Workload)
+	k = s.keyOf(d)
 	r.mu.Lock()
 	e, ok := r.keys[k]
 	r.mu.Unlock()
 	if ok {
-		return e.ck
+		return k, e.ck
 	}
-	ck := r.computeKey(s, k)
+	ck = r.computeKey(s, k, d)
 	r.mu.Lock()
 	if _, ok := r.keys[k]; !ok { // an owner may have marked it stored meanwhile
 		r.keys[k] = keyEntry{ck: ck}
 	}
 	r.mu.Unlock()
-	return ck
+	return k, ck
 }
 
 // canonicalScheme reduces a scheme reference to its canonical spelling for
@@ -451,24 +477,78 @@ func canonicalScheme(s string) string {
 	return s
 }
 
-func (r *Runner) computeKey(s Spec, k string) string {
-	cb, err := r.config(s).Canonical()
+// computeKey hashes s's fingerprint; k and d are its session key and
+// workload digest.
+func (r *Runner) computeKey(s Spec, k string, d uint64) string {
+	b, err := r.fingerprint(s, d)
 	if err != nil {
 		return "spec:" + k // unhashable: session-local key, never persisted as content
 	}
-	b, err := json.Marshal(specFingerprint{
-		Version:      core.SimVersion,
-		Scheme:       canonicalScheme(s.Scheme),
-		SingleThread: s.SingleThread,
-		TraceLen:     r.TraceLen,
-		Workload:     s.Workload,
-		Config:       cb,
-	})
-	if err != nil {
-		return "spec:" + k
-	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
+}
+
+// simVersionJSON is core.SimVersion encoded as a JSON string.
+var simVersionJSON, _ = json.Marshal(core.SimVersion)
+
+// fingerprint returns the bytes CacheKey hashes: everything that determines
+// s's simulated outcome — the simulator revision, the canonical scheme, the
+// thread selection, the trace length (which the config's WarmupUops does
+// not capture on its own), the complete workload definition (profiles and
+// seeds) and the canonical machine configuration — as one JSON object,
+// byte-identical to encoding/json's output for the struct
+// {version, scheme, single_thread, trace_len, workload, config} that keys
+// have always hashed (TestCacheKeyFingerprintMatchesJSON). It appends
+// memoized encodings instead of marshalling per spec: a sweep shares a few
+// machines, and each workload recurs once per scheme.
+// d is workloadDigest(s.Workload).
+func (r *Runner) fingerprint(s Spec, d uint64) ([]byte, error) {
+	r.encMu.Lock()
+	cfg, err := encodeOnce(r.configs, r.config(s), "config", core.Config.Canonical)
+	var wl []byte
+	if err == nil {
+		id := workloadID{digest: d, name: s.Workload.Name, category: s.Workload.Category, typ: s.Workload.Type}
+		wl, err = encodeOnce(r.workloads, id, "workload", func(workloadID) ([]byte, error) { return json.Marshal(s.Workload) })
+	}
+	r.encMu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	scheme, err := json.Marshal(canonicalScheme(s.Scheme))
+	if err != nil {
+		return nil, err
+	}
+	b := make([]byte, 0, 128+len(scheme)+len(wl)+len(cfg))
+	b = append(b, `{"version":`...)
+	b = append(b, simVersionJSON...)
+	b = append(b, `,"scheme":`...)
+	b = append(b, scheme...)
+	b = append(b, `,"single_thread":`...)
+	b = strconv.AppendInt(b, int64(s.SingleThread), 10)
+	b = append(b, `,"trace_len":`...)
+	b = strconv.AppendInt(b, int64(r.TraceLen), 10)
+	b = append(b, `,"workload":`...)
+	b = append(b, wl...)
+	b = append(b, `,"config":`...)
+	b = append(b, cfg...)
+	return append(b, '}'), nil
+}
+
+// encodeOnce returns m[k], filling it with enc(k) on first use; a failed
+// encoding is not remembered. The caller holds r.encMu, so each distinct k
+// is encoded once per runner.
+func encodeOnce[K comparable](m map[K][]byte, k K, what string, enc func(K) ([]byte, error)) ([]byte, error) {
+	if b, ok := m[k]; ok {
+		return b, nil
+	}
+	if debugKeyWork != nil {
+		debugKeyWork(what)
+	}
+	b, err := enc(k)
+	if err == nil {
+		m[k] = b
+	}
+	return b, err
 }
 
 // execute runs one spec to completion (uncached) on the local simulator. A
@@ -493,33 +573,34 @@ func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Samp
 // Run executes (or recalls) one spec. Concurrent calls for the same spec
 // share a single execution; completed results are recalled from the store.
 func (r *Runner) Run(s Spec) (*metrics.Stats, error) {
-	st, _, err := r.run(context.Background(), s, nil)
-	return st, err
+	return r.RunCtx(context.Background(), s)
 }
 
 // RunCtx is Run with cooperative cancellation: a cancelled context stops
 // the simulation mid-run (the partial result is discarded, not stored) and
 // returns the context's error.
 func (r *Runner) RunCtx(ctx context.Context, s Spec) (*metrics.Stats, error) {
-	st, _, err := r.run(ctx, s, nil)
+	k, ck := r.keysOf(s)
+	st, _, err := r.run(ctx, s, k, ck, nil)
 	return st, err
 }
 
-// run is the shared execution core. The executed return reports whether
-// THIS call ran the simulation: false for store hits and for singleflight
-// waiters (the flight owner reports true). Summing executed across
-// arbitrarily many concurrent callers therefore counts each distinct spec
-// exactly once — the property the campaign engine's Executed tally and the
-// service's cross-job deduplication test rely on.
+// run is the shared execution core; k and ck are s's keys (see keysOf).
+// The executed return reports whether THIS call ran the simulation: false
+// for store hits and for singleflight waiters (the flight owner reports
+// true). Summing executed across arbitrarily many concurrent callers
+// therefore counts each distinct spec exactly once — the property the
+// campaign engine's Executed tally and the service's cross-job
+// deduplication test rely on.
 //
 // A cancellation error from the flight owner does NOT propagate to
 // waiters whose own context is still live: on a shared engine the owner
 // belongs to a different campaign, and its DELETE must not fail
 // overlapping items of uncancelled jobs — the waiter retries (typically
 // becoming the new owner) instead.
-func (r *Runner) run(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error) {
+func (r *Runner) run(ctx context.Context, s Spec, k, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error) {
 	for {
-		st, executed, err, retry := r.runOnce(ctx, s, onSample)
+		st, executed, err, retry := r.runOnce(ctx, s, k, ck, onSample)
 		if !retry {
 			return st, executed, err
 		}
@@ -536,14 +617,11 @@ func (r *Runner) run(ctx context.Context, s Spec, onSample func(metrics.Sample))
 // and the lock is found by the re-check and never runs twice, while a
 // plain miss still costs one Get. retry reports an owner cancellation the
 // caller should not inherit (see run).
-func (r *Runner) runOnce(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error, retry bool) {
+func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error, retry bool) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err, false
 	}
-	r.init()
 	store := r.Store
-	k := s.key()
-	ck := r.cacheKey(s, k)
 	if st, ok, _ := store.Get(ck); ok {
 		return st, false, nil, false
 	}
@@ -628,8 +706,9 @@ func ctxErr(err error) bool {
 // Progress receives per-spec lifecycle callbacks from RunAllCtx. Both
 // callbacks are optional (nil fields are skipped) and are invoked from the
 // pool's worker goroutines, so implementations must be safe for concurrent
-// use. Finished's executed flag distinguishes a fresh simulation from a
-// store or singleflight hit (see run).
+// use. Finished's key is the spec's CacheKey, and its executed flag
+// distinguishes a fresh simulation from a store or singleflight hit (see
+// run).
 type Progress struct {
 	// Started fires when a worker picks up spec i.
 	Started func(i int)
@@ -640,7 +719,7 @@ type Progress struct {
 	// goroutine; it must return quickly.
 	Sample func(i int, s metrics.Sample)
 	// Finished fires when spec i completes (successfully or not).
-	Finished func(i int, st *metrics.Stats, executed bool, err error)
+	Finished func(i int, key string, st *metrics.Stats, executed bool, err error)
 }
 
 // RunAll executes specs on a worker pool and returns stats in spec order.
@@ -687,15 +766,19 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []Spec, p *Progress) ([]*m
 					i := i
 					onSample = func(s metrics.Sample) { p.Sample(i, s) }
 				}
-				var executed bool
+				k, ck := r.keysOf(specs[i])
 				// The item index arrives over the work channel, so detcheck
 				// sees goroutine send order flowing into the simulation —
 				// but each item's stats depend only on specs[i], and the
 				// result re-keys deterministically into out[i].
 				//smtlint:allow detcheck: channel-delivered index selects which spec runs, not what it computes; results re-key into out[i]
-				out[i], executed, errs[i] = r.run(ctx, specs[i], onSample)
+				st, executed, err := r.run(ctx, specs[i], k, ck, onSample)
+				out[i] = st
 				if p != nil && p.Finished != nil {
-					p.Finished(i, out[i], executed, errs[i])
+					p.Finished(i, ck, st, executed, err)
+				}
+				if err != nil {
+					errs[i] = fmt.Errorf("%s: %w", k, err)
 				}
 			}
 		}()
@@ -705,11 +788,6 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []Spec, p *Progress) ([]*m
 	}
 	close(work)
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			errs[i] = fmt.Errorf("%s: %w", specs[i].key(), err)
-		}
-	}
 	return out, errors.Join(errs...)
 }
 

@@ -218,6 +218,7 @@ func TestStoreMissRecheckedUnderLock(t *testing.T) {
 	store := &parkFirstGet{ResultStore: NewMemStore(), parked: make(chan struct{}), release: make(chan struct{})}
 	r.Store = store
 	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
+	k, ck := r.keysOf(spec)
 
 	type outcome struct {
 		st       *metrics.Stats
@@ -226,12 +227,12 @@ func TestStoreMissRecheckedUnderLock(t *testing.T) {
 	}
 	waiter := make(chan outcome, 1)
 	go func() {
-		st, executed, err := r.run(context.Background(), spec, nil)
+		st, executed, err := r.run(context.Background(), spec, k, ck, nil)
 		waiter <- outcome{st, executed, err}
 	}()
 	<-store.parked
 
-	owned, executed, err := r.run(context.Background(), spec, nil)
+	owned, executed, err := r.run(context.Background(), spec, k, ck, nil)
 	if err != nil || !executed {
 		t.Fatalf("owner: executed=%v err=%v, want a fresh run", executed, err)
 	}

@@ -1,6 +1,7 @@
 package frontend
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -188,7 +189,7 @@ func TestFetchQueueModelProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,7 +154,7 @@ func TestNumSourcesProperty(t *testing.T) {
 		}
 		return u.NumSources() == want
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,7 +149,7 @@ func TestFairnessProperties(t *testing.T) {
 		}
 		return x >= 0 && x <= 1
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }

@@ -131,9 +131,6 @@ func (p *DCRAIQ) MissEnd(t int, now int64) { p.st.MissEnd(t, now) }
 // thread's cap is its DCRA share of the total registers of each kind.
 type DCRARF struct{ st *dcraState }
 
-// NewDCRARF returns the DCRA register-file policy.
-func NewDCRARF(RFConfig) RFPolicy { return &DCRARF{st: &dcraState{}} }
-
 // Name implements RFPolicy.
 func (*DCRARF) Name() string { return "dcra-rf" }
 

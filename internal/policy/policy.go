@@ -55,9 +55,6 @@ type Machine interface {
 	// RFClusterTotal returns the per-cluster register count of kind k.
 	//smtlint:noalloc
 	RFClusterTotal(k isa.RegKind) int
-	// RFClusterFree returns free registers of kind k in cluster c.
-	//smtlint:noalloc
-	RFClusterFree(c int, k isa.RegKind) int
 	// RFClusterInUse returns registers of kind k in cluster c held by t.
 	//smtlint:noalloc
 	RFClusterInUse(c, t int, k isa.RegKind) int

@@ -45,9 +45,6 @@ func (m *fakeMachine) IQSize() int                      { return m.iqSize }
 func (m *fakeMachine) IQFree(c int) int                 { return m.iqFree[c] }
 func (m *fakeMachine) IQOcc(c, t int) int               { return m.iqOcc[c][t] }
 func (m *fakeMachine) RFClusterTotal(k isa.RegKind) int { return m.rfClusterTotal[k] }
-func (m *fakeMachine) RFClusterFree(c int, k isa.RegKind) int {
-	return m.rfClusterFree[c][k]
-}
 func (m *fakeMachine) RFClusterInUse(c, t int, k isa.RegKind) int {
 	return m.rfClusterInUse[c][int(k)][t]
 }

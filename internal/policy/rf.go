@@ -27,9 +27,6 @@ type RFPolicy interface {
 // managed only by the IQ scheme, e.g. plain CSSP).
 type NoRF struct{}
 
-// NewNoRF returns the cap-free RF policy.
-func NewNoRF(RFConfig) RFPolicy { return NoRF{} }
-
 // Name implements RFPolicy.
 func (NoRF) Name() string { return "none" }
 

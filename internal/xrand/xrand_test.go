@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -181,7 +182,7 @@ func TestIntnRangeProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
@@ -198,7 +199,7 @@ func TestIntnDeterministicProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Error(err)
 	}
 }
