@@ -7,11 +7,13 @@
 package clustersmt_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/core"
-	"clustersmt/internal/experiments"
+	"clustersmt/internal/figures"
 	"clustersmt/internal/policy"
 	"clustersmt/internal/steer"
 	"clustersmt/internal/trace"
@@ -22,8 +24,20 @@ import (
 // past the warm-up region.
 const benchTraceLen = 20000
 
-func benchOptions() experiments.Options {
-	return experiments.Options{MaxPerCategory: 2}
+// benchTemplate is the figure benchmarks' campaign template: at most two
+// workloads of each listed category (nil: all) at benchTraceLen.
+func benchTemplate(cats ...string) campaign.Manifest {
+	return campaign.Manifest{Categories: cats, MaxPerCategory: 2, TraceLens: []int{benchTraceLen}}
+}
+
+// runFigure runs f on a fresh memory-only engine and returns its value.
+func runFigure[T any](b *testing.B, f figures.Figure) T {
+	b.Helper()
+	res, err := f.Run(context.Background(), &campaign.Engine{Resume: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Value.(T)
 }
 
 // BenchmarkTable1Machine measures raw simulator speed on the Table 1
@@ -64,11 +78,7 @@ func BenchmarkTable2Pool(b *testing.B) {
 // BenchmarkFig2IQSchemes regenerates Figure 2 (7 schemes x {32,64} IQ).
 func BenchmarkFig2IQSchemes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		cs, err := experiments.Fig2(r, benchOptions(), policy.PaperIQSchemes(), []int{32, 64})
-		if err != nil {
-			b.Fatal(err)
-		}
+		cs := runFigure[*figures.CategorySeries](b, figures.Fig2(benchTemplate(), policy.PaperIQSchemes(), []int{32, 64}))
 		b.ReportMetric(cs.Values["cssp/32"]["AVG"], "cssp32_speedup")
 		b.ReportMetric(cs.Values["pc/32"]["AVG"], "pc32_speedup")
 	}
@@ -77,11 +87,7 @@ func BenchmarkFig2IQSchemes(b *testing.B) {
 // BenchmarkFig3Copies regenerates Figure 3 (copies per retired uop).
 func BenchmarkFig3Copies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		cs, err := experiments.Fig3(r, benchOptions(), policy.PaperIQSchemes())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cs := runFigure[*figures.CategorySeries](b, figures.Fig3(benchTemplate(), policy.PaperIQSchemes()))
 		b.ReportMetric(cs.Values["cssp"]["AVG"], "cssp_copies_per_ret")
 		b.ReportMetric(cs.Values["pc"]["AVG"], "pc_copies_per_ret")
 	}
@@ -90,11 +96,7 @@ func BenchmarkFig3Copies(b *testing.B) {
 // BenchmarkFig4IQStalls regenerates Figure 4 (IQ stalls per retired uop).
 func BenchmarkFig4IQStalls(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		cs, err := experiments.Fig4(r, benchOptions(), policy.PaperIQSchemes())
-		if err != nil {
-			b.Fatal(err)
-		}
+		cs := runFigure[*figures.CategorySeries](b, figures.Fig4(benchTemplate(), policy.PaperIQSchemes()))
 		b.ReportMetric(cs.Values["icount"]["AVG"], "icount_stalls_per_ret")
 	}
 }
@@ -102,11 +104,7 @@ func BenchmarkFig4IQStalls(b *testing.B) {
 // BenchmarkFig5Imbalance regenerates Figure 5 (workload imbalance).
 func BenchmarkFig5Imbalance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		res, err := experiments.Fig5(r, benchOptions(), []string{"icount", "cisp", "cssp", "pc"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigure[*figures.Fig5Result](b, figures.Fig5(benchTemplate(), []string{"icount", "cisp", "cssp", "pc"}))
 		pc := res.Frac["AVG"]["pc"]
 		cssp := res.Frac["AVG"]["cssp"]
 		// kind 1 = true imbalance (other cluster had a free port)
@@ -118,11 +116,7 @@ func BenchmarkFig5Imbalance(b *testing.B) {
 // BenchmarkFig6RegFile regenerates Figure 6 (RF schemes at 64/128 regs).
 func BenchmarkFig6RegFile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		cs, err := experiments.Fig6(r, benchOptions(), policy.PaperRFSchemes(), []int{64, 128})
-		if err != nil {
-			b.Fatal(err)
-		}
+		cs := runFigure[*figures.CategorySeries](b, figures.Fig6(benchTemplate(), policy.PaperRFSchemes(), []int{64, 128}))
 		b.ReportMetric(cs.Values["cssprf/64"]["AVG"], "cssprf64")
 		b.ReportMetric(cs.Values["cisprf/64"]["AVG"], "cisprf64")
 	}
@@ -131,12 +125,7 @@ func BenchmarkFig6RegFile(b *testing.B) {
 // BenchmarkFig9CDPRF regenerates Figure 9 (CDPRF on ISPEC-FSPEC).
 func BenchmarkFig9CDPRF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		res, err := experiments.Fig9(r, experiments.Options{MaxPerCategory: 2},
-			[]string{"cssp", "cssprf", "cisprf", "cdprf"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runFigure[*figures.Fig9Result](b, figures.Fig9(benchTemplate(), []string{"cssp", "cssprf", "cisprf", "cdprf"}))
 		b.ReportMetric(res.Speedup["AVG"]["cdprf"], "cdprf_isfs")
 		b.ReportMetric(res.Speedup["AVG"]["cisprf"], "cisprf_isfs")
 	}
@@ -145,13 +134,8 @@ func BenchmarkFig9CDPRF(b *testing.B) {
 // BenchmarkFig10Fairness regenerates Figure 10 (fairness vs Icount).
 func BenchmarkFig10Fairness(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		cs, err := experiments.Fig10(r, experiments.Options{
-			Categories: []string{"ispec00", "server", "mixes"}, MaxPerCategory: 2,
-		}, []string{"stall", "flush+", "cssp", "cdprf"})
-		if err != nil {
-			b.Fatal(err)
-		}
+		cs := runFigure[*figures.CategorySeries](b, figures.Fig10(benchTemplate("ispec00", "server", "mixes"),
+			[]string{"stall", "flush+", "cssp", "cdprf"}))
 		b.ReportMetric(cs.Values["cdprf"]["AVG"], "cdprf_fairness")
 	}
 }
@@ -159,11 +143,7 @@ func BenchmarkFig10Fairness(b *testing.B) {
 // BenchmarkHeadline regenerates the §1/§6 claim (paper: +17.6%, +24%).
 func BenchmarkHeadline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		h, err := experiments.Headline(r, benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
+		h := runFigure[*figures.HeadlineResult](b, figures.Headline(benchTemplate()))
 		b.ReportMetric(h.CDPRFSpeedup, "cdprf_speedup")
 		b.ReportMetric(h.FairnessRatio, "cdprf_fairness")
 	}
@@ -172,13 +152,7 @@ func BenchmarkHeadline(b *testing.B) {
 // BenchmarkFutureWork compares the §6 adaptations against CDPRF.
 func BenchmarkFutureWork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchTraceLen)
-		out, err := experiments.FutureWork(r, experiments.Options{
-			Categories: []string{"ispec00", "server"}, MaxPerCategory: 2,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		out := runFigure[map[string]float64](b, figures.FutureWork(benchTemplate("ispec00", "server")))
 		b.ReportMetric(out["dcra"], "dcra_speedup")
 		b.ReportMetric(out["hillclimb"], "hillclimb_speedup")
 	}

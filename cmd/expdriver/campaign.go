@@ -10,6 +10,7 @@ import (
 	"clustersmt/internal/report"
 )
 
+// campaignOpts are the flags campaign and figure mode share.
 type campaignOpts struct {
 	manifest string
 	storeDir string
@@ -18,6 +19,46 @@ type campaignOpts struct {
 	jsonOut  string
 	csvOut   string
 	verbose  bool
+}
+
+// newEngine returns the engine both modes run on: the disk store at
+// o.storeDir (none when empty), resuming from it unless o.resume is false,
+// and logging every simulation when o.verbose is set.
+func newEngine(o campaignOpts) (*campaign.Engine, error) {
+	eng := &campaign.Engine{Resume: o.resume}
+	if o.verbose {
+		eng.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
+	}
+	if o.storeDir != "" {
+		st, err := store.Open(o.storeDir)
+		if err != nil {
+			return nil, err
+		}
+		eng.Store = st
+	}
+	return eng, nil
+}
+
+// dryRun prints the label of every distinct item of ms, in expansion
+// order, and how many there are, and runs nothing. An item that two
+// manifests share runs once, so it is listed once.
+func dryRun(what string, ms ...*campaign.Manifest) int {
+	seen := map[string]bool{}
+	for _, m := range ms {
+		items, err := m.Expand()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 2
+		}
+		for _, it := range items {
+			if l := it.Label(); !seen[l] {
+				seen[l] = true
+				fmt.Println(l)
+			}
+		}
+	}
+	fmt.Fprintf(os.Stderr, "%s: %d simulations would run (dry run; nothing executed)\n", what, len(seen))
+	return 0
 }
 
 // runCampaign executes (or dry-runs) a manifest-defined sweep and renders
@@ -29,30 +70,14 @@ func runCampaign(o campaignOpts) int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	items, err := m.Expand()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
 	if o.dryRun {
-		for _, it := range items {
-			fmt.Println(it.Label())
-		}
-		fmt.Fprintf(os.Stderr, "campaign %s: %d simulations would run (dry run; nothing executed)\n", m.Name, len(items))
-		return 0
+		return dryRun("campaign "+m.Name, m)
 	}
 
-	eng := campaign.Engine{Resume: o.resume}
-	if o.verbose {
-		eng.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	if o.storeDir != "" {
-		st, err := store.Open(o.storeDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		eng.Store = st
+	eng, err := newEngine(o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
 
 	start := time.Now()

@@ -1,8 +1,9 @@
 // Command expdriver regenerates the paper's tables and figures (see
 // DESIGN.md §4 for the experiment index), runs declarative experiment
 // campaigns, and serves campaigns as a long-running HTTP daemon. Each
-// figure prints as a text table whose rows/series mirror the paper's plot;
-// -json additionally emits the machine-readable form the CI
+// figure runs as campaigns on the same engine and result store as
+// -manifest, and prints as a text table whose rows/series mirror the
+// paper's plot; -json additionally emits the machine-readable form the CI
 // figure-regression gate consumes.
 //
 // Usage:
@@ -14,6 +15,7 @@
 //	expdriver -exp all -quick           # everything on a reduced pool
 //	expdriver -exp headline -len 100000 # the 17.6%/24% claim
 //	expdriver -exp headline -quick -json headline.json
+//	expdriver -exp headline -quick -dry-run  # the items it would simulate
 //
 //	expdriver -manifest examples/campaign/iqsweep.json   # declarative sweep
 //	expdriver -manifest m.json -dry-run                  # expanded spec set only
@@ -46,21 +48,20 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
-	"sort"
 	"strings"
 	"time"
 
-	"clustersmt/internal/experiments"
-	"clustersmt/internal/metrics"
+	"clustersmt/internal/campaign"
+	"clustersmt/internal/figures"
 	"clustersmt/internal/policy"
 	"clustersmt/internal/report"
-	"clustersmt/internal/workload"
 )
 
 func main() {
@@ -117,9 +118,9 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file at exit (go tool pprof; pairs with GODEBUG=memprofilerate=1 for exact counts)")
 		manifest   = flag.String("manifest", "", "campaign manifest JSON: run a declarative sweep instead of the figure set")
-		storeDir   = flag.String("store", ".campaign", "campaign result store directory (empty disables persistence)")
-		dryRun     = flag.Bool("dry-run", false, "with -manifest: print the expanded spec set and estimated simulation count, run nothing")
-		resume     = flag.Bool("resume", true, "with -manifest: reuse results already in the store (=false re-executes and overwrites)")
+		storeDir   = flag.String("store", ".campaign", "result store directory (empty disables persistence)")
+		dryRun     = flag.Bool("dry-run", false, "print the expanded spec set and estimated simulation count, run nothing")
+		resume     = flag.Bool("resume", true, "reuse results already in the store (=false re-executes and overwrites)")
 		jsonOut    = flag.String("json", "", "write machine-readable results (figure map or campaign result set) to this file")
 		csvOut     = flag.String("csv", "", "write result rows as CSV to this file (campaign results with -manifest, flat figure rows with -exp clusterscale)")
 	)
@@ -144,6 +145,15 @@ func main() {
 	}
 	defer flushProfiles()
 
+	opts := campaignOpts{
+		manifest: *manifest,
+		storeDir: *storeDir,
+		dryRun:   *dryRun,
+		resume:   *resume,
+		jsonOut:  *jsonOut,
+		csvOut:   *csvOut,
+		verbose:  *verbose,
+	}
 	if *manifest != "" {
 		// The figure-mode selectors do not apply to campaigns; warn rather
 		// than silently ignore an explicitly set flag.
@@ -154,15 +164,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "warning: -%s is ignored with -manifest (the manifest defines the sweep)\n", f.Name)
 			}
 		})
-		code := runCampaign(campaignOpts{
-			manifest: *manifest,
-			storeDir: *storeDir,
-			dryRun:   *dryRun,
-			resume:   *resume,
-			jsonOut:  *jsonOut,
-			csvOut:   *csvOut,
-			verbose:  *verbose,
-		})
+		code := runCampaign(opts)
 		flushProfiles() // before the deferless exit
 		os.Exit(code)
 	}
@@ -174,91 +176,123 @@ func main() {
 		flushProfiles() // before the deferless exit
 		os.Exit(2)
 	}
-	if err := checkAxisFlags(
-		axisFlag{name: "len", axis: "trace_lens", v: *traceLen},
-		axisFlag{name: "clusters", axis: "num_clusters", v: *clusters, zeroDefault: true},
-		axisFlag{name: "links", axis: "links", v: *links, zeroDefault: true},
-		axisFlag{name: "link-latency", axis: "link_latency", v: *linkLat, zeroDefault: true},
-		axisFlag{name: "mem-latency", axis: "mem_latency", v: *memLat, zeroDefault: true},
-	); err != nil {
-		usageErr(err)
+	// The figure flags fill the template every figure's campaigns start
+	// from, so validating the campaigns validates the flags.
+	tmpl := campaign.Manifest{
+		TraceLens:   []int{*traceLen},
+		NumClusters: shapeAxis(*clusters),
+		Links:       shapeAxis(*links),
+		LinkLatency: shapeAxis(*linkLat),
+		MemLatency:  shapeAxis(*memLat),
 	}
-
-	r := experiments.NewRunner(*traceLen)
-	r.Shape = experiments.MachineShape{
-		NumClusters: *clusters,
-		Links:       *links,
-		LinkLatency: *linkLat,
-		MemLatency:  *memLat,
-	}
-	if *verbose {
-		r.Verbose = func(s string) { fmt.Fprintln(os.Stderr, s) }
-	}
-	o := experiments.Options{}
 	if *quick {
-		o.MaxPerCategory = 3
+		tmpl.MaxPerCategory = 3
 	}
 	if *cats != "" {
-		o.Categories = strings.Split(*cats, ",")
-		if err := workload.CheckCategories(o.Categories); err != nil {
-			usageErr(err)
-		}
-	}
-
-	figures := []struct {
-		name string
-		fn   func() (any, error)
-	}{
-		{"fig2", func() (any, error) { return fig2(r, o, schemeFlags) }},
-		{"fig3", func() (any, error) { return figMetric(r, o, 3, schemeFlags) }},
-		{"fig4", func() (any, error) { return figMetric(r, o, 4, schemeFlags) }},
-		{"fig5", func() (any, error) { return fig5(r, o, schemeFlags) }},
-		{"fig6", func() (any, error) { return fig6(r, o, schemeFlags) }},
-		{"fig9", func() (any, error) { return fig9(r, o, schemeFlags) }},
-		{"fig10", func() (any, error) { return fig10(r, o, schemeFlags) }},
-		{"headline", func() (any, error) { return headline(r, o) }},
-		{"future", func() (any, error) { return future(r, o) }},
-		{"clusterscale", func() (any, error) {
-			if *clusters != 0 {
-				fmt.Fprintln(os.Stderr, "warning: -clusters is ignored by -exp clusterscale (the figure sweeps its own cluster axis)")
-			}
-			return clusterScale(r, o, schemeFlags, *csvOut)
-		}},
+		tmpl.Categories = strings.Split(*cats, ",")
 	}
 	names := []string{"all"}
-	for _, f := range figures {
-		names = append(names, f.name)
+	var figs []figures.Figure
+	for _, f := range figures.All(tmpl, schemeFlags) {
+		names = append(names, f.Name)
+		if *exp == "all" || *exp == f.Name {
+			figs = append(figs, f)
+		}
 	}
-	if !slices.Contains(names, *exp) {
+	if len(figs) == 0 {
 		usageErr(fmt.Errorf("unknown experiment %q (%s)", *exp, strings.Join(names, "|")))
+	}
+	for _, f := range figs {
+		for _, m := range f.Campaigns {
+			if err := m.Validate(); err != nil {
+				usageErr(flagError(err))
+			}
+		}
 	}
 
 	if len(schemeFlags) > 0 && (*exp == "headline" || *exp == "future") {
 		fmt.Fprintf(os.Stderr, "warning: -scheme is ignored by -exp %s (fixed scheme set)\n", *exp)
 	}
+	if *clusters != 0 && (*exp == "all" || *exp == "clusterscale") {
+		fmt.Fprintln(os.Stderr, "warning: -clusters is ignored by -exp clusterscale (the figure sweeps its own cluster axis)")
+	}
+	code := runFigures(figs, opts)
+	flushProfiles() // before the deferless exit
+	os.Exit(code)
+}
 
+// shapeAxis is the manifest axis a machine-shape flag sets: omitted (the
+// Table 1 default) for 0, else the one value.
+func shapeAxis(v int) []int {
+	if v == 0 {
+		return nil
+	}
+	return []int{v}
+}
+
+// figureFlags names the figure-mode flag that sets each manifest axis.
+var figureFlags = map[string]string{
+	"trace_lens":   "len",
+	"num_clusters": "clusters",
+	"links":        "links",
+	"link_latency": "link-latency",
+	"mem_latency":  "mem-latency",
+}
+
+// flagError names the flag behind an axis error in a figure's campaign.
+func flagError(err error) error {
+	var ae *campaign.AxisError
+	if errors.As(err, &ae) && figureFlags[ae.Axis] != "" {
+		return fmt.Errorf("-%s: %w", figureFlags[ae.Axis], ae)
+	}
+	return err
+}
+
+// runFigures runs (or dry-runs) figs one after another on one engine,
+// prints each figure's tables, and writes the -json figure map and the
+// cluster-scaling -csv rows.
+func runFigures(figs []figures.Figure, o campaignOpts) int {
+	if o.dryRun {
+		var ms []*campaign.Manifest
+		for _, f := range figs {
+			ms = append(ms, f.Campaigns...)
+		}
+		return dryRun("figures", ms...)
+	}
+	eng, err := newEngine(o)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
 	start := time.Now()
 	emitted := map[string]any{}
-	for _, f := range figures {
-		if *exp != "all" && *exp != f.name {
-			continue
-		}
-		v, err := f.fn()
+	var total, executed, hits int
+	for _, f := range figs {
+		res, err := f.Run(context.Background(), eng)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", f.name, err)
-			flushProfiles() // before the deferless exit
-			os.Exit(1)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", f.Name, err)
+			return 1
 		}
-		emitted[f.name] = v
+		fmt.Print(res.Text)
+		emitted[f.Name] = res.Value
+		total, executed, hits = total+res.Total, executed+res.Executed, hits+res.StoreHits
+		if cs, ok := res.Value.(*figures.ClusterScalingResult); ok && o.csvOut != "" {
+			header, rows := cs.CSV()
+			if err := os.WriteFile(o.csvOut, []byte(report.CSV(header, rows)), 0o644); err != nil {
+				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
+				return 1
+			}
+		}
 	}
-	if *jsonOut != "" {
-		if err := report.WriteJSONFile(*jsonOut, emitted); err != nil {
+	if o.jsonOut != "" {
+		if err := report.WriteJSONFile(o.jsonOut, emitted); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			flushProfiles() // before the deferless exit
-			os.Exit(1)
+			return 1
 		}
 	}
-	fmt.Fprintf(os.Stderr, "total wall time: %v\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(os.Stderr, "figures: %d items — %d executed, %d store hits (%v)\n",
+		total, executed, hits, time.Since(start).Round(time.Second))
+	return 0
 }
 
 // writeMemProfile emits the allocation profile ("allocs": every allocation
@@ -297,175 +331,4 @@ func (s *schemeList) Set(v string) error {
 	}
 	*s = append(*s, canon)
 	return nil
-}
-
-// or returns the override list when -scheme was given, else def.
-func (s schemeList) or(def []string) []string {
-	if len(s) > 0 {
-		return []string(s)
-	}
-	return def
-}
-
-func seriesTable(title string, cs *experiments.CategorySeries) {
-	header := append([]string{"category"}, cs.Series...)
-	var rows [][]string
-	for _, cat := range cs.Categories {
-		row := []string{cat}
-		for _, s := range cs.Series {
-			row = append(row, report.F(cs.Values[s][cat]))
-		}
-		rows = append(rows, row)
-	}
-	fmt.Println(report.Table(title, header, rows))
-}
-
-func fig2(r *experiments.Runner, o experiments.Options, sf schemeList) (any, error) {
-	schemes := sf.or(policy.PaperIQSchemes())
-	cs, err := experiments.Fig2(r, o, schemes, []int{32, 64})
-	if err != nil {
-		return nil, err
-	}
-	seriesTable("Figure 2: throughput speedup vs Icount@32 (RF/ROB unbounded)", cs)
-	return cs, nil
-}
-
-func figMetric(r *experiments.Runner, o experiments.Options, fig int, sf schemeList) (any, error) {
-	schemes := sf.or(policy.PaperIQSchemes())
-	var cs *experiments.CategorySeries
-	var err error
-	var title string
-	if fig == 3 {
-		cs, err = experiments.Fig3(r, o, schemes)
-		title = "Figure 3: inter-cluster copies per retired instruction (IQ=32)"
-	} else {
-		cs, err = experiments.Fig4(r, o, schemes)
-		title = "Figure 4: issue-queue stalls per retired instruction (IQ=32)"
-	}
-	if err != nil {
-		return nil, err
-	}
-	seriesTable(title, cs)
-	return cs, nil
-}
-
-func fig5(r *experiments.Runner, o experiments.Options, sf schemeList) (any, error) {
-	schemes := sf.or([]string{"icount", "cisp", "cssp", "pc"})
-	res, err := experiments.Fig5(r, o, schemes)
-	if err != nil {
-		return nil, err
-	}
-	header := []string{"category", "scheme"}
-	for k := 0; k < metrics.NumImbClasses; k++ {
-		for kind := 0; kind < 2; kind++ {
-			header = append(header, fmt.Sprintf("%d %s", kind, metrics.ImbClass(k)))
-		}
-	}
-	var rows [][]string
-	for _, cat := range res.Categories {
-		for _, s := range schemes {
-			row := []string{cat, s}
-			m := res.Frac[cat][s]
-			for k := 0; k < metrics.NumImbClasses; k++ {
-				for kind := 0; kind < 2; kind++ {
-					row = append(row, report.F(m[k][kind]))
-				}
-			}
-			rows = append(rows, row)
-		}
-	}
-	fmt.Println(report.Table("Figure 5: workload imbalance (fraction of issuing cycles; kind 1 = other cluster had a free port)", header, rows))
-	return res, nil
-}
-
-func fig6(r *experiments.Runner, o experiments.Options, sf schemeList) (any, error) {
-	schemes := sf.or(policy.PaperRFSchemes())
-	cs, err := experiments.Fig6(r, o, schemes, []int{64, 128})
-	if err != nil {
-		return nil, err
-	}
-	seriesTable("Figure 6: throughput speedup vs Icount@64regs (IQ=32, ROB=128)", cs)
-	return cs, nil
-}
-
-func fig9(r *experiments.Runner, o experiments.Options, sf schemeList) (any, error) {
-	schemes := sf.or([]string{"cssp", "cssprf", "cisprf", "cdprf"})
-	res, err := experiments.Fig9(r, o, schemes)
-	if err != nil {
-		return nil, err
-	}
-	header := append([]string{"workload"}, schemes...)
-	var rows [][]string
-	for _, wl := range res.Workloads {
-		row := []string{wl}
-		for _, s := range schemes {
-			row = append(row, report.F(res.Speedup[wl][s]))
-		}
-		rows = append(rows, row)
-	}
-	fmt.Println(report.Table("Figure 9: ISPEC-FSPEC speedups vs Icount (64 regs/cluster)", header, rows))
-	return res, nil
-}
-
-func fig10(r *experiments.Runner, o experiments.Options, sf schemeList) (any, error) {
-	schemes := sf.or([]string{"stall", "flush+", "cssp", "cdprf"})
-	cs, err := experiments.Fig10(r, o, schemes)
-	if err != nil {
-		return nil, err
-	}
-	seriesTable("Figure 10: fairness relative to Icount (64 regs/cluster)", cs)
-	return cs, nil
-}
-
-func headline(r *experiments.Runner, o experiments.Options) (any, error) {
-	h, err := experiments.Headline(r, o)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Println(report.Table("Headline (paper: CDPRF +17.6% throughput, +24% fairness, up to +40% per category)",
-		[]string{"metric", "value"},
-		[][]string{
-			{"CSSP speedup vs Icount", report.Pct(h.CSSPSpeedup)},
-			{"CDPRF speedup vs Icount", report.Pct(h.CDPRFSpeedup)},
-			{"CDPRF fairness vs Icount", report.Pct(h.FairnessRatio)},
-			{"best category", fmt.Sprintf("%s %s", h.BestCategory, report.Pct(h.BestCategorySpeedup))},
-		}))
-	return h, nil
-}
-
-func clusterScale(r *experiments.Runner, o experiments.Options, sf schemeList, csvOut string) (any, error) {
-	schemes := sf.or(experiments.ClusterScaleSchemes())
-	res, err := experiments.ClusterScaling(r, o, schemes, experiments.ClusterScaleCounts())
-	if err != nil {
-		return nil, err
-	}
-	seriesTable("Cluster scaling: IPC vs cluster count (IQ=32, RF/ROB unbounded)", res.IPC)
-	seriesTable("Cluster scaling: copies per retired instruction", res.Copies)
-	seriesTable("Cluster scaling: IQ stalls per retired instruction", res.IQStalls)
-	if csvOut != "" {
-		header, rows := res.CSV()
-		if err := os.WriteFile(csvOut, []byte(report.CSV(header, rows)), 0o644); err != nil {
-			return nil, fmt.Errorf("csv: %w", err)
-		}
-	}
-	return res, nil
-}
-
-func future(r *experiments.Runner, o experiments.Options) (any, error) {
-	out, err := experiments.FutureWork(r, o)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for s := range out {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	var rows [][]string
-	for _, s := range names {
-		rows = append(rows, []string{s, report.Pct(out[s])})
-	}
-	fmt.Println(report.Table("Future work (§6): cluster-aware DCRA and hill-climbing vs CDPRF (speedup vs Icount)",
-		[]string{"scheme", "speedup"}, rows))
-	return out, nil
 }

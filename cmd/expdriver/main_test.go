@@ -6,6 +6,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -47,7 +49,8 @@ func runChild(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // TestFigureModeRejectsUnknownCategory: an unknown -categories key must
 // exit 2 with the manifest's message instead of printing a row of zeros.
 func TestFigureModeRejectsUnknownCategory(t *testing.T) {
-	code, stdout, stderr := runChild(t, "-exp", "fig3", "-categories", "bogus,dh", "-quick", "-len", "1000")
+	store := filepath.Join(t.TempDir(), "store")
+	code, stdout, stderr := runChild(t, "-exp", "fig3", "-categories", "bogus,dh", "-quick", "-len", "1000", "-store", store)
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
 	}
@@ -56,6 +59,9 @@ func TestFigureModeRejectsUnknownCategory(t *testing.T) {
 	}
 	if strings.Contains(stdout, "Figure 3") {
 		t.Errorf("figure printed despite the bad category:\n%s", stdout)
+	}
+	if _, err := os.Stat(store); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("store opened before the flags were checked (stat: %v)", err)
 	}
 }
 
@@ -78,7 +84,8 @@ func TestFigureModeRejectsBadFlags(t *testing.T) {
 		{[]string{"-exp", "fig2", "-len", "1000", "-mem-latency", "-5"}, "-mem-latency: axis mem_latency value -5 below minimum 1"},
 	} {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
-			code, stdout, stderr := runChild(t, append(c.args, "-quick", "-categories", "dh")...)
+			store := filepath.Join(t.TempDir(), "store")
+			code, stdout, stderr := runChild(t, append(c.args, "-quick", "-categories", "dh", "-store", store)...)
 			if code != 2 {
 				t.Fatalf("exit = %d, want 2\nstderr: %s", code, stderr)
 			}
@@ -88,7 +95,59 @@ func TestFigureModeRejectsBadFlags(t *testing.T) {
 			if stdout != "" {
 				t.Errorf("stdout not empty:\n%s", stdout)
 			}
+			if _, err := os.Stat(store); !errors.Is(err, os.ErrNotExist) {
+				t.Errorf("store opened before the flags were checked (stat: %v)", err)
+			}
 		})
+	}
+}
+
+// executedRE reads the executed count off figure mode's tally line.
+var executedRE = regexp.MustCompile(`(?m)^figures: \d+ items — (\d+) executed, `)
+
+// TestFigureModeWarmRerun: the headline's simulations land in the -store,
+// so a second run on it simulates nothing and writes byte-identical JSON;
+// a dry run lists exactly the items the first run simulated and runs
+// nothing.
+func TestFigureModeWarmRerun(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "store")
+	args := []string{"-exp", "headline", "-quick", "-len", "2000", "-store", store}
+
+	code, stdout, stderr := runChild(t, append(args, "-dry-run", "-v")...)
+	if code != 0 {
+		t.Fatalf("dry run: exit = %d\nstderr: %s", code, stderr)
+	}
+	listed := strings.Count(stdout, "\n")
+	if !strings.Contains(stderr, "figures: "+strconv.Itoa(listed)+" simulations would run (dry run; nothing executed)") {
+		t.Errorf("dry run listed %d items; stderr %q", listed, stderr)
+	}
+	if strings.Contains(stderr, "ipc=") {
+		t.Errorf("dry run simulated:\n%s", stderr)
+	}
+	if _, err := os.Stat(store); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("dry run opened the store (stat: %v)", err)
+	}
+
+	var out [2][]byte
+	for i, want := range []int{listed, 0} {
+		js := filepath.Join(dir, "headline"+strconv.Itoa(i)+".json")
+		code, _, stderr := runChild(t, append(args, "-json", js)...)
+		if code != 0 {
+			t.Fatalf("run %d: exit = %d\nstderr: %s", i, code, stderr)
+		}
+		m := executedRE.FindStringSubmatch(stderr)
+		if m == nil || m[1] != strconv.Itoa(want) {
+			t.Errorf("run %d: tally %q, want %d executed", i, stderr, want)
+		}
+		b, err := os.ReadFile(js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	if !bytes.Equal(out[0], out[1]) {
+		t.Errorf("warm re-run JSON differs:\n%s\nvs\n%s", out[0], out[1])
 	}
 }
 

@@ -19,17 +19,12 @@ import (
 type axisFlag struct {
 	name, axis string
 	v          int
-	// zeroDefault marks a flag whose 0 selects the Table 1 value.
-	zeroDefault bool
 }
 
 // checkAxisFlags rejects the first flag whose value lies outside its
 // manifest axis's bounds.
 func checkAxisFlags(flags ...axisFlag) error {
 	for _, f := range flags {
-		if f.zeroDefault && f.v == 0 {
-			continue
-		}
 		if err := campaign.CheckAxisValue(f.axis, f.v); err != nil {
 			return fmt.Errorf("-%s: %w", f.name, err)
 		}

@@ -1,13 +1,15 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
 
 	"clustersmt/internal/cachesim"
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/core"
-	"clustersmt/internal/experiments"
+	"clustersmt/internal/figures"
 	"clustersmt/internal/trace"
 	"clustersmt/internal/workload"
 )
@@ -125,26 +127,26 @@ func benchWakeup(polling bool) func(o Options) (Benchmark, error) {
 	}
 }
 
-// benchHeadline runs the §1/§6 headline experiment end to end (trace
-// synthesis, the scheme set, speedup aggregation) on a reduced pool. The
-// speedup itself is deterministic for a given mode, so it is gated as an
-// equality metric.
+// benchHeadline runs the §1/§6 headline experiment end to end (campaign
+// expansion, trace synthesis, the scheme set, speedup aggregation) on a
+// reduced pool, on a fresh memory-only engine per op. The speedup itself
+// is deterministic for a given mode, so it is gated as an equality metric.
 func benchHeadline(o Options) (Benchmark, error) {
 	traceLen := 12000
 	if o.Quick {
 		traceLen = 4000
 	}
 	var firstErr error
-	var last *experiments.HeadlineResult
+	var last *figures.HeadlineResult
+	fig := figures.Headline(campaign.Manifest{TraceLens: []int{traceLen}, MaxPerCategory: 1})
 	r := measure(o.Target, o.Reps, func(n int) map[string]float64 {
 		for i := 0; i < n; i++ {
-			runner := experiments.NewRunner(traceLen)
-			h, err := experiments.Headline(runner, experiments.Options{MaxPerCategory: 1})
+			res, err := fig.Run(context.Background(), &campaign.Engine{Resume: true})
 			if err != nil {
 				firstErr = err
 				return nil
 			}
-			last = h
+			last = res.Value.(*figures.HeadlineResult)
 		}
 		return nil
 	})

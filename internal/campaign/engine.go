@@ -70,6 +70,10 @@ type ItemEvent struct {
 	// points into the ResultSet under construction and must be treated as
 	// read-only.
 	Result *Result
+	// Stats is the completed item's statistics, whether simulated or
+	// recalled (nil on failure and on Started and Sample events). It is
+	// shared with the result store and must be treated as read-only.
+	Stats *metrics.Stats
 	// Sample, when non-nil, is one time-series observation window from the
 	// item's running simulation (Engine.SampleInterval must be set). Sample
 	// events fire between Started and the completion event, from the
@@ -326,7 +330,7 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 				}
 				rs.Results[i] = res
 				if progress != nil {
-					progress(ItemEvent{Index: i, Result: &rs.Results[i]})
+					progress(ItemEvent{Index: i, Result: &rs.Results[i], Stats: st})
 				}
 			},
 		}

@@ -1,8 +1,8 @@
 // Package campaign turns declarative sweep manifests into validated
 // simulation campaigns over experiments.Runner, with persistent
 // content-addressed results (internal/campaign/store), resumable execution
-// and cross-campaign diffing. It is the scale layer the figure harness
-// lacks: a new scenario is a JSON file, not bespoke figure code.
+// and cross-campaign diffing. A new scenario is a JSON file, not bespoke
+// code; the paper's figures (internal/figures) run as campaigns too.
 //
 // The Engine is shareable and cancellable (RunCtx): runners persist across
 // campaigns so concurrent submissions deduplicate in flight, which is what
@@ -80,7 +80,7 @@ type Manifest struct {
 	// Workloads names explicit pool workloads, overriding Categories.
 	Workloads []string `json:"workloads,omitempty"`
 	// MaxPerCategory caps workloads per category, type-balanced like the
-	// figure harness's quick mode (0 = no cap).
+	// figures' quick mode (0 = no cap).
 	MaxPerCategory int `json:"max_per_category,omitempty"`
 
 	// Schemes lists resource-assignment schemes to run: named paper
@@ -259,21 +259,31 @@ var axisBounds = map[string]struct{ minVal, maxVal int }{
 	"mem_latency":      {1, maxMemLatencyAxis},
 }
 
+// An AxisError is an axis value outside the axis's bounds. Front ends
+// that set an axis from a flag use Axis to name the flag.
+type AxisError struct {
+	Axis string
+	msg  string
+}
+
+func (e *AxisError) Error() string { return e.msg }
+
 // CheckAxisValue reports whether v lies within the named integer axis's
 // bounds (iq_sizes, regs_per_cluster, rob_per_thread, trace_lens,
-// num_clusters, links, link_latency, mem_latency). Manifest validation
-// applies it to every listed value; command-line front ends apply it to
-// the flags that set the same quantities.
+// num_clusters, links, link_latency, mem_latency); a value outside them is
+// an *AxisError. Manifest validation applies it to every listed value;
+// command-line front ends apply it to the flags that set the same
+// quantities.
 func CheckAxisValue(axis string, v int) error {
 	b, ok := axisBounds[axis]
 	if !ok {
 		return fmt.Errorf("unknown axis %q", axis)
 	}
 	if v < b.minVal {
-		return fmt.Errorf("axis %s value %d below minimum %d", axis, v, b.minVal)
+		return &AxisError{axis, fmt.Sprintf("axis %s value %d below minimum %d", axis, v, b.minVal)}
 	}
 	if b.maxVal > 0 && v > b.maxVal {
-		return fmt.Errorf("axis %s value %d above maximum %d", axis, v, b.maxVal)
+		return &AxisError{axis, fmt.Sprintf("axis %s value %d above maximum %d", axis, v, b.maxVal)}
 	}
 	return nil
 }
@@ -600,14 +610,13 @@ func (m *Manifest) Expand() ([]Item, error) {
 	if reps < 1 {
 		reps = 1
 	}
-	var shapes []experiments.MachineShape
+	type shape struct{ nc, lk, ll, ml int }
+	var shapes []shape
 	for _, nc := range axis(m.NumClusters, defaultNumClusters) {
 		for _, lk := range axis(m.Links, defaultLinks) {
 			for _, ll := range axis(m.LinkLatency, defaultLinkLatency) {
 				for _, ml := range axis(m.MemLatency, defaultMemLatency) {
-					shapes = append(shapes, experiments.MachineShape{
-						NumClusters: nc, Links: lk, LinkLatency: ll, MemLatency: ml,
-					})
+					shapes = append(shapes, shape{nc, lk, ll, ml})
 				}
 			}
 		}
@@ -630,10 +639,10 @@ func (m *Manifest) Expand() ([]Item, error) {
 											RegsPerClust: rf,
 											ROBPerThread: rob,
 											SingleThread: single,
-											NumClusters:  sh.NumClusters,
-											Links:        sh.Links,
-											LinkLatency:  sh.LinkLatency,
-											MemLatency:   sh.MemLatency,
+											NumClusters:  sh.nc,
+											Links:        sh.lk,
+											LinkLatency:  sh.ll,
+											MemLatency:   sh.ml,
 										},
 										Base:     base.Name,
 										TraceLen: tl,

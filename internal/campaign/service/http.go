@@ -1,6 +1,7 @@
 package service
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -58,10 +59,12 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v as compact JSON: a results body of hundreds of items
+// is encoded on every GET, and indenting it would cost a second pass.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	report.WriteJSON(w, v)
+	_ = json.NewEncoder(w).Encode(v) // the status is sent; a failed write is a gone client
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {

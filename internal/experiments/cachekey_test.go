@@ -31,7 +31,7 @@ type specFingerprint struct {
 // for s on r, with its fingerprint bytes.
 func referenceKey(t *testing.T, r *Runner, s Spec) (string, []byte) {
 	t.Helper()
-	cb, err := r.config(s).Canonical()
+	cb, err := Machine(s, r.TraceLen).Canonical()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +66,19 @@ func TestCacheKeyFingerprintMatchesJSON(t *testing.T) {
 	alias.Seeds = []uint64{alias.Seeds[0] + 1, alias.Seeds[1]}
 	pool := append(workload.Pool(), alias) // reuses a pool name with other content
 	machines := []struct {
-		name  string
-		shape MachineShape
-		spec  func(w workload.Workload, scheme string) Spec
+		name string
+		spec func(w workload.Workload, scheme string) Spec
 	}{
-		{"table1", MachineShape{}, func(w workload.Workload, sc string) Spec { return iqStudySpec(w, sc, 32) }},
-		{"table4", MachineShape{}, table4Spec},
-		{"shaped", MachineShape{NumClusters: 4, Links: 1, LinkLatency: 2, MemLatency: 120}, table4Spec},
+		{"table1", func(w workload.Workload, sc string) Spec { return iqStudySpec(w, sc, 32) }},
+		{"table4", table4Spec},
+		{"shaped", func(w workload.Workload, sc string) Spec {
+			s := table4Spec(w, sc)
+			s.NumClusters, s.Links, s.LinkLatency, s.MemLatency = 4, 1, 2, 120
+			return s
+		}},
 	}
 	for _, m := range machines {
 		r := NewRunner(20000)
-		r.Shape = m.shape
 		for _, w := range pool {
 			for _, sc := range schemes {
 				for _, single := range []int{-1, 0} {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -8,8 +9,21 @@ import (
 	"clustersmt/internal/workload"
 )
 
-func tinyOptions() Options {
-	return Options{Categories: []string{"ispec00", "isfs"}, MaxPerCategory: 2}
+// iqStudySpec is workload w under scheme on the §5.1 issue-queue study
+// machine: iq entries per cluster, register file and ROB unbounded.
+func iqStudySpec(w workload.Workload, scheme string, iq int) Spec {
+	return Spec{Workload: w, Scheme: scheme, IQSize: iq, SingleThread: -1}
+}
+
+// runOne runs (or recalls) one spec on r.
+func runOne(r *Runner, s Spec) (*metrics.Stats, error) {
+	return runOneCtx(context.Background(), r, s)
+}
+
+// runOneCtx is runOne under ctx.
+func runOneCtx(ctx context.Context, r *Runner, s Spec) (*metrics.Stats, error) {
+	st, err := r.RunAllCtx(ctx, []Spec{s}, nil)
+	return st[0], err
 }
 
 func TestRunnerMemoizes(t *testing.T) {
@@ -18,11 +32,11 @@ func TestRunnerMemoizes(t *testing.T) {
 	r.Verbose = func(string) { atomic.AddInt32(&executed, 1) }
 	w := workload.ByCategory("ispec00")[0]
 	spec := iqStudySpec(w, "icount", 32)
-	a, err := r.Run(spec)
+	a, err := runOne(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(spec)
+	b, err := runOne(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +54,9 @@ func TestSpecKeyDistinguishesDimensions(t *testing.T) {
 	variants := []Spec{
 		iqStudySpec(w, "cssp", 32),
 		iqStudySpec(w, "icount", 64),
-		rfStudySpec(w, "icount", 64),
+		table4Spec(w, "icount"),
 		{Workload: w, Scheme: "icount", IQSize: 32, SingleThread: 0},
-		clusterScaleSpec(w, "icount", 3),
+		func() Spec { s := base; s.NumClusters = 3; return s }(),
 		func() Spec { s := base; s.Links = 1; return s }(),
 		func() Spec { s := base; s.LinkLatency = 4; return s }(),
 		func() Spec { s := base; s.MemLatency = 300; return s }(),
@@ -74,193 +88,26 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.categories()) != len(workload.Categories) {
 		t.Error("default categories should be all")
 	}
-	if len(o.all()) != 120 {
-		t.Errorf("default pool %d, want 120", len(o.all()))
+	if len(o.Selected()) != 120 {
+		t.Errorf("default pool %d, want 120", len(o.Selected()))
 	}
 }
 
 func TestRunAllPreservesOrder(t *testing.T) {
 	r := NewRunner(1500)
-	o := tinyOptions()
+	o := Options{Categories: []string{"ispec00", "isfs"}, MaxPerCategory: 2}
 	var specs []Spec
-	for _, w := range o.all() {
+	for _, w := range o.Selected() {
 		specs = append(specs, iqStudySpec(w, "icount", 32))
 	}
-	out, err := r.RunAll(specs)
+	out, err := r.RunAllCtx(context.Background(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, st := range out {
-		direct, _ := r.Run(specs[i])
+		direct, _ := runOne(r, specs[i])
 		if st != direct {
 			t.Errorf("result %d out of order", i)
-		}
-	}
-}
-
-func TestFig2SeriesComplete(t *testing.T) {
-	r := NewRunner(2000)
-	o := tinyOptions()
-	cs, err := Fig2(r, o, []string{"icount", "cssp"}, []int{32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cs.Categories) != 3 { // 2 categories + AVG
-		t.Fatalf("categories %v", cs.Categories)
-	}
-	for _, s := range []string{"icount/32", "cssp/32"} {
-		for _, cat := range cs.Categories {
-			if _, ok := cs.Values[s][cat]; !ok {
-				t.Errorf("missing %s/%s", s, cat)
-			}
-		}
-	}
-	// Per-construction the baseline normalizes to exactly 1 per workload.
-	if v := cs.Values["icount/32"]["AVG"]; v != 1 {
-		t.Errorf("baseline AVG %v, want 1", v)
-	}
-}
-
-func TestFig3And4Nonnegative(t *testing.T) {
-	r := NewRunner(2000)
-	o := tinyOptions()
-	f3, err := Fig3(r, o, []string{"icount", "pc"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f3.Values["pc"]["AVG"] != 0 {
-		t.Errorf("PC copies/ret = %v, private clusters never copy", f3.Values["pc"]["AVG"])
-	}
-	if f3.Values["icount"]["AVG"] <= 0 {
-		t.Error("icount should produce copies")
-	}
-	f4, err := Fig4(r, o, []string{"icount"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f4.Values["icount"]["AVG"] < 0 {
-		t.Error("negative stall ratio")
-	}
-}
-
-func TestFig5FractionsBounded(t *testing.T) {
-	r := NewRunner(2000)
-	o := tinyOptions()
-	res, err := Fig5(r, o, []string{"icount", "cssp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cat, byScheme := range res.Frac {
-		for s, m := range byScheme {
-			for k := 0; k < metrics.NumImbClasses; k++ {
-				for kind := 0; kind < 2; kind++ {
-					v := m[k][kind]
-					if v < 0 || v > 1 {
-						t.Errorf("%s/%s class %d kind %d = %v outside [0,1]", cat, s, k, kind, v)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestFig9RowsComplete(t *testing.T) {
-	r := NewRunner(1500)
-	o := Options{Categories: []string{"isfs"}, MaxPerCategory: 2}
-	res, err := Fig9(r, o, []string{"cssp", "cdprf"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Workloads) != 4 { // 2 workloads + AVG + AVG All
-		t.Fatalf("rows %v", res.Workloads)
-	}
-	last := res.Workloads[len(res.Workloads)-1]
-	if last != "AVG All" {
-		t.Errorf("last row %q", last)
-	}
-	for _, row := range res.Workloads {
-		for _, s := range res.Schemes {
-			if res.Speedup[row][s] <= 0 {
-				t.Errorf("%s/%s speedup %v", row, s, res.Speedup[row][s])
-			}
-		}
-	}
-}
-
-func TestFig10FairnessPositive(t *testing.T) {
-	r := NewRunner(1500)
-	o := Options{Categories: []string{"ispec00"}, MaxPerCategory: 2}
-	cs, err := Fig10(r, o, []string{"cssp"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Values["cssp"]["AVG"] <= 0 {
-		t.Errorf("fairness ratio %v", cs.Values["cssp"]["AVG"])
-	}
-}
-
-func TestHeadlineRuns(t *testing.T) {
-	r := NewRunner(1500)
-	h, err := Headline(r, tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.CDPRFSpeedup <= 0 || h.CSSPSpeedup <= 0 || h.FairnessRatio <= 0 {
-		t.Errorf("degenerate headline %+v", h)
-	}
-	if h.BestCategory == "" {
-		t.Error("no best category")
-	}
-}
-
-// TestClusterScalingShape runs the cluster-scaling figure on a tiny pool
-// and checks its structural physics: every series present for every
-// category, zero inter-cluster copies on a single cluster, and nonzero
-// copies once there is more than one cluster to copy between.
-func TestClusterScalingShape(t *testing.T) {
-	r := NewRunner(2000)
-	o := Options{Categories: []string{"ispec00"}, MaxPerCategory: 1}
-	res, err := ClusterScaling(r, o, []string{"icount"}, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cs := range []*CategorySeries{res.IPC, res.Copies, res.IQStalls} {
-		for _, name := range []string{"icount/c1", "icount/c2"} {
-			for _, cat := range cs.Categories {
-				if _, ok := cs.Values[name][cat]; !ok {
-					t.Errorf("missing %s/%s", name, cat)
-				}
-			}
-		}
-	}
-	if v := res.Copies.Values["icount/c1"]["AVG"]; v != 0 {
-		t.Errorf("one-cluster machine reported %v copies/retired", v)
-	}
-	if v := res.Copies.Values["icount/c2"]["AVG"]; v <= 0 {
-		t.Errorf("two-cluster machine reported %v copies/retired, want > 0", v)
-	}
-	if res.IPC.Values["icount/c1"]["AVG"] <= 0 || res.IPC.Values["icount/c2"]["AVG"] <= 0 {
-		t.Error("IPC series empty")
-	}
-	header, rows := res.CSV()
-	if len(header) != 6 {
-		t.Errorf("CSV header %v", header)
-	}
-	// categories (ispec00 + AVG) x schemes x cluster counts
-	if want := 2 * 1 * 2; len(rows) != want {
-		t.Errorf("CSV emitted %d rows, want %d", len(rows), want)
-	}
-}
-
-func TestFutureWorkRuns(t *testing.T) {
-	r := NewRunner(1500)
-	out, err := FutureWork(r, Options{Categories: []string{"ispec00"}, MaxPerCategory: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []string{"cssp", "cdprf", "dcra", "hillclimb"} {
-		if out[s] <= 0 {
-			t.Errorf("%s speedup %v", s, out[s])
 		}
 	}
 }

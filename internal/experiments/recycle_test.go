@@ -64,19 +64,19 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	want, err := NewRunner(traceLen).Run(s)
+	want, err := runOne(NewRunner(traceLen), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	r := NewRunner(traceLen)
-	if _, err := r.RunCtx(newPollCancelCtx(1), s); !errors.Is(err, context.Canceled) {
+	if _, err := runOneCtx(newPollCancelCtx(1), r, s); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
 	}
 	if r.Executed() != 0 {
 		t.Fatalf("cancelled run counted as executed")
 	}
-	got, err := r.RunCtx(context.Background(), s)
+	got, err := runOneCtx(context.Background(), r, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSimulationAllocBudget(t *testing.T) {
 		if i == 1 {
 			runtime.ReadMemStats(&before)
 		}
-		if _, err := r.Run(s); err != nil {
+		if _, err := runOne(r, s); err != nil {
 			t.Fatalf("%s: %v", s.key(), err)
 		}
 	}

@@ -1,7 +1,8 @@
-// Package experiments defines one reproduction per paper figure/table
-// (the index lives in DESIGN.md §4) on top of a memoizing, parallel
-// simulation runner. Every figure is a pure function of the runner, so the
-// expdriver binary, the test suite and the benchmark harness share runs.
+// Package experiments turns a workload, a scheme and a machine into a
+// simulation (Programs, Machine, Simulate) and runs many of them on a
+// memoizing, parallel runner with content-addressed result keys. The
+// campaign engine (internal/campaign) runs every campaign, the paper's
+// figures included, on these runners.
 package experiments
 
 import (
@@ -38,10 +39,9 @@ import (
 // that matches a named scheme recalls that scheme's pre-redesign entries.
 //
 // The machine-shape fields (NumClusters, Links, LinkLatency, MemLatency)
-// sweep the back-end geometry; 0 inherits the runner's Shape default and
-// ultimately the Table 1 value (2 clusters, 2 one-cycle links, 60-cycle
-// memory). They feed Machine, so the content-addressed CacheKey
-// distinguishes shapes automatically.
+// sweep the back-end geometry; 0 keeps the Table 1 value (2 clusters, 2
+// one-cycle links, 60-cycle memory). They feed Machine, so the
+// content-addressed CacheKey distinguishes shapes automatically.
 type Spec struct {
 	Workload     workload.Workload
 	Scheme       string
@@ -49,10 +49,10 @@ type Spec struct {
 	RegsPerClust int // 0 = unbounded
 	ROBPerThread int // 0 = unbounded
 	SingleThread int // -1 = SMT
-	NumClusters  int // 0 = shape/Table 1 default (2)
-	Links        int // 0 = shape/Table 1 default (2)
-	LinkLatency  int // cycles; 0 = shape/Table 1 default (1)
-	MemLatency   int // cycles; 0 = shape/Table 1 default (60)
+	NumClusters  int // 0 = Table 1 default (2)
+	Links        int // 0 = Table 1 default (2)
+	LinkLatency  int // cycles; 0 = Table 1 default (1)
+	MemLatency   int // cycles; 0 = Table 1 default (60)
 }
 
 // key identifies a spec for the session-local memo and singleflight maps.
@@ -107,15 +107,6 @@ func workloadDigest(w workload.Workload) uint64 {
 	return h
 }
 
-// MachineShape is a runner-level default machine geometry, applied to every
-// spec field left zero. Zero fields fall through to the Table 1 defaults.
-type MachineShape struct {
-	NumClusters int
-	Links       int
-	LinkLatency int
-	MemLatency  int
-}
-
 // Runner executes Specs with memoization and a bounded worker pool.
 // It is safe for concurrent use.
 //
@@ -140,13 +131,8 @@ type Runner struct {
 	Verbose func(string)
 	// Store receives completed results and is consulted before executing.
 	// Nil selects a private in-memory store on first use. Set it before the
-	// first Run call; it must not change afterwards.
+	// first RunAllCtx call; it must not change afterwards.
 	Store ResultStore
-	// Shape is the default machine geometry for specs that leave their
-	// shape fields zero (expdriver's figure-mode -clusters/-links/
-	// -link-latency/-mem-latency flags land here). The zero value is the
-	// Table 1 machine. Set it before the first Run/CacheKey call.
-	Shape MachineShape
 	// Gate, when non-nil, is acquired around every actual simulation (not
 	// store hits). Sharing one gate between runners bounds total simulation
 	// concurrency across them — the campaign engine uses this so that
@@ -416,26 +402,6 @@ func (r *Runner) programs(s Spec) []core.ThreadProgram {
 	return buildPrograms(s, func(i int) []isa.Uop { return r.traceFor(s.Workload, i) })
 }
 
-// config returns the machine the runner builds for s: Machine with the
-// runner's Shape filling the shape fields s leaves zero. A fully default
-// shape therefore produces a byte-identical canonical config (and cache
-// key) to the pre-shape-axis runner.
-func (r *Runner) config(s Spec) core.Config {
-	if s.NumClusters == 0 {
-		s.NumClusters = r.Shape.NumClusters
-	}
-	if s.Links == 0 {
-		s.Links = r.Shape.Links
-	}
-	if s.LinkLatency == 0 {
-		s.LinkLatency = r.Shape.LinkLatency
-	}
-	if s.MemLatency == 0 {
-		s.MemLatency = r.Shape.MemLatency
-	}
-	return Machine(s, r.TraceLen)
-}
-
 // CacheKey returns the content-addressed result key for s under this
 // runner's settings: the hex SHA-256 of the spec fingerprint. Equal keys
 // mean equal simulated outcomes across processes and branches (for one
@@ -504,7 +470,7 @@ var simVersionJSON, _ = json.Marshal(core.SimVersion)
 // d is workloadDigest(s.Workload).
 func (r *Runner) fingerprint(s Spec, d uint64) ([]byte, error) {
 	r.encMu.Lock()
-	cfg, err := encodeOnce(r.configs, r.config(s), "config", core.Config.Canonical)
+	cfg, err := encodeOnce(r.configs, Machine(s, r.TraceLen), "config", core.Config.Canonical)
 	var wl []byte
 	if err == nil {
 		id := workloadID{digest: d, name: s.Workload.Name, category: s.Workload.Category, typ: s.Workload.Type}
@@ -559,7 +525,7 @@ func encodeOnce[K comparable](m map[K][]byte, k K, what string, enc func(K) ([]b
 // attaches a time-series sampler for the duration of the run (see
 // SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
-	p, err := core.NewScheme(r.config(s), s.Scheme, r.programs(s))
+	p, err := core.NewScheme(Machine(s, r.TraceLen), s.Scheme, r.programs(s))
 	if err != nil {
 		return nil, err
 	}
@@ -568,21 +534,6 @@ func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Samp
 		p.SetSampler(r.SampleInterval, onSample)
 	}
 	return Simulate(ctx, p)
-}
-
-// Run executes (or recalls) one spec. Concurrent calls for the same spec
-// share a single execution; completed results are recalled from the store.
-func (r *Runner) Run(s Spec) (*metrics.Stats, error) {
-	return r.RunCtx(context.Background(), s)
-}
-
-// RunCtx is Run with cooperative cancellation: a cancelled context stops
-// the simulation mid-run (the partial result is discarded, not stored) and
-// returns the context's error.
-func (r *Runner) RunCtx(ctx context.Context, s Spec) (*metrics.Stats, error) {
-	k, ck := r.keysOf(s)
-	st, _, err := r.run(ctx, s, k, ck, nil)
-	return st, err
 }
 
 // run is the shared execution core; k and ck are s's keys (see keysOf).
@@ -722,19 +673,16 @@ type Progress struct {
 	Finished func(i int, key string, st *metrics.Stats, executed bool, err error)
 }
 
-// RunAll executes specs on a worker pool and returns stats in spec order.
-// Failed specs leave a nil entry and their errors — each annotated with its
-// spec key — are aggregated with errors.Join, so callers get the partial
-// results alongside the combined failure.
-func (r *Runner) RunAll(specs []Spec) ([]*metrics.Stats, error) {
-	return r.RunAllCtx(context.Background(), specs, nil)
-}
-
-// RunAllCtx is RunAll with cooperative cancellation and optional per-spec
-// progress reporting. Cancellation is immediate, not just between specs:
-// in-flight simulations stop at the next context poll, and specs not yet
-// started fail with the context's error. The worker pool always drains
-// fully before RunAllCtx returns.
+// RunAllCtx executes (or recalls) specs on a worker pool and returns stats
+// in spec order. Concurrent requests for one spec share a single
+// execution, and completed results are recalled from the store. Failed
+// specs leave a nil entry and their errors — each annotated with its spec
+// key — are aggregated with errors.Join, so callers get the partial results
+// alongside the combined failure. Cancellation is immediate, not just
+// between specs: in-flight simulations stop at the next context poll (the
+// partial result is discarded, not stored), and specs not yet started fail
+// with the context's error. p, when non-nil, reports each spec's progress.
+// The worker pool always drains fully before RunAllCtx returns.
 func (r *Runner) RunAllCtx(ctx context.Context, specs []Spec, p *Progress) ([]*metrics.Stats, error) {
 	workers := r.Workers
 	switch {
@@ -789,16 +737,4 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []Spec, p *Progress) ([]*m
 	close(work)
 	wg.Wait()
 	return out, errors.Join(errs...)
-}
-
-// mean returns the arithmetic mean of xs (0 for empty input).
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, x := range xs {
-		total += x
-	}
-	return total / float64(len(xs))
 }

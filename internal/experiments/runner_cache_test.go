@@ -31,7 +31,7 @@ func TestRunnerSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			st, err := r.Run(spec)
+			st, err := runOne(r, spec)
 			if err != nil {
 				t.Error(err)
 				return
@@ -120,7 +120,7 @@ func TestRunnerSpecKeyedByWorkloadContent(t *testing.T) {
 	r := NewRunner(1200)
 	w := workload.ByCategory("ispec00")[0]
 	spec := iqStudySpec(w, "icount", 32)
-	a, err := r.Run(spec)
+	a, err := runOne(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestRunnerSpecKeyedByWorkloadContent(t *testing.T) {
 	if r.CacheKey(spec) == r.CacheKey(aliasSpec) {
 		t.Error("same-name workload with different seeds shares a content key")
 	}
-	b, err := r.Run(aliasSpec)
+	b, err := runOne(r, aliasSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +179,11 @@ func TestRunnerZeroValueUsable(t *testing.T) {
 	r := &Runner{TraceLen: 1200}
 	w := workload.ByCategory("ispec00")[0]
 	spec := iqStudySpec(w, "icount", 32)
-	a, err := r.Run(spec)
+	a, err := runOne(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Run(spec)
+	b, err := runOne(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestStorePutErrorsCounted(t *testing.T) {
 	r.Store = failingPut{NewMemStore()}
 	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
 	for want := int64(1); want <= 2; want++ {
-		st, err := r.Run(spec)
+		st, err := runOne(r, spec)
 		if err != nil || st == nil {
 			t.Fatalf("run %d: (%v, %v), want a result despite the failed put", want, st, err)
 		}

@@ -31,7 +31,7 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, ownerErr = r.RunCtx(ctxA, spec)
+		_, ownerErr = runOneCtx(ctxA, r, spec)
 	}()
 
 	// Wait for the owner's flight to register so the second call is a
@@ -55,7 +55,7 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		waiterSt, waiterErr = r.Run(spec)
+		waiterSt, waiterErr = runOne(r, spec)
 	}()
 
 	// Let the waiter block on the flight, then cancel the owner mid-run.
@@ -89,7 +89,7 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	spec := Spec{Workload: w, Scheme: "icount", IQSize: 32, SingleThread: -1}
-	if _, err := r.RunCtx(ctx, spec); !errors.Is(err, context.Canceled) {
+	if _, err := runOneCtx(ctx, r, spec); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if r.Executed() != 0 {
@@ -118,7 +118,7 @@ func wedgedSpec(t *testing.T) Spec {
 func TestRunCycleBoundIsAnError(t *testing.T) {
 	r := NewRunner(1000)
 	s := wedgedSpec(t)
-	st, err := r.Run(s)
+	st, err := runOne(r, s)
 	if !errors.Is(err, ErrCycleBound) {
 		t.Fatalf("Run = %v, %v; want ErrCycleBound", st, err)
 	}

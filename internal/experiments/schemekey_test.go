@@ -107,7 +107,7 @@ func TestComposedSpecRuns(t *testing.T) {
 	w := keyWorkload(t)
 	r := NewRunner(2000)
 	spec := Spec{Workload: w, Scheme: "sel=stall,iq=cssp,rf=cdprf:interval=8192", IQSize: 32}
-	st, err := r.Run(spec)
+	st, err := runOne(r, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestComposedSpecRuns(t *testing.T) {
 	}
 	// An equivalent spelling (clauses reordered, explicit defaults) is a
 	// pure store hit.
-	again, err := r.Run(Spec{Workload: w, Scheme: "rf=cdprf:interval=8192,iq=cssp,sel=stall", IQSize: 32})
+	again, err := runOne(r, Spec{Workload: w, Scheme: "rf=cdprf:interval=8192,iq=cssp,sel=stall", IQSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestComposedSpecRuns(t *testing.T) {
 		t.Errorf("executed = %d after respelled recall, want 1", got)
 	}
 	// An unparseable scheme surfaces the parse error.
-	if _, err := r.Run(Spec{Workload: w, Scheme: "sel=bogus", IQSize: 32}); err == nil {
+	if _, err := runOne(r, Spec{Workload: w, Scheme: "sel=bogus", IQSize: 32}); err == nil {
 		t.Error("bogus composed spec should fail")
 	}
 }

@@ -1,8 +1,11 @@
-package experiments
+package experiments_test
 
 import (
+	"strconv"
 	"testing"
 
+	"clustersmt/internal/campaign"
+	"clustersmt/internal/figures"
 	"clustersmt/internal/policy"
 )
 
@@ -14,13 +17,10 @@ func TestPaperShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute simulation batch")
 	}
-	r := NewRunner(30000)
-	o := Options{MaxPerCategory: 3}
-	cs, err := Fig2(r, o, policy.PaperIQSchemes(), []int{32, 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := func(s string, iq int) float64 { return cs.Values[seriesName(s, iq)]["AVG"] }
+	eng := &campaign.Engine{Resume: true}
+	o := pool(30000, 3)
+	cs := runFigure[*figures.CategorySeries](t, figures.Fig2(o, policy.PaperIQSchemes(), []int{32, 64}), eng)
+	avg := func(s string, iq int) float64 { return cs.Values[s+"/"+strconv.Itoa(iq)]["AVG"] }
 	for _, s := range policy.PaperIQSchemes() {
 		t.Logf("%-8s iq32 AVG=%.3f  iq64 AVG=%.3f", s, avg(s, 32), avg(s, 64))
 	}
@@ -54,10 +54,7 @@ func TestPaperShape(t *testing.T) {
 
 	// §5.2: cluster-sensitive RF partitioning always loses to
 	// cluster-insensitive (conflicting decisions with the steering/CSSP).
-	f6, err := Fig6(r, o, []string{"cssp", "cssprf", "cisprf", "cdprf"}, []int{64})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f6 := runFigure[*figures.CategorySeries](t, figures.Fig6(o, []string{"cssp", "cssprf", "cisprf", "cdprf"}, []int{64}), eng)
 	if f6.Values["cssprf/64"]["AVG"] > f6.Values["cisprf/64"]["AVG"] {
 		t.Errorf("CSSPRF (%.3f) should not beat CISPRF (%.3f)",
 			f6.Values["cssprf/64"]["AVG"], f6.Values["cisprf/64"]["AVG"])
@@ -72,10 +69,7 @@ func TestPaperShape(t *testing.T) {
 		f6.Values["cisprf/64"]["AVG"], f6.Values["cdprf/64"]["AVG"])
 
 	// Headline: CDPRF delivers a double-digit speedup over Icount.
-	h, err := Headline(r, o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := runFigure[*figures.HeadlineResult](t, figures.Headline(o), eng)
 	t.Logf("headline: cssp=%.3f cdprf=%.3f fairness=%.3f best=%s(%.3f)",
 		h.CSSPSpeedup, h.CDPRFSpeedup, h.FairnessRatio, h.BestCategory, h.BestCategorySpeedup)
 	if h.CDPRFSpeedup < 1.10 {

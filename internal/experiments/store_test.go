@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -20,7 +21,7 @@ func TestRunAllPartialResults(t *testing.T) {
 		iqStudySpec(w, "nosuchscheme", 32),
 		iqStudySpec(w, "cssp", 32),
 	}
-	stats, err := r.RunAll(specs)
+	stats, err := r.RunAllCtx(context.Background(), specs, nil)
 	if err == nil {
 		t.Fatal("RunAll succeeded with an unknown scheme in the set")
 	}
@@ -88,7 +89,7 @@ func TestRunnerTreatsStoreErrorAsMiss(t *testing.T) {
 	fs := &flakyStore{getErr: errors.New("checksum mismatch")}
 	r.Store = fs
 	w := workload.ByCategory("ispec00")[0]
-	st, err := r.Run(iqStudySpec(w, "icount", 32))
+	st, err := runOne(r, iqStudySpec(w, "icount", 32))
 	if err != nil || st == nil {
 		t.Fatalf("Run = (%v, %v), want re-execution on store error", st, err)
 	}
@@ -97,7 +98,7 @@ func TestRunnerTreatsStoreErrorAsMiss(t *testing.T) {
 	}
 	// With the store healthy again, the Put-through entry answers.
 	fs.getErr = nil
-	st2, err := r.Run(iqStudySpec(w, "icount", 32))
+	st2, err := runOne(r, iqStudySpec(w, "icount", 32))
 	if err != nil || st2 != st {
 		t.Errorf("healthy store did not recall the executed result")
 	}

@@ -1,11 +1,11 @@
-package experiments
+package figures
 
 import (
 	"fmt"
 	"strconv"
 
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/metrics"
-	"clustersmt/internal/workload"
 )
 
 // ClusterScalingResult is the machine-shape headline figure: how the
@@ -31,49 +31,39 @@ type ClusterScalingResult struct {
 	IQStalls *CategorySeries `json:"iq_stalls_per_retired"`
 }
 
-// clusterScaleSpec returns the §5.1 study spec (32-entry IQs, unbounded
-// RF/ROB) on an n-cluster machine. Links and latencies stay at Table 1.
-func clusterScaleSpec(w workload.Workload, scheme string, clusters int) Spec {
-	return Spec{Workload: w, Scheme: scheme, IQSize: 32,
-		RegsPerClust: unbounded, ROBPerThread: unbounded, SingleThread: -1,
-		NumClusters: clusters}
-}
-
 // clusterSeriesName names one (scheme, cluster count) series.
 func clusterSeriesName(scheme string, clusters int) string {
 	return fmt.Sprintf("%s/c%d", scheme, clusters)
 }
 
-// ClusterScaling runs the cluster-count sweep for the given schemes and
-// cluster counts and aggregates the three metrics per workload category.
-func ClusterScaling(r *Runner, o Options, schemes []string, clusters []int) (*ClusterScalingResult, error) {
+// ClusterScaling sweeps the given schemes over the given cluster counts on
+// the §5.1 study machine (links and latencies stay at the template's) and
+// aggregates the three metrics per workload category. It runs one campaign
+// per scheme, so a row lists each scheme's cluster counts together.
+func ClusterScaling(t campaign.Manifest, schemes []string, clusters []int) Figure {
 	var names []string
+	var campaigns []*campaign.Manifest
 	for _, s := range schemes {
 		for _, c := range clusters {
 			names = append(names, clusterSeriesName(s, c))
 		}
+		m := iqStudy(t, []string{s}, 32)
+		m.NumClusters = clusters
+		campaigns = append(campaigns, m)
 	}
-	row := func(w workload.Workload) []Spec {
-		var specs []Spec
-		for _, s := range schemes {
-			for _, c := range clusters {
-				specs = append(specs, clusterScaleSpec(w, s, c))
-			}
+	o := poolOf(t)
+	reduce := func(r rows) *ClusterScalingResult {
+		labels, means := categoryMeans(o, r, 3*len(names),
+			each((*metrics.Stats).IPC, (*metrics.Stats).CopiesPerRetired, (*metrics.Stats).IQStallsPerRetired))
+		return &ClusterScalingResult{
+			Clusters: clusters,
+			Schemes:  schemes,
+			IPC:      seriesOf(labels, means, names, 3, 0),
+			Copies:   seriesOf(labels, means, names, 3, 1),
+			IQStalls: seriesOf(labels, means, names, 3, 2),
 		}
-		return specs
 	}
-	labels, means, err := categoryMeans(r, o, 3*len(names), row,
-		each((*metrics.Stats).IPC, (*metrics.Stats).CopiesPerRetired, (*metrics.Stats).IQStallsPerRetired))
-	if err != nil {
-		return nil, err
-	}
-	return &ClusterScalingResult{
-		Clusters: clusters,
-		Schemes:  schemes,
-		IPC:      seriesOf(labels, means, names, 3, 0),
-		Copies:   seriesOf(labels, means, names, 3, 1),
-		IQStalls: seriesOf(labels, means, names, 3, 2),
-	}, nil
+	return newFigure("clusterscale", campaigns, reduce, clusterScaleText)
 }
 
 // CSV renders the result as flat rows (one per category × scheme × cluster
@@ -95,11 +85,3 @@ func (r *ClusterScalingResult) CSV() (header []string, rows [][]string) {
 	}
 	return header, rows
 }
-
-// ClusterScaleSchemes is the default scheme list of the cluster-scaling
-// figure: the cluster-blind Icount baseline plus the paper's two headline
-// cluster-aware schemes (static IQ partition, dynamic IQ+RF partition).
-func ClusterScaleSchemes() []string { return []string{"icount", "cssp", "cdprf"} }
-
-// ClusterScaleCounts is the full validated cluster-count axis.
-func ClusterScaleCounts() []int { return []int{1, 2, 3, 4} }
