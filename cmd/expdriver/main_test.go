@@ -151,6 +151,26 @@ func TestFigureModeWarmRerun(t *testing.T) {
 	}
 }
 
+// TestFigureModeNoResumeExecutesDryRunCount: with -resume=false each item
+// several figures' campaigns share (a figure's base point and its sweep,
+// the headline and Fig. 10) still simulates once, so the run executes
+// exactly the items its dry run lists.
+func TestFigureModeNoResumeExecutesDryRunCount(t *testing.T) {
+	args := []string{"-exp", "all", "-quick", "-len", "2000", "-categories", "dh", "-store", ""}
+	code, stdout, stderr := runChild(t, append(args, "-dry-run")...)
+	if code != 0 {
+		t.Fatalf("dry run: exit = %d\nstderr: %s", code, stderr)
+	}
+	listed := strings.Count(stdout, "\n")
+	code, _, stderr = runChild(t, append(args, "-resume=false")...)
+	if code != 0 {
+		t.Fatalf("run: exit = %d\nstderr: %s", code, stderr)
+	}
+	if m := executedRE.FindStringSubmatch(stderr); m == nil || m[1] != strconv.Itoa(listed) {
+		t.Errorf("-resume=false tally %q, want the dry run's %d executed", stderr, listed)
+	}
+}
+
 // TestCampaignModeRejectsOversizedManifest runs expdriver on a tiny
 // manifest whose repetitions would expand to a billion items: validation
 // must refuse it with exit 2 before anything is built.

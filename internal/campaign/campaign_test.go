@@ -257,6 +257,42 @@ func TestResumeExecutesOnlyMissing(t *testing.T) {
 	}
 }
 
+// TestNoResumeExecutesSharedItemsOnce: Resume=false ignores what the store
+// held before the engine ran, but campaigns on one engine still share what
+// it computed, so an item two manifests share executes once.
+func TestNoResumeExecutesSharedItemsOnce(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A filled store, for the engine to ignore.
+	if _, err := (&campaign.Engine{Store: st, Resume: true}).Run(tinyManifest()); err != nil {
+		t.Fatal(err)
+	}
+	eng := &campaign.Engine{Store: st, Resume: false}
+	partial := tinyManifest()
+	partial.Schemes = []string{"icount"}
+	first, err := eng.Run(partial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Executed != 2 || first.StoreHits != 0 {
+		t.Errorf("first campaign executed %d, hit %d; want 2 executed despite the filled store", first.Executed, first.StoreHits)
+	}
+	second, err := eng.Run(tinyManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Executed != 2 || second.StoreHits != 2 {
+		t.Errorf("second campaign executed %d, hit %d; want only its 2 new items executed", second.Executed, second.StoreHits)
+	}
+	for _, r := range second.Results {
+		if wantCached := r.Scheme == "icount"; r.Cached != wantCached {
+			t.Errorf("%s: cached=%v, want %v", r.Label, r.Cached, wantCached)
+		}
+	}
+}
+
 // TestStoreResultsMatchFreshRun asserts recalled results are numerically
 // identical to freshly computed ones — the property that makes the store
 // safe to trust for figures.

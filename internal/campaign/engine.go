@@ -29,8 +29,9 @@ type Engine struct {
 	// runs the campaign memory-only.
 	Store experiments.ResultStore
 	// Resume (the default in expdriver) reuses results already in Store;
-	// when false, existing entries are ignored and overwritten, forcing
-	// every simulation to re-execute.
+	// when false, entries stored before the engine ran are ignored and
+	// overwritten, so each of its simulations re-executes — once: campaigns
+	// on one engine still share the results it computed itself.
 	Resume bool
 	// Workers bounds local simulation parallelism across every campaign the
 	// engine runs (0 = NumCPU).
@@ -154,10 +155,10 @@ func pointOf(it Item, t int) baselinePoint {
 // runnerFor returns the engine's shared runner for trace length tl,
 // creating it on first use: a fresh-layer MemStore in front of the
 // persistent store, sharing the engine's gate and Exec. With Resume
-// disabled the runner is NOT cached and writes through a read-blind
-// persistent layer, so every simulation re-executes while fresh results
-// still land on disk. The caller hands the runner back with release when
-// its campaign is done.
+// disabled the persistent layer is write-only, so results stored before
+// the engine started are ignored and re-executed while fresh ones still
+// land on disk. The caller hands the runner back with release when its
+// campaign is done.
 func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -169,37 +170,28 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 		}
 		e.gate = make(chan struct{}, workers)
 	}
-	if e.Resume {
-		if r, ok := e.runners[tl]; ok {
-			e.inUse[r]++
-			return r
+	r, ok := e.runners[tl]
+	if !ok {
+		if e.mem == nil {
+			e.mem = experiments.NewMemStore()
 		}
-	}
-	if e.mem == nil {
-		e.mem = experiments.NewMemStore()
-	}
-	r := experiments.NewRunner(tl)
-	r.Workers = e.Workers
-	r.Verbose = e.Verbose
-	r.Gate = e.gate
-	r.Exec = e.Exec
-	r.SampleInterval = e.SampleInterval
-	if e.Resume {
+		r = experiments.NewRunner(tl)
+		r.Workers = e.Workers
+		r.Verbose = e.Verbose
+		r.Gate = e.gate
+		r.Exec = e.Exec
+		r.SampleInterval = e.SampleInterval
 		layers := []experiments.ResultStore{e.mem}
-		if e.Store != nil {
+		if e.Store != nil && e.Resume {
 			layers = append(layers, e.Store)
+		} else if e.Store != nil {
+			layers = append(layers, experiments.WriteOnly(e.Store))
 		}
 		r.Store = experiments.Layered(layers...)
 		if e.runners == nil {
 			e.runners = make(map[int]*experiments.Runner)
 		}
 		e.runners[tl] = r
-	} else {
-		layers := []experiments.ResultStore{experiments.NewMemStore()}
-		if e.Store != nil {
-			layers = append(layers, experiments.WriteOnly(e.Store))
-		}
-		r.Store = experiments.Layered(layers...)
 	}
 	e.inUse[r]++
 	return r

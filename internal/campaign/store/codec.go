@@ -55,11 +55,13 @@ func EncodeEntry(key string, st *metrics.Stats) ([]byte, error) {
 // are trusted. Every failure is an error — its callers (Store.Get and the
 // store GC's scan) treat it as "no such result", never as data.
 //
-// Only the canonical envelope EncodeEntry writes is accepted,
+// Only the bytes EncodeEntry writes are accepted: the envelope
 // {"format":1,"key":"<key>","checksum":"<64 hex>","stats":<stats>} and a
-// newline, so the envelope is matched byte by byte and only the stats are
-// unmarshalled. The checksum pins the stats bytes, so an accepted entry is
-// exactly what EncodeEntry would write for its stats.
+// newline is matched byte by byte, and the stats, once the checksum has
+// pinned them, must be exactly what json.Marshal writes for a
+// *metrics.Stats (decodeStats parses that form alone, without reflection).
+// So an accepted entry is exactly what EncodeEntry would write for its
+// stats.
 func DecodeEntry(key string, b []byte) (*metrics.Stats, error) {
 	if !ValidKey(key) {
 		return nil, fmt.Errorf("store: invalid key %q", key)
@@ -112,8 +114,8 @@ func DecodeEntry(key string, b []byte) (*metrics.Stats, error) {
 	if !bytes.Equal(checksum, want[:]) {
 		return nil, fmt.Errorf("store: entry %s failed its checksum", key)
 	}
-	st := &metrics.Stats{}
-	if err := json.Unmarshal(payload, st); err != nil {
+	st, err := decodeStats(payload)
+	if err != nil {
 		return nil, fmt.Errorf("store: corrupt stats in %s: %w", key, err)
 	}
 	return st, nil

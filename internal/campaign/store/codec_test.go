@@ -2,7 +2,10 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -61,12 +64,33 @@ func FuzzValidKey(f *testing.F) {
 	})
 }
 
+// withStats builds an entry for keyA around arbitrary stats bytes, with a
+// valid checksum, so only the stats themselves can be at fault.
+func withStats(payload []byte) []byte {
+	sum := sha256.Sum256(payload)
+	return fmt.Appendf(nil, `{"format":1,"key":"%s","checksum":"%x","stats":%s}`+"\n", keyA, sum, payload)
+}
+
 // TestDecodeEntryDiagnoses: the format, key-echo and checksum checks each
-// report their own failure.
+// report their own failure, and checksummed stats in any but the canonical
+// json.Marshal form are corrupt.
 func TestDecodeEntryDiagnoses(t *testing.T) {
 	good, err := EncodeEntry(keyA, testStats())
 	if err != nil {
 		t.Fatal(err)
+	}
+	stats, err := json.Marshal(testStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(withStats(stats), good) {
+		t.Fatalf("withStats(canonical) = %q, want EncodeEntry's %q", withStats(stats), good)
+	}
+	edit := func(old, new string) []byte {
+		if !bytes.Contains(stats, []byte(old)) {
+			t.Fatalf("stats %s hold no %q", stats, old)
+		}
+		return withStats(bytes.Replace(stats, []byte(old), []byte(new), 1))
 	}
 	flipped := bytes.Clone(good)
 	i := bytes.Index(flipped, []byte(`"checksum":"`)) + len(`"checksum":"`)
@@ -81,6 +105,13 @@ func TestDecodeEntryDiagnoses(t *testing.T) {
 		{"flipped checksum", keyA, flipped, "failed its checksum"},
 		{"truncated", keyA, good[:len(good)/2], "corrupt entry"},
 		{"indented", keyA, bytes.Replace(good, []byte(`"stats":`), []byte(`"stats": `), 1), "failed its checksum"},
+		{"whitespace in stats", keyA, edit(`"Cycles":`, `"Cycles": `), "corrupt stats"},
+		{"leading zero", keyA, edit(`"Cycles":1234`, `"Cycles":01234`), "corrupt stats"},
+		{"negative zero", keyA, edit(`"IssueCycles":0`, `"IssueCycles":-0`), "corrupt stats"},
+		{"reordered fields", keyA, edit(`"Cycles":1234,"Committed":[1000,900]`, `"Committed":[1000,900],"Cycles":1234`), "corrupt stats"},
+		{"unknown field", keyA, edit(`"Cycles":1234,`, `"Cycles":1234,"Extra":1,`), "corrupt stats"},
+		{"trailing bytes", keyA, withStats(append(bytes.Clone(stats), ' ')), "corrupt stats"},
+		{"uint64 overflow", keyA, edit(`"IQStalls":42`, `"IQStalls":18446744073709551616`), "corrupt stats"},
 	}
 	for _, tc := range cases {
 		st, err := DecodeEntry(tc.key, tc.b)

@@ -573,7 +573,11 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 		return nil, false, err, false
 	}
 	store := r.Store
-	if st, ok, _ := store.Get(ck); ok {
+	st, ok, getErr := store.Get(ck)
+	if getErr != nil && r.Verbose != nil {
+		r.Verbose(fmt.Sprintf("%-60s store get: %v", k, getErr))
+	}
+	if ok {
 		return st, false, nil, false
 	}
 	r.mu.Lock()

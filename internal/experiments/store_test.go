@@ -1,11 +1,19 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"clustersmt/internal/campaign/store"
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/workload"
 )
@@ -104,6 +112,67 @@ func TestRunnerTreatsStoreErrorAsMiss(t *testing.T) {
 	}
 	if r.Executed() != 1 {
 		t.Errorf("executed %d after recall, want still 1", r.Executed())
+	}
+}
+
+// TestNonCanonicalEntryResimulated: a disk entry whose checksum holds but
+// whose stats are not in json.Marshal's form (here indented, which
+// json.Unmarshal would read) is a miss. The runner simulates once, says
+// why under Verbose, and overwrites the file with EncodeEntry's bytes.
+func TestNonCanonicalEntryResimulated(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(1200)
+	r.Store = disk
+	var mu sync.Mutex
+	var lines []string
+	r.Verbose = func(line string) {
+		mu.Lock()
+		defer mu.Unlock()
+		lines = append(lines, line)
+	}
+	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
+	key := r.CacheKey(spec)
+	canonical, err := json.Marshal(metrics.NewStats(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, canonical, "", " "); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(indented.Bytes())
+	path := filepath.Join(dir, key[:2], key+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entry := fmt.Appendf(nil, `{"format":1,"key":"%s","checksum":"%x","stats":%s}`+"\n", key, sum, indented.Bytes())
+	if err := os.WriteFile(path, entry, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := runOne(r, spec)
+	if err != nil || st == nil || st.Cycles == 0 {
+		t.Fatalf("run = (%v, %v), want a simulated result", st, err)
+	}
+	if n := r.Executed(); n != 1 {
+		t.Errorf("Executed() = %d, want 1", n)
+	}
+	want, err := store.EncodeEntry(key, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("entry after the run = (%q, %v), want EncodeEntry's %q", got, err, want)
+	}
+	mu.Lock()
+	reported := strings.Join(lines, "\n")
+	mu.Unlock()
+	if !strings.Contains(reported, "store get: ") || !strings.Contains(reported, "corrupt stats") {
+		t.Errorf("Verbose did not report the rejected entry:\n%s", reported)
 	}
 }
 

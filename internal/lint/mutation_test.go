@@ -148,19 +148,19 @@ func TestMutationStepWallClock(t *testing.T) {
 		"wall-clock time) reaches metrics.Stats field Cycles")
 }
 
-// TestMutationCodecDropsError deletes the store codec's Unmarshal error
-// check; errflow must flag the dropped error, because a silently corrupt
-// entry would decode as zero stats instead of a cache miss.
+// TestMutationCodecDropsError deletes the store codec's stats-decoding
+// error check; errflow must flag the dropped error, because a silently
+// corrupt entry would decode as zero stats instead of a cache miss.
 func TestMutationCodecDropsError(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks a module copy; skipped in -short")
 	}
 	root := copyModule(t)
 	mutate(t, root, filepath.Join("internal", "campaign", "store", "codec.go"),
-		"if err := json.Unmarshal(payload, st); err != nil {\n\t\treturn nil, fmt.Errorf(\"store: corrupt stats in %s: %w\", key, err)\n\t}",
-		"json.Unmarshal(payload, st)")
+		"st, err := decodeStats(payload)\n\tif err != nil {\n\t\treturn nil, fmt.Errorf(\"store: corrupt stats in %s: %w\", key, err)\n\t}",
+		"st := &metrics.Stats{}\n\tdecodeStats(payload)")
 	requireFinding(t, findings(t, root),
-		"error result of json.Unmarshal is dropped")
+		"error result of decodeStats is dropped")
 }
 
 // TestMutationClosureDropsError drops an error inside a function literal —
