@@ -49,20 +49,26 @@ elif [ "$routes_code" != "$routes_doc" ]; then
   fail=1
 fi
 
-# 4. Every analyzer the smtlint driver registers must be documented: a
-#    backticked name in the README analyzer table and a mention in
-#    DESIGN.md §9. The list is derived from `smtlint -list`, so adding
-#    an analyzer without documenting it fails here.
-analyzer_names="$(go run ./cmd/smtlint -list | awk '{print $1}')"
-if [ -z "$analyzer_names" ]; then
-  echo "smtlint -list produced no analyzers (check-doc-refs.sh pattern rot?)" >&2
+# 4. The README analyzer table and cmd/smtlint must agree on the
+#    analyzer set, in both directions: a registered analyzer missing from
+#    the table and a table row naming an analyzer cmd/smtlint no longer
+#    registers both fail. Every registered analyzer must also be
+#    mentioned in DESIGN.md §9. The code side is `smtlint -list`; the doc
+#    side is the backticked first column of the table under the
+#    "| Analyzer | Invariant |" header.
+analyzers_code="$(go run ./cmd/smtlint -list | awk '{print $1}' | sort -u)"
+analyzers_doc="$(awk '/^\| Analyzer \| Invariant \|/{t=1; next} t && !/^\|/{t=0} t' README.md \
+  | grep -oE '^\| `[a-z]+` \|' | tr -d '|` ' | sort -u)"
+if [ -z "$analyzers_code" ] || [ -z "$analyzers_doc" ]; then
+  echo "analyzer extraction produced an empty list (check-doc-refs.sh pattern rot?)" >&2
+  fail=1
+elif [ "$analyzers_code" != "$analyzers_doc" ]; then
+  echo "the README analyzer table and smtlint -list drifted:" >&2
+  diff <(echo "$analyzers_doc") <(echo "$analyzers_code") >&2 || true
+  echo "(left: rows in the README analyzer table; right: registered in cmd/smtlint)" >&2
   fail=1
 fi
-for a in $analyzer_names; do
-  if ! grep -q "\`$a\`" README.md; then
-    echo "analyzer $a is registered in cmd/smtlint but missing from the README analyzer table" >&2
-    fail=1
-  fi
+for a in $analyzers_code; do
   if ! grep -q "$a" DESIGN.md; then
     echo "analyzer $a is registered in cmd/smtlint but never mentioned in DESIGN.md" >&2
     fail=1

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-)
+import "encoding/json"
 
 // SimVersion stamps simulation results with the simulator's behavioral
 // revision. It participates in every content-addressed result key (see
@@ -21,14 +17,4 @@ const SimVersion = "smtsim-2"
 // programs), which is what makes the form safe to hash as a cache key.
 func (c Config) Canonical() ([]byte, error) {
 	return json.Marshal(c.withDefaults())
-}
-
-// Hash returns the hex SHA-256 of the canonical form.
-func (c Config) Hash() (string, error) {
-	b, err := c.Canonical()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
 }

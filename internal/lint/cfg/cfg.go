@@ -1,13 +1,10 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast for
-// the smtlint dataflow analyzers. It is the foundation PR 8's AST walkers
-// lacked: where those analyzers threaded ad-hoc state through recursive
-// statement visits (and papered over joins with heuristics like lockcheck's
-// branch intersection), a Graph gives every analyzer the same explicit
-// basic-block structure — branch edges from if/switch/select, loop
-// back-edges from for/range, and defer edges routing every function exit
-// through the deferred-call chain — so flow-sensitive facts can be solved
-// to a fixpoint by internal/lint/dataflow and path questions become
-// dominator queries.
+// the smtlint dataflow analyzers. A Graph gives every analyzer the same
+// explicit basic-block structure — branch edges from if/switch/select,
+// loop back-edges from for/range, and defer edges routing every function
+// exit through the deferred-call chain — so flow-sensitive facts can be
+// solved to a fixpoint by internal/lint/dataflow instead of being threaded
+// through recursive statement visits.
 //
 // The builder is deliberately modest: one graph per function body (function
 // literals get their own graphs; a FuncLit in an expression is an opaque
@@ -79,9 +76,6 @@ type Block struct {
 	Nodes []ast.Node
 	Succs []*Block
 	Preds []*Block
-	// Loop marks the head block of a for/range loop (the target of the
-	// back-edge); ctxflow uses it to enumerate loops.
-	Loop bool
 	// Stmt is the branch/loop statement a Cond block was built from.
 	Stmt ast.Stmt
 }
@@ -100,8 +94,6 @@ type Graph struct {
 	Entry  *Block
 	Exit   *Block
 	Blocks []*Block
-
-	idom []int // immediate dominators by block index; built lazily
 }
 
 // New builds the graph for one function body. name is used only in
@@ -276,7 +268,6 @@ func (b *builder) stmt(s ast.Stmt) {
 			b.stmt(s.Init)
 		}
 		head := b.start(KindCond)
-		head.Loop = true
 		head.Stmt = s
 		if s.Cond != nil {
 			head.Nodes = append(head.Nodes, s.Cond)
@@ -315,7 +306,6 @@ func (b *builder) stmt(s ast.Stmt) {
 
 	case *ast.RangeStmt:
 		head := b.start(KindCond)
-		head.Loop = true
 		head.Stmt = s
 		head.Nodes = append(head.Nodes, s) // the range op guards the loop
 		after := b.newBlock(KindBody)
@@ -559,5 +549,4 @@ func (g *Graph) prune() {
 	for i, blk := range g.Blocks {
 		blk.Index = i
 	}
-	g.idom = nil
 }

@@ -14,11 +14,8 @@ type FuncGraph struct {
 	// need not switch on Decl's concrete type).
 	Type *ast.FuncType
 	// Body is the function body (nil for bodyless declarations).
-	Body *ast.BlockStmt
-	// Parent is the enclosing FuncGraph for literals, nil for top-level
-	// declarations.
-	Parent *FuncGraph
-	Graph  *Graph
+	Body  *ast.BlockStmt
+	Graph *Graph
 }
 
 // BuildAll builds one graph per function declaration and function literal
@@ -47,7 +44,7 @@ func BuildAll(files []*ast.File) []*FuncGraph {
 }
 
 // appendLits builds graphs for every function literal nested (at any
-// depth) inside host's body. Literals inside literals chain Parent links.
+// depth) inside host's body.
 func appendLits(out []*FuncGraph, host *FuncGraph) []*FuncGraph {
 	if host.Body == nil {
 		return out
@@ -64,10 +61,9 @@ func appendLits(out []*FuncGraph, host *FuncGraph) []*FuncGraph {
 			}
 			n++
 			fg := &FuncGraph{
-				Decl:   lit,
-				Type:   lit.Type,
-				Body:   lit.Body,
-				Parent: parent,
+				Decl: lit,
+				Type: lit.Type,
+				Body: lit.Body,
 			}
 			fg.Graph = New(fmt.Sprintf("%s$%d", parent.Graph.Name, n), lit.Body)
 			out = append(out, fg)

@@ -146,7 +146,8 @@ type Finding struct {
 }
 
 // summariesCache maps *lint.Module to a once-guarded summary table so the
-// module-wide fixpoint runs exactly once even under RunConcurrent.
+// module-wide fixpoint runs exactly once even under lint.Run's parallel
+// workers.
 var summariesCache sync.Map
 
 type summariesEntry struct {
@@ -1032,33 +1033,16 @@ func namedIs(t types.Type, pkgName, typeName string) bool {
 	return o.Name() == typeName && o.Pkg() != nil && o.Pkg().Name() == pkgName
 }
 
-// isStd reports whether an import path is standard library (no dot in the
-// first segment and not this module's fixture-sibling bare name — stdlib
-// "report"/"store" packages do not exist, so matching by name is safe, but
-// guard anyway against future collisions like net/http/httputil).
+// isStd reports whether an import path looks like standard library: no
+// dot in its first segment. Fixture-mode sibling packages keep their bare
+// names and are not standard.
 func isStd(path string) bool {
 	switch path {
 	case "report", "store", "experiments":
-		return false // fixture-mode sibling packages keep their bare name
+		return false
 	}
-	for i := 0; i < len(path); i++ {
-		if path[i] == '/' {
-			return pathSegHasDot(path[:i])
-		}
-		if path[i] == '.' {
-			return false
-		}
-	}
-	return true
-}
-
-func pathSegHasDot(seg string) bool {
-	for i := 0; i < len(seg); i++ {
-		if seg[i] == '.' {
-			return false
-		}
-	}
-	return true
+	first, _, _ := strings.Cut(path, "/")
+	return !strings.Contains(first, ".")
 }
 
 func isIntegerScalar(t types.Type) bool {

@@ -32,6 +32,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -98,25 +99,19 @@ func (p *Pass) Noalloc(fn *types.Func) bool {
 // Run applies each analyzer to each target package of m and returns all
 // diagnostics sorted by position. Analyzers see every loaded package via
 // pass.Module but report only on the targets.
-func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
-	return RunConcurrent(context.Background(), m, analyzers, 1)
-}
-
-// RunConcurrent is Run with target packages analyzed by up to workers
-// goroutines. Type-checking happened once at load time and the module is
-// read-only during analysis (the dataflow package's module-level indexes
-// are built once behind sync.Once), so packages are embarrassingly
-// parallel. Diagnostics collect per-package and merge into one
-// deterministically sorted slice, so output order never depends on
-// scheduling. A context cancellation
-// stops dispatching new packages; diagnostics already produced are
-// returned (partial output is marked by the caller's ctx.Err()).
-func RunConcurrent(ctx context.Context, m *Module, analyzers []*Analyzer, workers int) []Diagnostic {
-	if workers < 1 {
-		workers = 1
-	}
+//
+// Target packages are analyzed by up to GOMAXPROCS goroutines.
+// Type-checking happened once at load time and the module is read-only
+// during analysis (the dataflow package's module-level indexes are built
+// once behind sync.Once), so packages are embarrassingly parallel.
+// Diagnostics collect per-package and merge into one deterministically
+// sorted slice, so output order never depends on scheduling. A context
+// cancellation stops dispatching new packages; diagnostics already
+// produced are returned (partial output is marked by the caller's
+// ctx.Err()).
+func Run(ctx context.Context, m *Module, analyzers []*Analyzer) []Diagnostic {
 	perPkg := make([][]Diagnostic, len(m.Targets))
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for i, pkg := range m.Targets {
 		if ctx.Err() != nil {
@@ -173,8 +168,8 @@ func RunConcurrent(ctx context.Context, m *Module, analyzers []*Analyzer, worker
 // allowed reports whether diagnostics on file:line are suppressed. A
 // directive suppresses its own line and the line directly below (so it can
 // sit either trailing the offending code or on its own line above it).
-// Load fills the directives and analysis only reads them, so concurrent
-// calls from RunConcurrent need no lock.
+// Load fills the directives and analysis only reads them, so Run's
+// concurrent workers need no lock.
 func (m *Module) allowed(file string, line int) bool {
 	for _, l := range []int{line, line - 1} {
 		if reason, ok := m.allows[allowKey{file, l}]; ok && reason != "" {

@@ -11,6 +11,7 @@
 package linttest
 
 import (
+	"context"
 	"fmt"
 	"regexp"
 	"strconv"
@@ -28,7 +29,7 @@ func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags := lint.Run(m, []*lint.Analyzer{a})
+	diags := lint.Run(context.Background(), m, []*lint.Analyzer{a})
 
 	wants, err := parseWants(m)
 	if err != nil {

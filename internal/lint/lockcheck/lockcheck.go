@@ -16,21 +16,19 @@
 // intersection join. Early-unlock-and-return branches, conditional
 // unlocks, and deferred unlocks all fall out of the graph shape — the
 // defer chain runs on exit edges, so a deferred Unlock never releases the
-// critical section early — where the previous AST walk needed
-// terminates()/intersect() heuristics. When two paths acquire the same
-// lock at different sites, the join keeps the acquisition that dominates
-// the other (the one that program-order precedes the merge). Send/receive
-// cases of a select that has a default clause are non-blocking by
-// construction and are not flagged — Submit's queue admission depends on
-// exactly that shape. Function literals run on their own goroutine or
-// call stack, so each body is analyzed as a fresh scope with no inherited
-// locks.
+// critical section early — and a lock acquired on both arms of a branch
+// is held after the merge. Send/receive cases of a select that has a
+// default clause are non-blocking by construction and are not flagged —
+// Submit's queue admission depends on exactly that shape. Function
+// literals run on their own goroutine or call stack, so each body is
+// analyzed as a fresh scope with no inherited locks.
 package lockcheck
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -79,21 +77,14 @@ func run(pass *lint.Pass) error {
 	return nil
 }
 
-// lockFact is one held lock: where it was acquired, and in which block
-// (for the dominator-based merge).
-type lockFact struct {
-	pos   token.Pos
-	block int
-}
-
-// held tracks mutexes currently locked, keyed by receiver expression text.
-// nil is bottom: no path has reached the point yet.
-type held map[string]lockFact
+// held is the set of mutexes currently locked, keyed by receiver
+// expression text. nil is bottom: no path has reached the point yet.
+type held map[string]bool
 
 func (h held) clone() held {
 	c := make(held, len(h))
-	for k, v := range h {
-		c[k] = v
+	for k := range h {
+		c[k] = true
 	}
 	return c
 }
@@ -112,7 +103,6 @@ func (h held) names() string {
 // holds it.
 type problem struct {
 	pass   *lint.Pass
-	g      *cfg.Graph
 	report bool
 }
 
@@ -126,18 +116,18 @@ func (p *problem) Transfer(b *cfg.Block, in held) held {
 		}
 	}
 	for _, n := range b.Nodes {
-		p.node(b, n, h)
+		p.node(n, h)
 	}
 	return h
 }
 
-func (p *problem) node(b *cfg.Block, n ast.Node, h held) {
+func (p *problem) node(n ast.Node, h held) {
 	switch n := n.(type) {
 	case *ast.ExprStmt:
 		if call, ok := n.X.(*ast.CallExpr); ok {
 			if key, delta, ok := p.mutexOp(call); ok {
 				if delta > 0 {
-					h[key] = lockFact{pos: call.Pos(), block: b.Index}
+					h[key] = true
 				} else {
 					delete(h, key)
 				}
@@ -186,37 +176,19 @@ func (p *problem) Join(acc, src held) (held, bool) {
 		return src.clone(), len(src) > 0
 	}
 	changed := false
-	for k, av := range acc {
-		sv, ok := src[k]
-		if !ok {
+	for k := range acc {
+		if !src[k] {
 			delete(acc, k) // released on some path: not must-held
-			changed = true
-			continue
-		}
-		if sv != av && p.g.Dominates(p.g.Blocks[sv.block], p.g.Blocks[av.block]) {
-			// Two acquisition sites merge: attribute the lock to the one
-			// that dominates the other (program-order first on all paths).
-			acc[k] = sv
 			changed = true
 		}
 	}
 	return acc, changed
 }
 
-func (p *problem) Equal(a, b held) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if w, ok := b[k]; !ok || w != v {
-			return false
-		}
-	}
-	return true
-}
+func (p *problem) Equal(a, b held) bool { return maps.Equal(a, b) }
 
 func check(pass *lint.Pass, g *cfg.Graph) {
-	p := &problem{pass: pass, g: g}
+	p := &problem{pass: pass}
 	facts := dataflow.Forward[held](g, p)
 	p.report = true
 	for _, b := range g.Blocks {

@@ -86,6 +86,18 @@ func (s *srv) bothHeld() {
 	s.mu.Unlock()
 }
 
+// Locked on both arms of an if: the lock is held on every path into the
+// merge, so the send after it blocks under s.mu.
+func (s *srv) lockedOnBothArms(ok bool, v int) {
+	if ok {
+		s.mu.Lock()
+	} else {
+		s.mu.Lock()
+	}
+	s.queue <- v // want `channel send while holding s\.mu`
+	s.mu.Unlock()
+}
+
 // --- legal shapes ---
 
 // Submit-style queue admission: select with a default never blocks.

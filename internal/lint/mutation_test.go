@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,8 +12,8 @@ import (
 
 // These tests demonstrate that the analyzers guard the invariants they were
 // built for: a copy of the module source receives a realistic regression —
-// a config field dropped from the store key, an allocation introduced into
-// the simulated cycle's call graph — and the corresponding analyzer must
+// an allocation introduced into the simulated cycle's call graph, an error
+// check deleted from the store codec — and the corresponding analyzer must
 // catch it.
 
 // copyModule copies the module's go.mod and non-test Go sources into a
@@ -83,7 +84,7 @@ func findings(t *testing.T, root string) []string {
 		t.Fatalf("loading mutated module: %v", err)
 	}
 	var out []string
-	for _, d := range lint.Run(m, all) {
+	for _, d := range lint.Run(context.Background(), m, all) {
 		out = append(out, d.String())
 	}
 	return out
@@ -98,21 +99,6 @@ func requireFinding(t *testing.T, got []string, wantSub string) {
 	}
 	t.Errorf("no finding contains %q; got %d findings:\n%s",
 		wantSub, len(got), strings.Join(got, "\n"))
-}
-
-// TestMutationConfigFieldOmitted drops an exported core.Config field from
-// Canonical() serialization via a json:"-" tag; confighash must flag it,
-// because two configs differing only in that field would share a store key.
-func TestMutationConfigFieldOmitted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a module copy; skipped in -short")
-	}
-	root := copyModule(t)
-	mutate(t, root, filepath.Join("internal", "core", "config.go"),
-		"type Config struct {",
-		"type Config struct {\n\tSecretKnob int `json:\"-\"`")
-	requireFinding(t, findings(t, root),
-		`field Config.SecretKnob is tagged json:"-"`)
 }
 
 // TestMutationStepAllocates introduces a heap allocation into
@@ -163,6 +149,21 @@ func TestMutationCodecDropsError(t *testing.T) {
 		"error result of decodeStats is dropped")
 }
 
+// TestMutationCodecOverwritesError deletes the check on EncodeEntry's
+// stats-marshal error, so the entry-marshal assignment overwrites it
+// unread; errflow must flag the overwrite, because the failure would be
+// lost and an entry with a null stats payload written to the store.
+func TestMutationCodecOverwritesError(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "campaign", "store", "codec.go"),
+		"payload, err := json.Marshal(st)\n\tif err != nil {\n\t\treturn nil, fmt.Errorf(\"store: marshal stats: %w\", err)\n\t}\n",
+		"payload, err := json.Marshal(st)\n")
+	requireFinding(t, findings(t, root), "err overwritten before the error assigned on line")
+}
+
 // TestMutationClosureDropsError drops an error inside a function literal —
 // the store GC's remove helper — rather than a declared function; errflow
 // must flag it, because closures (callbacks, goroutine bodies, helpers like
@@ -178,6 +179,38 @@ func TestMutationClosureDropsError(t *testing.T) {
 		"os.Remove(path)\n\t\tvar err error\n")
 	requireFinding(t, findings(t, root),
 		"error result of os.Remove is dropped")
+}
+
+// TestMutationFairnessBaselinesMapOrdered gathers an item's single-thread
+// baselines by ranging over the campaign plan's baseline map instead of
+// looking them up thread by thread; detcheck must flag the map-ordered
+// slice reaching Result.Fairness, because the baselines would pair with
+// the wrong threads' SMT IPCs in a different order on every run.
+func TestMutationFairnessBaselinesMapOrdered(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "campaign", "plan.go"),
+		"\t\tfor t := 0; t < n; t++ {\n\t\t\tipc, ok := single[pointOf(it, t)]\n\t\t\tif !ok {\n\t\t\t\tbreak\n\t\t\t}\n\t\t\tsingles = append(singles, ipc)\n\t\t}\n",
+		"\t\tfor pt, ipc := range single {\n\t\t\tif pt == pointOf(it, pt.thread) {\n\t\t\t\tsingles = append(singles, ipc)\n\t\t\t}\n\t\t}\n")
+	requireFinding(t, findings(t, root), "nondeterministic value (map iteration order) reaches campaign.Result field Fairness")
+}
+
+// TestMutationRunnerChannelOrderUnallowed removes the reasoned allow on
+// the runner's worker pool, the module's one channel fan-out whose
+// received values reach simulated statistics; detcheck must report the
+// goroutine-send-order flow, so a new fan-out of that shape cannot land
+// without its own reasoned allow.
+func TestMutationRunnerChannelOrderUnallowed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	mutate(t, root, filepath.Join("internal", "experiments", "runner.go"),
+		"\t\t\t\t//smtlint:allow detcheck: channel-delivered index selects which spec runs, not what it computes; results re-key into out[i]\n",
+		"")
+	requireFinding(t, findings(t, root), "nondeterministic value (goroutine send order) reaches metrics.Stats field")
 }
 
 // TestMutationQueueSendUnderLock replaces the fleet queue's broadcast wake
@@ -208,19 +241,4 @@ func TestMutationRunLoopIgnoresContext(t *testing.T) {
 		"\t\t\tselect {\n\t\t\tcase <-ctx.Done():\n\t\t\t\treturn p.stats, ctx.Err()\n\t\t\tdefault:\n\t\t\t}\n",
 		"")
 	requireFinding(t, findings(t, root), "long-running loop never observes ctx")
-}
-
-// TestMutationSchemeDescBlank blanks the description of the registered
-// cdprf scheme; registryref must flag it, because the scheme listings
-// (`expdriver schemes`, GET /v1/components, the README table check) would
-// then publish an undocumented scheme.
-func TestMutationSchemeDescBlank(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a module copy; skipped in -short")
-	}
-	root := copyModule(t)
-	mutate(t, root, filepath.Join("internal", "policy", "scheme.go"),
-		`Desc: "CSSP plus the proposed dynamic register partition (the paper's best)"`,
-		`Desc: ""`)
-	requireFinding(t, findings(t, root), "registration has empty Desc")
 }

@@ -1,25 +1,22 @@
 package lint_test
 
 import (
+	"context"
 	"testing"
 
 	"clustersmt/internal/lint"
-	"clustersmt/internal/lint/confighash"
 	"clustersmt/internal/lint/ctxflow"
 	"clustersmt/internal/lint/detcheck"
 	"clustersmt/internal/lint/errflow"
 	"clustersmt/internal/lint/lockcheck"
 	"clustersmt/internal/lint/noalloc"
-	"clustersmt/internal/lint/registryref"
 )
 
 // all mirrors cmd/smtlint's analyzer list (the command package cannot be
 // imported from a test).
 var all = []*lint.Analyzer{
 	noalloc.Analyzer,
-	confighash.Analyzer,
 	lockcheck.Analyzer,
-	registryref.Analyzer,
 	detcheck.Analyzer,
 	ctxflow.Analyzer,
 	errflow.Analyzer,
@@ -39,7 +36,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	for _, pos := range m.BadAllows() {
 		t.Errorf("%s: //smtlint:allow requires a reason", pos)
 	}
-	for _, d := range lint.Run(m, all) {
+	for _, d := range lint.Run(context.Background(), m, all) {
 		t.Errorf("%s", d)
 	}
 }

@@ -353,6 +353,11 @@ func TestSchemeRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Lookup(%s): %v", name, err)
 		}
+		// Listings (`expdriver schemes`, GET /v1/components, the README
+		// table check) publish these fields as registered.
+		if s.Name != name || s.Ref == "" || s.Desc == "" {
+			t.Errorf("scheme %q registered as name %q, ref %q, desc %q: want its key and a non-empty ref and desc", name, s.Name, s.Ref, s.Desc)
+		}
 		sel, iq, rf := s.New(2)
 		if sel == nil || iq == nil || rf == nil {
 			t.Fatalf("scheme %s produced nil components", name)

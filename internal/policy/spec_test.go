@@ -274,10 +274,13 @@ func TestComponentRegistryDisjoint(t *testing.T) {
 				t.Errorf("component %q registered as both %s and %s", c.Name, prev, kind)
 			}
 			seen[c.Name] = kind
-			if c.Ref == "" || c.Desc == "" {
-				t.Errorf("component %q missing ref/desc", c.Name)
+			if c.Name == "" || c.Ref == "" || c.Desc == "" {
+				t.Errorf("%s component %q missing name/ref/desc", kind, c.Name)
 			}
 			for _, p := range c.Params {
+				if p.Name == "" || p.Desc == "" {
+					t.Errorf("component %q has a param missing name/desc: %+v", c.Name, p)
+				}
 				if p.Min > p.Default || p.Default > p.Max {
 					t.Errorf("component %q param %q: default %v outside [%v, %v]", c.Name, p.Name, p.Default, p.Min, p.Max)
 				}
