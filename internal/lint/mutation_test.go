@@ -3,6 +3,7 @@ package lint_test
 import (
 	"context"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // built for: a copy of the module source receives a realistic regression —
 // an allocation introduced into the simulated cycle's call graph, an error
 // check deleted from the store codec — and the corresponding analyzer must
-// catch it.
+// catch it. Invariants checked at run time rather than by an analyzer get
+// the same treatment: the mutated copy's own package test must fail.
 
 // copyModule copies the module's go.mod and non-test Go sources into a
 // temporary directory, preserving layout, and returns the new root.
@@ -241,4 +243,63 @@ func TestMutationRunLoopIgnoresContext(t *testing.T) {
 		"\t\t\tselect {\n\t\t\tcase <-ctx.Done():\n\t\t\t\treturn p.stats, ctx.Err()\n\t\t\tdefault:\n\t\t\t}\n",
 		"")
 	requireFinding(t, findings(t, root), "long-running loop never observes ctx")
+}
+
+// TestMutationSchemeDescBlank blanks the description of the registered
+// cdprf scheme; the policy package's registry test must fail on it,
+// because the scheme listings (`expdriver schemes`, GET /v1/components,
+// the README table check) would then publish an undocumented scheme.
+func TestMutationSchemeDescBlank(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and tests a module copy; skipped in -short")
+	}
+	root := copyModule(t)
+	copyTests(t, root, filepath.Join("internal", "policy"))
+	mutate(t, root, filepath.Join("internal", "policy", "scheme.go"),
+		`Desc: "CSSP plus the proposed dynamic register partition (the paper's best)"`,
+		`Desc: ""`)
+	out, err := goTest(t, root, "./internal/policy", "TestSchemeRegistry")
+	if err == nil {
+		t.Fatalf("TestSchemeRegistry passed on a blank cdprf Desc:\n%s", out)
+	}
+	if want := `scheme "cdprf" registered as name "cdprf", ref "§5.2 Figs. 7–8", desc ""`; !strings.Contains(out, want) {
+		t.Errorf("TestSchemeRegistry failed without reporting %q:\n%s", want, out)
+	}
+}
+
+// copyTests copies the _test.go files of one package directory (rel to the
+// module root) into the module copy at dst, which copyModule leaves out.
+func copyTests(t *testing.T, dst, rel string) {
+	t.Helper()
+	src := filepath.Join("..", "..", rel)
+	files, err := filepath.Glob(filepath.Join(src, "*_test.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no test files in %s: %v", src, err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, rel, filepath.Base(f)), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// goTest runs one test of one package in the module copy at root and
+// returns its combined output; err is non-nil when the test fails.
+func goTest(t *testing.T, root, pkg, test string) (string, error) {
+	t.Helper()
+	gobin, err := exec.LookPath("go")
+	if err != nil {
+		t.Fatalf("go toolchain not on PATH: %v", err)
+	}
+	cmd := exec.Command(gobin, "test", "-count=1", "-run", "^"+test+"$", pkg)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if _, ok := err.(*exec.ExitError); err != nil && !ok {
+		t.Fatalf("running go test: %v", err)
+	}
+	return string(out), err
 }
