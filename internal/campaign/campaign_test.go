@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -402,6 +403,65 @@ func TestResultSetJSONRoundTrip(t *testing.T) {
 	rep := campaign.Diff(rs, parsed)
 	if bad := rep.Exceeds(0); len(bad) != 0 {
 		t.Errorf("self-diff found %d moved specs: %v", len(bad), bad)
+	}
+}
+
+// TestMultiLengthCampaignMatchesSplit runs a manifest over two trace
+// lengths, with single-thread baselines, through one engine's item pool.
+// Each row must equal the row of the same label from the manifest split
+// into one manifest per length, each on a fresh engine — fairness
+// included — and the campaign must simulate exactly the items a dry run
+// lists.
+func TestMultiLengthCampaignMatchesSplit(t *testing.T) {
+	manifest := func(lens ...int) *campaign.Manifest {
+		return &campaign.Manifest{
+			Name:                  "lens",
+			Workloads:             []string{"ispec00.mix.2.1"},
+			Schemes:               []string{"icount", "cssp"},
+			TraceLens:             lens,
+			SingleThreadBaselines: true,
+		}
+	}
+	both := manifest(1000, 1500)
+	items, err := both.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, it := range items {
+		labels[it.Label()] = true
+	}
+	rs, err := (&campaign.Engine{Workers: 2}).Run(both)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Failed != 0 || rs.Executed != len(labels) {
+		t.Fatalf("executed %d, failed %d; want the %d items a dry run lists", rs.Executed, rs.Failed, len(labels))
+	}
+	split := map[string]campaign.Result{}
+	for _, tl := range []int{1000, 1500} {
+		one, err := (&campaign.Engine{Workers: 2}).Run(manifest(tl))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range one.Results {
+			split[r.Label] = r
+		}
+	}
+	if len(split) != len(rs.Results) {
+		t.Fatalf("split manifests gave %d rows, the two-length one %d", len(split), len(rs.Results))
+	}
+	fair := 0
+	for _, r := range rs.Results {
+		if r.Fairness != 0 {
+			fair++
+		}
+		if want, ok := split[r.Label]; !ok || !reflect.DeepEqual(r, want) {
+			t.Errorf("%s:\n got %+v\nwant %+v", r.Label, r, want)
+		}
+	}
+	if fair != 4 {
+		t.Errorf("%d rows carry fairness, want the 4 SMT rows", fair)
 	}
 }
 

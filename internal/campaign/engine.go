@@ -4,17 +4,20 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
 )
 
-// Engine executes expanded campaigns on experiments runners, one per trace
-// length, all sharing one persistent store layer. It is the only code that
+// Engine executes expanded campaigns: one pool of workers answers every
+// item through the experiments runner for the item's trace length, and the
+// runners all share one persistent store layer. It is the only code that
 // turns a manifest into a ResultSet: in fleet mode it runs the same way,
 // with Exec sending each simulation its store cannot answer to the fleet.
 //
@@ -53,11 +56,7 @@ type Engine struct {
 	gate    chan struct{} // Workers slots, shared by every runner
 	mem     *experiments.MemStore
 	runners map[int]*experiments.Runner
-	// Store put failures outlive the runners that count them: a runner's
-	// count folds into putErrs once the engine neither caches it nor runs
-	// a campaign on it.
-	inUse   map[*experiments.Runner]int // campaigns running on each runner
-	putErrs int64
+	putErrs atomic.Int64 // fresh results the store refused
 }
 
 // ItemEvent reports one expanded item's lifecycle during RunCtx.
@@ -157,18 +156,12 @@ func pointOf(it Item, t int) baselinePoint {
 // persistent store, sharing the engine's gate and Exec. With Resume
 // disabled the persistent layer is write-only, so results stored before
 // the engine started are ignored and re-executed while fresh ones still
-// land on disk. The caller hands the runner back with release when its
-// campaign is done.
+// land on disk.
 func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.inUse == nil {
-		e.inUse = make(map[*experiments.Runner]int)
-		workers := e.Workers
-		if workers <= 0 {
-			workers = runtime.NumCPU()
-		}
-		e.gate = make(chan struct{}, workers)
+	if e.gate == nil {
+		e.gate = make(chan struct{}, e.slots())
 	}
 	r, ok := e.runners[tl]
 	if !ok {
@@ -176,7 +169,6 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 			e.mem = experiments.NewMemStore()
 		}
 		r = experiments.NewRunner(tl)
-		r.Workers = e.Workers
 		r.Verbose = e.Verbose
 		r.Gate = e.gate
 		r.Exec = e.Exec
@@ -193,17 +185,35 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 		}
 		e.runners[tl] = r
 	}
-	e.inUse[r]++
 	return r
 }
 
-// WithRunner calls fn with the runner RunCtx would use for trace length tl
-// and hands the runner back when fn returns. Fleet workers simulate their
-// leased tasks on it.
-func (e *Engine) WithRunner(tl int, fn func(*experiments.Runner)) {
-	r := e.runnerFor(tl)
-	defer e.release(r)
-	fn(r)
+// slots is the size of the engine's gate: Workers, or NumCPU when unset.
+func (e *Engine) slots() int {
+	if e.Workers > 0 {
+		return e.Workers
+	}
+	return runtime.NumCPU()
+}
+
+// Simulate answers one spec at trace length traceLen the way RunCtx
+// answers a campaign item, on the engine's runner for that length: from
+// the engine's result layers, or by simulating under its gate. It reports
+// whether this call simulated. Fleet workers run their leased tasks
+// through it; its signature is Exec's.
+func (e *Engine) Simulate(ctx context.Context, traceLen int, s experiments.Spec) (*metrics.Stats, bool, error) {
+	st, _, executed, err := e.do(ctx, e.runnerFor(traceLen), s, nil)
+	return st, executed, err
+}
+
+// do answers s on r (see experiments.Runner.Do) and counts a fresh result
+// the store refused.
+func (e *Engine) do(ctx context.Context, r *experiments.Runner, s experiments.Spec, onSample func(metrics.Sample)) (st *metrics.Stats, key string, executed bool, err error) {
+	st, key, executed, putErr, err := r.Do(ctx, s, onSample)
+	if putErr != nil {
+		e.putErrs.Add(1)
+	}
+	return st, key, executed, err
 }
 
 // Inflight returns how many local simulations hold a slot of the engine's
@@ -214,58 +224,26 @@ func (e *Engine) Inflight() int {
 	return len(e.gate)
 }
 
-// release ends one campaign's use of r.
-func (e *Engine) release(r *experiments.Runner) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.inUse[r]--; e.inUse[r] > 0 {
-		return
-	}
-	delete(e.inUse, r)
-	if e.runners[r.TraceLen] != r {
-		e.putErrs += r.StorePutErrors()
-	}
-}
-
-// StorePutErrors returns how many fresh results the engine's runners
-// failed to write into the store over the engine's lifetime, Recycle
-// calls included. Each such item still succeeded.
-func (e *Engine) StorePutErrors() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := e.putErrs
-	for _, r := range e.runners {
-		n += r.StorePutErrors()
-	}
-	for r := range e.inUse {
-		if e.runners[r.TraceLen] != r {
-			n += r.StorePutErrors()
-		}
-	}
-	return n
-}
+// StorePutErrors returns how many fresh results the store refused over
+// the engine's lifetime, Recycle calls included. Each such item still
+// succeeded.
+func (e *Engine) StorePutErrors() int64 { return e.putErrs.Load() }
 
 // Recycle drops the engine's cached runners, except those for the trace
 // lengths in keep, and its shared in-memory result layer (kept runners
 // keep theirs), releasing the trace memos and Stats they hold. Live
-// campaigns are unaffected — they keep references to their runners, which
-// stay valid; only future sharing starts cold. The service daemon calls
-// Recycle() whenever it goes idle, and a fleet worker calls it with each
-// batch's trace lengths, so memory is bounded by one busy period or one
-// batch: with a persistent store underneath, the only cost is a store
-// read per recalled key.
+// campaigns are unaffected — each resolved its runners when it started and
+// keeps them to the end; only future sharing starts cold. The service
+// daemon calls Recycle() whenever it goes idle, and a fleet worker calls
+// it with each batch's trace lengths, so memory is bounded by one busy
+// period or one batch: with a persistent store underneath, the only cost
+// is a store read per recalled key.
 func (e *Engine) Recycle(keep ...int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for tl, r := range e.runners {
-		if slices.Contains(keep, tl) {
-			continue
-		}
-		if e.inUse[r] == 0 {
-			e.putErrs += r.StorePutErrors()
-		}
-		delete(e.runners, tl)
-	}
+	maps.DeleteFunc(e.runners, func(tl int, _ *experiments.Runner) bool {
+		return !slices.Contains(keep, tl)
+	})
 	e.mem = nil
 }
 
@@ -290,69 +268,85 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 		return nil, err
 	}
 	rs := plan.NewResultSet(core.SimVersion)
-
-	// Per-item time series, collected outside the Result until the item
-	// completes. Safe without a lock: exactly one worker simulates item i,
-	// and its Sample callbacks happen-before its Finished callback on the
-	// same goroutine.
-	var samples [][]metrics.Sample
-	if e.SampleInterval > 0 {
-		samples = make([][]metrics.Sample, len(plan.Items))
+	c := &campaignRun{e: e, plan: plan, rs: rs, runners: map[int]*experiments.Runner{}, progress: progress}
+	for _, it := range plan.Items {
+		if c.runners[it.TraceLen] == nil {
+			c.runners[it.TraceLen] = e.runnerFor(it.TraceLen)
+		}
 	}
 
-	// One runner per trace length; the engine shares runners (and their
-	// in-memory layer) across campaigns, so concurrent submissions of
-	// overlapping manifests singleflight into one execution per spec.
-	// Every group runs at once: the engine's gate bounds local simulations
-	// across them, and with Exec set the fleet sees the whole campaign.
+	// One pool over every item, whatever its trace length. The engine
+	// shares runners (and their in-memory layer) across campaigns, so
+	// concurrent submissions of overlapping manifests singleflight into one
+	// execution per spec. A local simulation holds a slot of the engine's
+	// gate, so more workers than slots would only queue; an Exec'd item
+	// uses no local CPU, so the fleet sees the whole campaign at once.
+	workers := len(plan.Items)
+	if e.Exec == nil {
+		workers = min(workers, e.slots())
+	}
+	work := make(chan int)
 	var wg sync.WaitGroup
-	for _, tl := range plan.TraceLens() {
-		idxs := plan.Indices(tl)
-		r := e.runnerFor(tl)
-		specs := make([]experiments.Spec, len(idxs))
-		for j, i := range idxs {
-			specs[j] = plan.Items[i].Spec
-		}
-		p := &experiments.Progress{
-			Finished: func(j int, key string, st *metrics.Stats, executed bool, err error) {
-				i := idxs[j]
-				res := plan.Result(i, key, st, executed, err)
-				if executed && samples != nil {
-					res.Samples = samples[i]
-				}
-				rs.Results[i] = res
-				if progress != nil {
-					progress(ItemEvent{Index: i, Result: &rs.Results[i], Stats: st})
-				}
-			},
-		}
-		if progress != nil {
-			p.Started = func(j int) {
-				progress(ItemEvent{Index: idxs[j], Started: true})
-			}
-		}
-		if samples != nil {
-			p.Sample = func(j int, s metrics.Sample) {
-				i := idxs[j]
-				samples[i] = append(samples[i], s)
-				if progress != nil {
-					progress(ItemEvent{Index: i, Sample: &s})
-				}
-			}
-		}
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-item errors already landed in the results via the
-			// callback; the set reports Failed below.
-			_, _ = r.RunAllCtx(ctx, specs, p)
-			e.release(r)
+			for i := range work {
+				// The item index arrives over the work channel, so detcheck
+				// sees goroutine send order flowing into the simulation —
+				// but each item's stats depend only on plan.Items[i], and
+				// its row lands deterministically in rs.Results[i].
+				//smtlint:allow detcheck: channel-delivered index selects which item runs, not what it computes; its row re-keys into rs.Results[i]
+				c.item(ctx, i)
+			}
 		}()
 	}
+	for i := range plan.Items {
+		work <- i
+	}
+	close(work)
 	wg.Wait()
 
 	plan.Finalize(rs)
 	return rs, nil
+}
+
+// campaignRun is one RunCtx call's state, shared by its pool's workers.
+type campaignRun struct {
+	e        *Engine
+	plan     *Plan
+	rs       *ResultSet
+	runners  map[int]*experiments.Runner // by trace length, resolved at start
+	progress func(ItemEvent)
+}
+
+// item answers plan item i and fills its result slot, reporting its
+// lifecycle to the progress callback. Only this call simulates item i, so
+// its time series needs no lock.
+func (c *campaignRun) item(ctx context.Context, i int) {
+	if c.progress != nil {
+		c.progress(ItemEvent{Index: i, Started: true})
+	}
+	var samples []metrics.Sample
+	var onSample func(metrics.Sample)
+	if c.e.SampleInterval > 0 {
+		onSample = func(s metrics.Sample) {
+			samples = append(samples, s)
+			if c.progress != nil {
+				c.progress(ItemEvent{Index: i, Sample: &s})
+			}
+		}
+	}
+	it := c.plan.Items[i]
+	st, key, executed, err := c.e.do(ctx, c.runners[it.TraceLen], it.Spec, onSample)
+	res := c.plan.Result(i, key, st, executed, err)
+	if executed {
+		res.Samples = samples
+	}
+	c.rs.Results[i] = res
+	if c.progress != nil {
+		c.progress(ItemEvent{Index: i, Result: &c.rs.Results[i], Stats: st})
+	}
 }
 
 // Err aggregates the set's per-item failures into one error (nil when the

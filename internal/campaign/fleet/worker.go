@@ -7,18 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net/http"
 	"net/url"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
 
 	"clustersmt/internal/campaign"
-	"clustersmt/internal/experiments"
-	"clustersmt/internal/metrics"
 )
 
 // WorkerConfig sizes a fleet worker.
@@ -39,10 +35,11 @@ type WorkerConfig struct {
 }
 
 // Worker is the fleet's data plane: it registers with a coordinator,
-// heartbeats in the background, pulls task batches, simulates them on the
-// in-memory runners of a local campaign.Engine and reports the stats. It
-// never reads or writes the shared store: the coordinator's engine answers
-// store hits before a task is queued and puts every result it accepts.
+// heartbeats in the background, pulls task batches, simulates each task
+// through a local campaign.Engine (Engine.Simulate, on its in-memory
+// runners) and reports the stats. It never reads or writes the shared
+// store: the coordinator's engine answers store hits before a task is
+// queued and puts every result it accepts.
 // The worker keeps only the runners, and their trace memos, for the trace
 // lengths of the batch at hand.
 type Worker struct {
@@ -236,55 +233,53 @@ func (w *Worker) lease(ctx context.Context) ([]Task, error) {
 	return resp.Tasks, nil
 }
 
-// execute simulates a leased batch and reports completions. Tasks whose
-// execution was cut off by ctx cancellation are deliberately NOT reported:
-// a dying worker stays silent, the lease expires, and the coordinator
-// requeues — reporting a cancellation as failure would burn an attempt on
-// a healthy item.
+// execute simulates a leased batch, one goroutine per task (the engine's
+// gate of Parallel slots bounds the simulations), and reports completions.
+// It returns once every task is done.
 func (w *Worker) execute(ctx context.Context, tasks []Task) {
-	byLen := make(map[int][]Task)
-	for _, t := range tasks {
-		if w.testOnTaskStart != nil {
-			w.testOnTaskStart(t)
-		}
-		if w.testExecuteErr != nil {
-			if err := w.testExecuteErr(t); err != nil {
-				w.report(ctx, Completion{ID: t.ID, Attempt: t.Attempt, Error: err.Error()})
-				continue
-			}
-		}
-		byLen[t.TraceLen] = append(byLen[t.TraceLen], t)
+	lens := make([]int, len(tasks))
+	for i, t := range tasks {
+		lens[i] = t.TraceLen
 	}
-	lens := slices.Sorted(maps.Keys(byLen))
 	// Each campaign may bring new trace lengths: keep only the runners
 	// this batch uses, so memory does not grow with every length seen.
 	w.eng.Recycle(lens...)
-	for _, tl := range lens {
-		group := byLen[tl]
-		w.eng.WithRunner(tl, func(r *experiments.Runner) {
-			specs := make([]experiments.Spec, len(group))
-			for i, t := range group {
-				specs[i] = t.Spec
-			}
-			p := &experiments.Progress{
-				Finished: func(i int, _ string, st *metrics.Stats, executed bool, err error) {
-					t := group[i]
-					if err != nil && isCtxErr(err) {
-						return // dying quietly; the lease requeues the item
-					}
-					comp := Completion{ID: t.ID, Attempt: t.Attempt, Executed: executed, Stats: st}
-					if err != nil {
-						comp.Error = err.Error()
-						comp.Stats = nil
-					}
-					w.report(ctx, comp)
-				},
-			}
-			// Per-item errors already landed in the completions via the
-			// callback; a context cancellation is the loop condition's to see.
-			_, _ = r.RunAllCtx(ctx, specs, p)
-		})
+	var wg sync.WaitGroup
+	for _, t := range tasks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w.runTask(ctx, t)
+		}()
 	}
+	wg.Wait()
+}
+
+// runTask simulates one leased task and reports its completion. A task
+// whose execution was cut off by ctx cancellation is deliberately NOT
+// reported: a dying worker stays silent, the lease expires, and the
+// coordinator requeues — reporting a cancellation as failure would burn an
+// attempt on a healthy item.
+func (w *Worker) runTask(ctx context.Context, t Task) {
+	if w.testOnTaskStart != nil {
+		w.testOnTaskStart(t)
+	}
+	if w.testExecuteErr != nil {
+		if err := w.testExecuteErr(t); err != nil {
+			w.report(ctx, Completion{ID: t.ID, Attempt: t.Attempt, Error: err.Error()})
+			return
+		}
+	}
+	st, executed, err := w.eng.Simulate(ctx, t.TraceLen, t.Spec)
+	if err != nil && isCtxErr(err) {
+		return // dying quietly; the lease requeues the item
+	}
+	comp := Completion{ID: t.ID, Attempt: t.Attempt, Executed: executed, Stats: st}
+	if err != nil {
+		comp.Error = err.Error()
+		comp.Stats = nil
+	}
+	w.report(ctx, comp)
 }
 
 // report posts one completion; a transport failure is logged and dropped

@@ -1,15 +1,12 @@
 package campaign
 
 import (
-	"sort"
-
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/policy"
 )
 
 // Plan is the placement half of a campaign, split from execution: the
-// validated, deterministic item expansion, the grouping of items by trace
-// length (one experiments.Runner per length), and the assembly of raw
+// validated, deterministic item expansion and the assembly of raw
 // simulation outcomes into the campaign's ResultSet. Engine.RunCtx
 // executes it whether its simulations run in-process or on the fleet, and
 // every per-item decision (ordering, labeling, result shaping, fairness,
@@ -20,9 +17,6 @@ type Plan struct {
 	// Items is the full expansion in canonical order; ResultSet.Results
 	// indexes match it one-to-one.
 	Items []Item
-
-	lens  []int
-	byLen map[int][]int
 }
 
 // NewPlan validates m and expands it into a plan.
@@ -31,25 +25,8 @@ func NewPlan(m *Manifest) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Plan{Manifest: m, Items: items, byLen: map[int][]int{}}
-	for i, it := range items {
-		p.byLen[it.TraceLen] = append(p.byLen[it.TraceLen], i)
-	}
-	for tl := range p.byLen {
-		p.lens = append(p.lens, tl)
-	}
-	sort.Ints(p.lens)
-	return p, nil
+	return &Plan{Manifest: m, Items: items}, nil
 }
-
-// TraceLens returns the distinct per-thread trace lengths of the plan's
-// items, ascending. Each length needs its own runner (trace memoization
-// and the cycle bound are per-length).
-func (p *Plan) TraceLens() []int { return p.lens }
-
-// Indices returns the item indices with trace length tl, in expansion
-// order.
-func (p *Plan) Indices(tl int) []int { return p.byLen[tl] }
 
 // NewResultSet returns the empty result set the plan's execution fills:
 // one slot per item, in expansion order.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -116,9 +115,9 @@ func countKeyWork(fn func()) map[string]int {
 }
 
 // TestCacheKeyWorkCounts pins the key derivation's work, a host-invariant
-// count: one warm RunAllCtx over BenchmarkRunnerWarmHits's sweep (60
-// workloads × 6 schemes) derives each spec's session key once, encodes
-// each distinct workload once and the machine once, and a
+// count: one warm pass of Do over BenchmarkRunnerWarmHits's sweep (60
+// workloads × 6 schemes, two goroutines) derives each spec's session key
+// once, encodes each distinct workload once and the machine once, and a
 // second pass on the same runner encodes nothing.
 func TestCacheKeyWorkCounts(t *testing.T) {
 	schemes := []string{"icount", "stall", "flush+", "cisp", "cssp", "cdprf"}
@@ -137,12 +136,11 @@ func TestCacheKeyWorkCounts(t *testing.T) {
 		}
 	}
 	r := NewRunner(2000)
-	r.Workers = 2
 	r.Store = warm
-	var keys sync.Map
-	p := &Progress{Finished: func(i int, key string, _ *metrics.Stats, _ bool, _ error) { keys.Store(i, key) }}
+	var keys []string
 	run := func() {
-		if _, err := r.RunAllCtx(context.Background(), specs, p); err != nil {
+		var err error
+		if keys, err = doAll(r, specs, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,8 +155,8 @@ func TestCacheKeyWorkCounts(t *testing.T) {
 		t.Fatalf("%d of %d warm items simulated", n, len(specs))
 	}
 	for i, s := range specs {
-		if k, _ := keys.Load(i); k != keyer.CacheKey(s) {
-			t.Fatalf("Finished(%d) reported key %v, want %s", i, k, keyer.CacheKey(s))
+		if keys[i] != keyer.CacheKey(s) {
+			t.Fatalf("Do(specs[%d]) reported key %s, want %s", i, keys[i], keyer.CacheKey(s))
 		}
 	}
 	again := countKeyWork(run)

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -22,8 +24,28 @@ func runOne(r *Runner, s Spec) (*metrics.Stats, error) {
 
 // runOneCtx is runOne under ctx.
 func runOneCtx(ctx context.Context, r *Runner, s Spec) (*metrics.Stats, error) {
-	st, err := r.RunAllCtx(ctx, []Spec{s}, nil)
-	return st[0], err
+	st, _, _, _, err := r.Do(ctx, s, nil)
+	return st, err
+}
+
+// doAll answers specs on r from workers goroutines, as the campaign
+// engine's pool does, and returns each spec's content key.
+func doAll(r *Runner, specs []Spec, workers int) ([]string, error) {
+	keys := make([]string, len(specs))
+	errs := make([]error, len(specs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(specs); i = int(next.Add(1) - 1) {
+				_, keys[i], _, _, errs[i] = r.Do(context.Background(), specs[i], nil)
+			}
+		}()
+	}
+	wg.Wait()
+	return keys, errors.Join(errs...)
 }
 
 func TestRunnerMemoizes(t *testing.T) {
@@ -90,24 +112,5 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if len(o.Selected()) != 120 {
 		t.Errorf("default pool %d, want 120", len(o.Selected()))
-	}
-}
-
-func TestRunAllPreservesOrder(t *testing.T) {
-	r := NewRunner(1500)
-	o := Options{Categories: []string{"ispec00", "isfs"}, MaxPerCategory: 2}
-	var specs []Spec
-	for _, w := range o.Selected() {
-		specs = append(specs, iqStudySpec(w, "icount", 32))
-	}
-	out, err := r.RunAllCtx(context.Background(), specs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, st := range out {
-		direct, _ := runOne(r, specs[i])
-		if st != direct {
-			t.Errorf("result %d out of order", i)
-		}
 	}
 }

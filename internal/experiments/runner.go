@@ -1,8 +1,8 @@
 // Package experiments turns a workload, a scheme and a machine into a
-// simulation (Programs, Machine, Simulate) and runs many of them on a
-// memoizing, parallel runner with content-addressed result keys. The
-// campaign engine (internal/campaign) runs every campaign, the paper's
-// figures included, on these runners.
+// simulation (Programs, Machine, Simulate) and answers each spec on a
+// memoizing runner with content-addressed result keys. The campaign engine
+// (internal/campaign) runs every campaign, the paper's figures included,
+// through these runners, one spec at a time (Runner.Do).
 package experiments
 
 import (
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -107,8 +106,8 @@ func workloadDigest(w workload.Workload) uint64 {
 	return h
 }
 
-// Runner executes Specs with memoization and a bounded worker pool.
-// It is safe for concurrent use.
+// Runner answers Specs with memoization. It is safe for concurrent use;
+// its caller decides how many specs run at once.
 //
 // Two layers are shared across runs. Completed results land in a pluggable
 // ResultStore under content-addressed keys (CacheKey), with singleflight
@@ -125,29 +124,27 @@ type Runner struct {
 	// TraceLen is the per-thread trace length in uops; it also sets each
 	// simulation's warm-up and cycle bound (see Machine).
 	TraceLen int
-	// Workers bounds simulation parallelism (default: NumCPU).
-	Workers int
 	// Verbose, when set, receives one line per completed run.
 	Verbose func(string)
 	// Store receives completed results and is consulted before executing.
-	// Nil selects a private in-memory store on first use. Set it before the
-	// first RunAllCtx call; it must not change afterwards.
+	// NewRunner sets a private in-memory store. Replace it before the
+	// first Do call; it must not change afterwards.
 	Store ResultStore
 	// Gate, when non-nil, is acquired around every actual simulation (not
 	// store hits). Sharing one gate between runners bounds total simulation
 	// concurrency across them — the campaign engine uses this so that
 	// concurrent campaigns share one machine-wide worker budget instead of
-	// each bringing its own Workers-sized pool. Nil means Workers alone
-	// bounds parallelism.
+	// each bringing its own pool. Nil leaves simulation concurrency to the
+	// callers of Do.
 	Gate chan struct{}
 	// Exec, when non-nil, simulates every store miss in place of the local
 	// simulator, under the spec's singleflight; the runner stores and
 	// counts what it returns (executed = false: a store hit on Exec's
 	// side). An Exec'd spec uses no local CPU, so the runner then takes no
-	// Gate and puts every spec in flight at once. No samples are taken.
+	// Gate. No samples are taken.
 	Exec func(ctx context.Context, traceLen int, s Spec) (st *metrics.Stats, executed bool, err error)
 	// SampleInterval is the time-series observation window in cycles for
-	// runs requested with a Progress.Sample callback (see
+	// Do calls given an onSample callback (see
 	// core.Processor.SetSampler for rounding; <= 0 selects the core
 	// default). Sampling is observational only and does not affect
 	// CacheKey: a sampled and an unsampled run of one spec share a stored
@@ -156,7 +153,6 @@ type Runner struct {
 	// produce time series.
 	SampleInterval int64
 
-	once     sync.Once // guards init
 	mu       sync.Mutex
 	inflight map[string]*flight
 	keys     map[string]keyEntry // by spec key
@@ -169,8 +165,6 @@ type Runner struct {
 
 	// executed counts actual simulations (store hits excluded).
 	executed atomic.Int64
-	// putErrors counts fresh results the store failed to take.
-	putErrors atomic.Int64
 
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
@@ -254,7 +248,9 @@ type traceEntry struct {
 	uops []isa.Uop
 }
 
-// NewRunner returns a runner with the given per-thread trace length.
+// NewRunner returns a runner with the given per-thread trace length and a
+// private in-memory store. It is the only constructor: a Runner built as a
+// struct literal has no session maps.
 func NewRunner(traceLen int) *Runner {
 	return &Runner{
 		TraceLen:  traceLen,
@@ -267,37 +263,14 @@ func NewRunner(traceLen int) *Runner {
 	}
 }
 
-// init fills in the store and session maps a struct-literal Runner leaves
-// nil. After it returns, Store and the map fields are never reassigned, so
-// reading Store needs no lock.
-func (r *Runner) init() {
-	r.once.Do(func() {
-		if r.Store == nil {
-			r.Store = NewMemStore()
-		}
-		if r.inflight == nil {
-			r.inflight = make(map[string]*flight)
-			r.keys = make(map[string]keyEntry)
-			r.traces = make(map[traceKey]*traceEntry)
-			r.configs = make(map[core.Config][]byte)
-			r.workloads = make(map[workloadID][]byte)
-		}
-	})
-}
-
 // Executed returns the number of simulations this runner actually ran
 // (store and singleflight hits excluded).
 func (r *Runner) Executed() int64 { return r.executed.Load() }
-
-// StorePutErrors returns the number of fresh results the store failed to
-// take. Each such run still succeeds; only its persistence was lost.
-func (r *Runner) StorePutErrors() int64 { return r.putErrors.Load() }
 
 // traceFor returns thread i's materialized trace for w, generating it at
 // most once per (profile, seed, length) for the runner's lifetime. The
 // returned slice is shared; callers must treat it as immutable.
 func (r *Runner) traceFor(w workload.Workload, i int) []isa.Uop {
-	r.init()
 	k := traceKey{seed: w.Seeds[i], length: r.TraceLen, profile: profileFingerprint(w.Threads[i])}
 	r.traceMu.Lock()
 	e := r.traces[k]
@@ -414,7 +387,6 @@ func (r *Runner) CacheKey(s Spec) string {
 // keysOf derives s's session key (Spec.key) and its content key
 // (CacheKey), digesting the workload once for both.
 func (r *Runner) keysOf(s Spec) (k, ck string) {
-	r.init()
 	d := workloadDigest(s.Workload)
 	k = s.keyOf(d)
 	r.mu.Lock()
@@ -536,24 +508,31 @@ func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Samp
 	return Simulate(ctx, p)
 }
 
-// run is the shared execution core; k and ck are s's keys (see keysOf).
-// The executed return reports whether THIS call ran the simulation: false
-// for store hits and for singleflight waiters (the flight owner reports
-// true). Summing executed across arbitrarily many concurrent callers
-// therefore counts each distinct spec exactly once — the property the
-// campaign engine's Executed tally and the service's cross-job
-// deduplication test rely on.
+// Do answers s: from the store, by waiting on another caller's flight for
+// the same spec, or by simulating it (locally, or through Exec). It returns
+// the stats (nil on failure), s's content key (CacheKey), whether THIS call
+// ran the simulation, the error the store returned for the fresh result's
+// Put (the run still succeeds; only its persistence was lost) and the
+// run's error. executed is false for store hits and for singleflight
+// waiters (the flight owner reports true), so summing it across
+// arbitrarily many concurrent callers counts each distinct spec exactly
+// once — the property the campaign engine's Executed tally and the
+// service's cross-job deduplication test rely on.
 //
-// A cancellation error from the flight owner does NOT propagate to
-// waiters whose own context is still live: on a shared engine the owner
-// belongs to a different campaign, and its DELETE must not fail
-// overlapping items of uncancelled jobs — the waiter retries (typically
-// becoming the new owner) instead.
-func (r *Runner) run(ctx context.Context, s Spec, k, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error) {
+// Cancelling ctx stops an in-flight simulation at its next context poll;
+// the partial run is discarded, not stored. A cancellation error from the
+// flight owner does NOT propagate to waiters whose own context is still
+// live: on a shared engine the owner belongs to a different campaign, and
+// its DELETE must not fail overlapping items of uncancelled jobs — the
+// waiter retries (typically becoming the new owner) instead. A non-nil
+// onSample receives the time series of a run this call simulates (see
+// SampleInterval).
+func (r *Runner) Do(ctx context.Context, s Spec, onSample func(metrics.Sample)) (st *metrics.Stats, key string, executed bool, putErr, err error) {
+	k, ck := r.keysOf(s)
 	for {
-		st, executed, err, retry := r.runOnce(ctx, s, k, ck, onSample)
+		st, executed, putErr, err, retry := r.runOnce(ctx, s, k, ck, onSample)
 		if !retry {
-			return st, executed, err
+			return st, ck, executed, putErr, err
 		}
 	}
 }
@@ -567,10 +546,10 @@ func (r *Runner) run(ctx context.Context, s Spec, k, ck string, onSample func(me
 // flight, both under r.mu, so a spec that finished between the unlocked Get
 // and the lock is found by the re-check and never runs twice, while a
 // plain miss still costs one Get. retry reports an owner cancellation the
-// caller should not inherit (see run).
-func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, err error, retry bool) {
+// caller should not inherit (see Do).
+func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample func(metrics.Sample)) (st *metrics.Stats, executed bool, putErr, err error, retry bool) {
 	if err := ctx.Err(); err != nil {
-		return nil, false, err, false
+		return nil, false, nil, err, false
 	}
 	store := r.Store
 	st, ok, getErr := store.Get(ck)
@@ -578,7 +557,7 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 		r.Verbose(fmt.Sprintf("%-60s store get: %v", k, getErr))
 	}
 	if ok {
-		return st, false, nil, false
+		return st, false, nil, nil, false
 	}
 	r.mu.Lock()
 	if f, ok := r.inflight[k]; ok {
@@ -586,17 +565,17 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 		select {
 		case <-f.done:
 			if ctxErr(f.err) && ctx.Err() == nil {
-				return nil, false, nil, true // owner's job canceled, not ours
+				return nil, false, nil, nil, true // owner's job canceled, not ours
 			}
-			return f.st, false, f.err, false
+			return f.st, false, nil, f.err, false
 		case <-ctx.Done():
-			return nil, false, ctx.Err(), false
+			return nil, false, nil, ctx.Err(), false
 		}
 	}
 	if r.keys[k].stored {
 		if st, ok, _ := store.Get(ck); ok {
 			r.mu.Unlock()
-			return st, false, nil, false
+			return st, false, nil, nil, false
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -620,7 +599,7 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 		case <-ctx.Done():
 			f.err = ctx.Err()
 			finish(false)
-			return nil, false, f.err, false
+			return nil, false, nil, f.err, false
 		}
 	}
 
@@ -634,11 +613,8 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 		r.executed.Add(1)
 	}
 
-	var putErr error
 	if f.err == nil {
-		if putErr = store.Put(ck, f.st); putErr != nil {
-			r.putErrors.Add(1)
-		}
+		putErr = store.Put(ck, f.st)
 	}
 	finish(f.err == nil && putErr == nil)
 
@@ -650,95 +626,10 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 			r.Verbose(fmt.Sprintf("%-60s store put: %v", k, putErr))
 		}
 	}
-	return f.st, executed, f.err, false
+	return f.st, executed, putErr, f.err, false
 }
 
 // ctxErr reports whether err is a context cancellation/deadline error.
 func ctxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// Progress receives per-spec lifecycle callbacks from RunAllCtx. Both
-// callbacks are optional (nil fields are skipped) and are invoked from the
-// pool's worker goroutines, so implementations must be safe for concurrent
-// use. Finished's key is the spec's CacheKey, and its executed flag
-// distinguishes a fresh simulation from a store or singleflight hit (see
-// run).
-type Progress struct {
-	// Started fires when a worker picks up spec i.
-	Started func(i int)
-	// Sample fires for each closed observation window while spec i
-	// simulates (window size: Runner.SampleInterval). It only fires for
-	// specs this pool actually executes — store hits and singleflight
-	// waiters complete without samples. Called from the simulating
-	// goroutine; it must return quickly.
-	Sample func(i int, s metrics.Sample)
-	// Finished fires when spec i completes (successfully or not).
-	Finished func(i int, key string, st *metrics.Stats, executed bool, err error)
-}
-
-// RunAllCtx executes (or recalls) specs on a worker pool and returns stats
-// in spec order. Concurrent requests for one spec share a single
-// execution, and completed results are recalled from the store. Failed
-// specs leave a nil entry and their errors — each annotated with its spec
-// key — are aggregated with errors.Join, so callers get the partial results
-// alongside the combined failure. Cancellation is immediate, not just
-// between specs: in-flight simulations stop at the next context poll (the
-// partial result is discarded, not stored), and specs not yet started fail
-// with the context's error. p, when non-nil, reports each spec's progress.
-// The worker pool always drains fully before RunAllCtx returns.
-func (r *Runner) RunAllCtx(ctx context.Context, specs []Spec, p *Progress) ([]*metrics.Stats, error) {
-	workers := r.Workers
-	switch {
-	case r.Exec != nil:
-		workers = len(specs) // every spec in flight: Exec uses no local CPU
-	case workers <= 0:
-		workers = runtime.NumCPU()
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	out := make([]*metrics.Stats, len(specs))
-	errs := make([]error, len(specs))
-	work := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				if p != nil && p.Started != nil {
-					p.Started(i)
-				}
-				var onSample func(metrics.Sample)
-				if p != nil && p.Sample != nil {
-					i := i
-					onSample = func(s metrics.Sample) { p.Sample(i, s) }
-				}
-				k, ck := r.keysOf(specs[i])
-				// The item index arrives over the work channel, so detcheck
-				// sees goroutine send order flowing into the simulation —
-				// but each item's stats depend only on specs[i], and the
-				// result re-keys deterministically into out[i].
-				//smtlint:allow detcheck: channel-delivered index selects which spec runs, not what it computes; results re-key into out[i]
-				st, executed, err := r.run(ctx, specs[i], k, ck, onSample)
-				out[i] = st
-				if p != nil && p.Finished != nil {
-					p.Finished(i, ck, st, executed, err)
-				}
-				if err != nil {
-					errs[i] = fmt.Errorf("%s: %w", k, err)
-				}
-			}
-		}()
-	}
-	for i := range specs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return out, errors.Join(errs...)
 }

@@ -173,25 +173,6 @@ func TestRunnerShapeChangesCacheKey(t *testing.T) {
 	}
 }
 
-// TestRunnerZeroValueUsable guards the lazy map initialization: a Runner
-// built as a struct literal (no NewRunner) must still memoize safely.
-func TestRunnerZeroValueUsable(t *testing.T) {
-	r := &Runner{TraceLen: 1200}
-	w := workload.ByCategory("ispec00")[0]
-	spec := iqStudySpec(w, "icount", 32)
-	a, err := runOne(r, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := runOne(r, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("zero-value runner failed to memoize")
-	}
-}
-
 // parkFirstGet parks the first Get after its lookup until release closes,
 // so a test can hold one caller between its store miss and r.mu.
 type parkFirstGet struct {
@@ -218,7 +199,6 @@ func TestStoreMissRecheckedUnderLock(t *testing.T) {
 	store := &parkFirstGet{ResultStore: NewMemStore(), parked: make(chan struct{}), release: make(chan struct{})}
 	r.Store = store
 	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
-	k, ck := r.keysOf(spec)
 
 	type outcome struct {
 		st       *metrics.Stats
@@ -227,12 +207,12 @@ func TestStoreMissRecheckedUnderLock(t *testing.T) {
 	}
 	waiter := make(chan outcome, 1)
 	go func() {
-		st, executed, err := r.run(context.Background(), spec, k, ck, nil)
+		st, _, executed, _, err := r.Do(context.Background(), spec, nil)
 		waiter <- outcome{st, executed, err}
 	}()
 	<-store.parked
 
-	owned, executed, err := r.run(context.Background(), spec, k, ck, nil)
+	owned, _, executed, _, err := r.Do(context.Background(), spec, nil)
 	if err != nil || !executed {
 		t.Fatalf("owner: executed=%v err=%v, want a fresh run", executed, err)
 	}
@@ -281,18 +261,18 @@ type failingPut struct{ ResultStore }
 func (failingPut) Put(string, *metrics.Stats) error { return errors.New("disk full") }
 
 // TestStorePutErrorsCounted: a result the store refuses still reaches the
-// caller, and each refusal is counted once.
+// caller, and Do reports each refusal, so its caller can count it.
 func TestStorePutErrorsCounted(t *testing.T) {
 	r := NewRunner(1200)
 	r.Store = failingPut{NewMemStore()}
 	spec := iqStudySpec(workload.ByCategory("ispec00")[0], "icount", 32)
-	for want := int64(1); want <= 2; want++ {
-		st, err := runOne(r, spec)
-		if err != nil || st == nil {
-			t.Fatalf("run %d: (%v, %v), want a result despite the failed put", want, st, err)
+	for run := 1; run <= 2; run++ {
+		st, _, executed, putErr, err := r.Do(context.Background(), spec, nil)
+		if err != nil || st == nil || !executed {
+			t.Fatalf("run %d: (%v, executed=%v, %v), want a fresh result despite the failed put", run, st, executed, err)
 		}
-		if got := r.StorePutErrors(); got != want {
-			t.Errorf("after run %d: StorePutErrors() = %d, want %d", want, got, want)
+		if putErr == nil {
+			t.Errorf("run %d: Do reported no put error for a store that refuses every Put", run)
 		}
 	}
 }
@@ -323,9 +303,8 @@ func BenchmarkRunnerWarmHits(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := NewRunner(2000)
-		r.Workers = 2
 		r.Store = Layered(NewMemStore(), disk)
-		if _, err := r.RunAllCtx(context.Background(), specs, nil); err != nil {
+		if _, err := doAll(r, specs, 2); err != nil {
 			b.Fatal(err)
 		}
 		if n := r.Executed(); n != 0 {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -17,35 +16,6 @@ import (
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/workload"
 )
-
-// TestRunAllPartialResults pins the partial-progress contract: one bad
-// spec must not discard the good ones, and the joined error must name the
-// failing spec.
-func TestRunAllPartialResults(t *testing.T) {
-	r := NewRunner(1200)
-	w := workload.ByCategory("ispec00")[0]
-	specs := []Spec{
-		iqStudySpec(w, "icount", 32),
-		iqStudySpec(w, "nosuchscheme", 32),
-		iqStudySpec(w, "cssp", 32),
-	}
-	stats, err := r.RunAllCtx(context.Background(), specs, nil)
-	if err == nil {
-		t.Fatal("RunAll succeeded with an unknown scheme in the set")
-	}
-	if !strings.Contains(err.Error(), "nosuchscheme") {
-		t.Errorf("joined error %q does not name the failing spec", err)
-	}
-	if len(stats) != 3 || stats[0] == nil || stats[2] == nil {
-		t.Fatalf("partial results discarded: %v", stats)
-	}
-	if stats[1] != nil {
-		t.Error("failed spec produced stats")
-	}
-	if stats[0].IPC() <= 0 || stats[2].IPC() <= 0 {
-		t.Error("surviving results are empty")
-	}
-}
 
 // TestCacheKeyContentAddressing: equal simulations agree on a key across
 // runner instances; any outcome-relevant difference disagrees.

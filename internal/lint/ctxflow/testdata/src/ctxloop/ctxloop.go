@@ -88,11 +88,11 @@ func Run() { // want `exported entry point Run looks long-running but has no con
 	}
 }
 
-func RunAll() error { // clean: thin forwarding wrapper
-	return RunAllCtx(context.Background())
+func RunBatch() error { // clean: thin forwarding wrapper
+	return RunBatchCtx(context.Background())
 }
 
-func RunAllCtx(ctx context.Context) error {
+func RunBatchCtx(ctx context.Context) error {
 	for {
 		if ctx.Err() != nil {
 			return ctx.Err()

@@ -200,7 +200,7 @@ func TestMutationFairnessBaselinesMapOrdered(t *testing.T) {
 }
 
 // TestMutationRunnerChannelOrderUnallowed removes the reasoned allow on
-// the runner's worker pool, the module's one channel fan-out whose
+// the campaign engine's item pool, the module's one channel fan-out whose
 // received values reach simulated statistics; detcheck must report the
 // goroutine-send-order flow, so a new fan-out of that shape cannot land
 // without its own reasoned allow.
@@ -209,8 +209,8 @@ func TestMutationRunnerChannelOrderUnallowed(t *testing.T) {
 		t.Skip("type-checks a module copy; skipped in -short")
 	}
 	root := copyModule(t)
-	mutate(t, root, filepath.Join("internal", "experiments", "runner.go"),
-		"\t\t\t\t//smtlint:allow detcheck: channel-delivered index selects which spec runs, not what it computes; results re-key into out[i]\n",
+	mutate(t, root, filepath.Join("internal", "campaign", "engine.go"),
+		"\t\t\t\t//smtlint:allow detcheck: channel-delivered index selects which item runs, not what it computes; its row re-keys into rs.Results[i]\n",
 		"")
 	requireFinding(t, findings(t, root), "nondeterministic value (goroutine send order) reaches metrics.Stats field")
 }

@@ -2,7 +2,9 @@ package policy
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -306,8 +308,11 @@ func (s SchemeSpec) Validate() error {
 	return validateParams("rf policy", rf.Component, s.RF.Params)
 }
 
+// validateParams reports the first bad parameter in name order, so a spec
+// with several bad parameters always fails with the same message.
 func validateParams(kind string, c Component, params map[string]float64) error {
-	for name, v := range params {
+	for _, name := range slices.Sorted(maps.Keys(params)) {
+		v := params[name]
 		p := c.param(name)
 		if p == nil {
 			if len(c.Params) == 0 {

@@ -185,6 +185,22 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecErrorIsStable: a spec with several bad parameters fails
+// with one message on every parse — the first bad parameter in name order
+// — not with whichever one map iteration happens to visit first. The
+// message reaches result rows and HTTP responses, which must not change
+// between identical runs.
+func TestParseSpecErrorIsStable(t *testing.T) {
+	const spec = "iq=cspsp:frac=0.9:bogus=1"
+	want := `policy: iq policy cspsp has no parameter "bogus"`
+	for i := 0; i < 64; i++ {
+		_, err := ParseSpec(spec)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("parse %d of %q: %v, want an error starting %q", i, spec, err, want)
+		}
+	}
+}
+
 // TestSpecInstantiation: composed specs instantiate the same component
 // types the named registry produces, and parameters land in the right
 // fields.
