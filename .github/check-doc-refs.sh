@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check-doc-refs.sh — fail when DESIGN.md, README.md, docs/API.md or the
 # verify skill references a repository path that does not exist, or when godoc references a
-# DESIGN.md section that is missing (the class of rot this repo had when
-# runner.go cited a DESIGN.md §4 that was never written).
+# DESIGN.md section or a *.md file that is missing (the class of rot this
+# repo had when runner.go cited a DESIGN.md §4 that was never written).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +29,16 @@ for sec in $(grep -rhoE 'DESIGN\.md §[0-9]+' --include='*.go' . | grep -oE '[0-
   fi
 done
 
-# 3. docs/API.md and the muxes (service + fleet coordinator) must agree on
+# 3. Every *.md path cited in a Go source must exist, relative to the
+#    repository root or to the citing file's directory.
+while IFS=: read -r file ref; do
+  if [ ! -e "$ref" ] && [ ! -e "$(dirname "$file")/$ref" ]; then
+    echo "$file cites nonexistent $ref" >&2
+    fail=1
+  fi
+done < <(grep -roE --include='*.go' '[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b' . | sort -u)
+
+# 4. docs/API.md and the muxes (service + fleet coordinator) must agree on
 #    the route set, in both directions: an undocumented registration and a
 #    documented-but-gone route both fail. The code side is the literal
 #    mux.HandleFunc patterns; the doc side is every backticked
@@ -49,7 +58,7 @@ elif [ "$routes_code" != "$routes_doc" ]; then
   fail=1
 fi
 
-# 4. The README analyzer table and cmd/smtlint must agree on the
+# 5. The README analyzer table and cmd/smtlint must agree on the
 #    analyzer set, in both directions: a registered analyzer missing from
 #    the table and a table row naming an analyzer cmd/smtlint no longer
 #    registers both fail. Every registered analyzer must also be

@@ -15,9 +15,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 )
@@ -298,7 +300,7 @@ func measure(target time.Duration, reps int, iter func(n int) map[string]float64
 func benchLine(b Benchmark) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Benchmark%s-%d\t%8d\t%12.0f ns/op", b.Name, runtime.GOMAXPROCS(0), b.N, b.NsPerOp)
-	for _, name := range sortedMetricNames(b.Metrics) {
+	for _, name := range slices.Sorted(maps.Keys(b.Metrics)) {
 		m := b.Metrics[name]
 		fmt.Fprintf(&sb, "\t%12.4g %s", m.Value, name)
 	}
@@ -321,17 +323,4 @@ func (r *Report) FormatText() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-func sortedMetricNames(m map[string]Metric) []string {
-	names := make([]string, 0, len(m))
-	for k := range m {
-		names = append(names, k)
-	}
-	for i := 1; i < len(names); i++ { // insertion sort; tiny n
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return names
 }

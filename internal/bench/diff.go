@@ -2,7 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 )
 
 // Delta is one metric's comparison between two reports.
@@ -115,7 +117,7 @@ func builtinMetrics(b *Benchmark) map[string]Metric {
 func diffBench(ob, nb *Benchmark, tol, timeTol float64) []Delta {
 	om, nm := builtinMetrics(ob), builtinMetrics(nb)
 	var out []Delta
-	for _, name := range sortedMetricNames(om) {
+	for _, name := range slices.Sorted(maps.Keys(om)) {
 		o := om[name]
 		n, ok := nm[name]
 		if !ok {

@@ -3,7 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"clustersmt/internal/experiments"
@@ -18,8 +18,9 @@ type Config struct {
 	// The coordinator itself never touches it, and workers never see it.
 	// Nil selects a private in-memory store: results die with the process.
 	Store experiments.ResultStore
-	// LeaseTTL is how long a leased item stays assigned without a heartbeat
-	// before it requeues; it is also the worker-liveness ttl (0 = 10s).
+	// LeaseTTL is the worker-liveness ttl: a worker none of whose calls
+	// (register, heartbeat, lease, complete) arrived within it is reaped at
+	// the next fleet call or Status, and its leases requeue (0 = 10s).
 	LeaseTTL time.Duration
 	// MaxAttempts bounds lease grants per item before it poisons (0 = 4).
 	MaxAttempts int
@@ -29,11 +30,9 @@ type Config struct {
 	RetryCap  time.Duration
 	// PollInterval is the longest time a lease request waits for work
 	// before it answers with an empty batch (the worker then leases again
-	// at once), advertised to workers as poll_ms; it is also the
-	// coordinator's reap cadence while any Execute is outstanding
-	// (0 = 250ms). It bounds how
-	// long an idle worker's connection stays open, not how soon it sees new
-	// work: a held lease answers as soon as work is enqueued.
+	// at once), advertised to workers as poll_ms (0 = 250ms). It bounds
+	// how long an idle worker's connection stays open, not how soon it sees
+	// new work: a held lease answers as soon as work is enqueued.
 	PollInterval time.Duration
 	// Clock overrides the time source (tests; nil = time.Now).
 	Clock func() time.Time
@@ -45,16 +44,14 @@ type Config struct {
 // dispatch queue, exposed over HTTP (see Register). It runs simulations,
 // not campaigns: a campaign.Engine with Exec set to Execute sends each
 // simulation its store cannot answer here, and the coordinator hands it to
-// a worker. Concurrent campaigns' tasks interleave in one queue.
+// a worker. Concurrent campaigns' tasks interleave in one queue. It runs
+// no goroutine of its own: every fleet call and Status reaps silent
+// workers first.
 type Coordinator struct {
-	cfg   Config
-	queue *Queue
-	reg   *registry
-
-	mu      sync.Mutex
-	taskSeq int
-	waiting int           // Execute calls outstanding
-	stop    chan struct{} // ends the failure-detector loop (waiting > 0)
+	cfg     Config
+	queue   *Queue
+	reg     *registry
+	taskSeq atomic.Int64
 }
 
 // NewCoordinator returns a coordinator with cfg's defaults applied.
@@ -84,7 +81,7 @@ func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		cfg:   cfg,
 		queue: NewQueue(cfg.MaxAttempts, cfg.RetryBase, cfg.RetryCap, clock),
-		reg:   newRegistry(cfg.LeaseTTL, clock),
+		reg:   &registry{ttl: cfg.LeaseTTL, clock: clock, workers: make(map[string]*WorkerInfo)},
 	}
 }
 
@@ -104,8 +101,9 @@ type Status struct {
 	Queue   QueueStats   `json:"queue"`
 }
 
-// Status snapshots the registry and queue.
+// Status reaps silent workers, then snapshots the registry and queue.
 func (c *Coordinator) Status() Status {
+	c.reap()
 	leased := c.queue.leasedBy()
 	ws := c.reg.list()
 	for i := range ws {
@@ -114,17 +112,12 @@ func (c *Coordinator) Status() Status {
 	return Status{Workers: ws, Queue: c.queue.Stats()}
 }
 
-// Tick advances the failure detector once: workers past their liveness ttl
-// are reaped (their leases requeue immediately) and expired leases
-// reclaimed. It ticks on PollInterval while any Execute is outstanding;
-// tests drive it directly against a fake clock.
-func (c *Coordinator) Tick() {
+// reap removes every worker past its liveness ttl from the registry and
+// requeues its leases.
+func (c *Coordinator) reap() {
 	for _, id := range c.reg.reap() {
 		n := c.queue.RequeueWorker(id)
 		c.logf("worker %s reaped, %d leases requeued", id, n)
-	}
-	if n := c.queue.ExpireLeases(); n > 0 {
-		c.logf("%d expired leases requeued", n)
 	}
 }
 
@@ -140,51 +133,16 @@ func (c *Coordinator) logf(format string, args ...any) {
 // task (a late completion for it is then a duplicate no-op) and returns
 // ctx's error. Its signature is experiments.Runner.Exec's.
 func (c *Coordinator) Execute(ctx context.Context, traceLen int, s experiments.Spec) (*metrics.Stats, bool, error) {
-	c.mu.Lock()
-	c.taskSeq++
-	id := fmt.Sprintf("t%06d", c.taskSeq)
-	c.mu.Unlock()
+	id := fmt.Sprintf("t%06d", c.taskSeq.Add(1))
 	done := make(chan Outcome, 1)
 	if err := c.queue.Add(Task{ID: id, TraceLen: traceLen, Spec: s}, func(o Outcome) { done <- o }); err != nil {
 		return nil, false, err
 	}
-	defer c.detect()()
 	select {
 	case o := <-done:
 		return o.Stats, o.Executed, o.Err
 	case <-ctx.Done():
 		c.queue.Remove(id)
 		return nil, false, ctx.Err()
-	}
-}
-
-// detect joins the failure-detector loop, starting it if no other Execute
-// is waiting, and returns the call that leaves it: one loop ticks on
-// PollInterval while any Execute is outstanding.
-func (c *Coordinator) detect() (leave func()) {
-	c.mu.Lock()
-	if c.waiting++; c.waiting == 1 {
-		stop := make(chan struct{})
-		c.stop = stop
-		go func() {
-			t := time.NewTicker(c.cfg.PollInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					c.Tick()
-				}
-			}
-		}()
-	}
-	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		if c.waiting--; c.waiting == 0 {
-			close(c.stop)
-		}
-		c.mu.Unlock()
 	}
 }

@@ -48,7 +48,7 @@ func driveQueue(t *testing.T, c *Coordinator, eng *campaign.Engine, m *campaign.
 	go func() {
 		defer close(done)
 		for ctx.Err() == nil {
-			tasks, _ := c.queue.LeaseWait(ctx, "w1", 8, time.Minute, 10*time.Millisecond)
+			tasks, _ := c.queue.LeaseWait(ctx, "w1", 8, 10*time.Millisecond)
 			for _, task := range tasks {
 				c.queue.Complete("w1", complete(task))
 			}

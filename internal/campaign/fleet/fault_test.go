@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,8 +36,8 @@ func faultManifest(t *testing.T) *campaign.Manifest {
 	return m
 }
 
-// fastFleet returns a coordinator tuned for test time scales: 300ms
-// leases, 20ms failure-detector ticks, near-immediate retry.
+// fastFleet returns a coordinator tuned for test time scales: a 300ms
+// liveness ttl, 20ms lease holds, near-immediate retry.
 func fastFleet(t *testing.T, st experiments.ResultStore) (*Coordinator, *httptest.Server) {
 	t.Helper()
 	return startCoordinator(t, Config{
@@ -165,9 +167,30 @@ func TestFaultInjection(t *testing.T) {
 		t.Fatalf("killed item never requeued: %+v", st)
 	}
 
-	// Bit-for-bit comparison against the single-process engine on the same
-	// manifest. Both runs start from empty stores, so every row should be a
-	// fresh execution with identical keys and metrics.
+	want := matchLocal(t, m, rs)
+
+	// Resubmit through a fresh engine with no memory of the first run:
+	// every item must come back as a store hit — zero simulations.
+	rs2 := runFleet(t, coord, m)
+	if rs2.Executed != 0 {
+		t.Fatalf("resubmission executed %d simulations, want 0 (store dedup broken)", rs2.Executed)
+	}
+	if rs2.StoreHits != rs2.Total || rs2.Failed != 0 {
+		t.Fatalf("resubmission tally: %d hits / %d failed of %d", rs2.StoreHits, rs2.Failed, rs2.Total)
+	}
+	for i := range want.Results {
+		if rs2.Results[i].Key != want.Results[i].Key || rs2.Results[i].IPC != want.Results[i].IPC {
+			t.Errorf("resubmitted row %d diverges from engine run", i)
+		}
+	}
+}
+
+// matchLocal runs m on a single-process engine and requires the fleet's
+// result set rs to match it bit for bit; it returns the local run. Both
+// runs start from empty stores, so every row should be a fresh execution
+// with identical keys and metrics.
+func matchLocal(t *testing.T, m *campaign.Manifest, rs *campaign.ResultSet) *campaign.ResultSet {
+	t.Helper()
 	eng := &campaign.Engine{Store: experiments.NewMemStore(), Resume: true}
 	want, err := eng.RunCtx(context.Background(), m, nil)
 	if err != nil {
@@ -185,20 +208,55 @@ func TestFaultInjection(t *testing.T) {
 		t.Fatalf("tally diverges: fleet executed=%d hits=%d, engine executed=%d hits=%d",
 			rs.Executed, rs.StoreHits, want.Executed, want.StoreHits)
 	}
+	return want
+}
 
-	// Resubmit through a fresh engine with no memory of the first run:
-	// every item must come back as a store hit — zero simulations.
-	rs2 := runFleet(t, coord, m)
-	if rs2.Executed != 0 {
-		t.Fatalf("resubmission executed %d simulations, want 0 (store dedup broken)", rs2.Executed)
-	}
-	if rs2.StoreHits != rs2.Total || rs2.Failed != 0 {
-		t.Fatalf("resubmission tally: %d hits / %d failed of %d", rs2.StoreHits, rs2.Failed, rs2.Total)
-	}
-	for i := range want.Results {
-		if rs2.Results[i].Key != want.Results[i].Key || rs2.Results[i].IPC != want.Results[i].IPC {
-			t.Errorf("resubmitted row %d diverges from engine run", i)
+// dropFirstComplete is a synthetic network between a worker and its
+// coordinator: it loses the first completion POST in transport, before
+// the coordinator sees it, and passes every other request through.
+type dropFirstComplete struct{ dropped atomic.Bool }
+
+func (d *dropFirstComplete) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/complete") && d.dropped.CompareAndSwap(false, true) {
+		if req.Body != nil {
+			req.Body.Close()
 		}
+		return nil, errors.New("injected: connection reset")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestDroppedCompletionIsRetried: a completion lost in transport is posted
+// again. The worker stays alive, so its lease on the item stays too: a
+// dropped report would leave the campaign unfinished for good.
+func TestDroppedCompletionIsRetried(t *testing.T) {
+	if testing.Short() {
+		t.Skip("worker integration test")
+	}
+	m := faultManifest(t)
+	coord, srv := fastFleet(t, experiments.NewMemStore())
+	net := &dropFirstComplete{}
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "lossy", Parallel: 2, Client: &http.Client{Transport: net}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, w)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rs, err := (&campaign.Engine{Store: coord.Store(), Resume: true, Exec: coord.Execute}).RunCtx(ctx, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !net.dropped.Load() {
+		t.Fatal("no completion was posted; the fault was not injected")
+	}
+	if ctx.Err() != nil || rs.Failed != 0 {
+		t.Fatalf("campaign unfinished after 10s (%d of %d items failed); status %+v", rs.Failed, rs.Total, coord.Status())
+	}
+	matchLocal(t, m, rs)
+	if q := coord.Status().Queue; q.Done != int64(rs.Total) || q.Requeues != 0 || q.Duplicates != 0 {
+		t.Fatalf("queue = %+v, want %d done with no requeue or duplicate", q, rs.Total)
 	}
 }
 

@@ -25,8 +25,9 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse tells a new worker its identity and cadence contract:
-// heartbeat within HeartbeatMs (well inside the lease ttl) or be presumed
-// dead. PollMs is the longest the coordinator holds a lease request that
+// heartbeat every HeartbeatMs (well inside the lease ttl); a worker none
+// of whose calls arrives within LeaseTTLMs is reaped and loses its
+// leases. PollMs is the longest the coordinator holds a lease request that
 // finds no work; the worker needs no poll timer of its own.
 type RegisterResponse struct {
 	ID          string `json:"id"`
@@ -50,7 +51,7 @@ type LeaseResponse struct {
 }
 
 // CompleteResponse reports whether a completion was accepted; false means
-// it was stale or duplicate (the lease expired, or another attempt
+// it was stale or duplicate (the worker was reaped, or another attempt
 // superseded it) and the worker's result was discarded.
 type CompleteResponse struct {
 	Accepted bool `json:"accepted"`
@@ -69,12 +70,14 @@ func (c *Coordinator) Handler() http.Handler {
 //
 //	POST /v1/workers                 register; returns id + cadence contract
 //	GET  /v1/workers                 registry + queue snapshot (Status)
-//	POST /v1/workers/{id}/heartbeat  liveness; renews the worker's leases
+//	POST /v1/workers/{id}/heartbeat  liveness, as is every call from the worker
 //	POST /v1/workers/{id}/lease      pull a task batch (oldest first; held until work or poll_ms)
 //	POST /v1/workers/{id}/complete   report one task's outcome (idempotent)
 //
-// docs/API.md documents the schemas and failure codes; CI cross-checks its
-// route list against these registrations.
+// Every route first reaps the workers none of whose calls arrived within
+// the lease ttl, requeueing their leases. docs/API.md documents the
+// schemas and failure codes; CI cross-checks its route list against these
+// registrations.
 func (c *Coordinator) Register(mux *http.ServeMux) {
 	mux.HandleFunc("POST /v1/workers", c.handleRegister)
 	mux.HandleFunc("GET /v1/workers", c.handleWorkers)
@@ -116,6 +119,7 @@ func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
+	c.reap()
 	var req RegisterRequest
 	if !readBody(w, r, &req) {
 		return
@@ -135,6 +139,7 @@ func (c *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
+	c.reap()
 	id := r.PathValue("id")
 	if !c.reg.heartbeat(id) {
 		// The worker was reaped (or never existed): its leases are gone, so
@@ -142,11 +147,11 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		fleetErr(w, http.StatusNotFound, "unknown worker %q", id)
 		return
 	}
-	c.queue.Renew(id, c.cfg.LeaseTTL)
 	w.WriteHeader(http.StatusNoContent)
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
+	c.reap()
 	id := r.PathValue("id")
 	var req LeaseRequest
 	if !readBody(w, r, &req) {
@@ -160,13 +165,20 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
-	tasks, err := c.queue.LeaseWait(r.Context(), id, max, c.cfg.LeaseTTL, c.cfg.PollInterval)
+	tasks, err := c.queue.LeaseWait(r.Context(), id, max, c.cfg.PollInterval)
 	switch {
 	case errors.Is(err, errClosed):
 		fleetErr(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	case err != nil:
 		return // the worker hung up; nobody reads an answer
+	}
+	if !c.reg.heartbeat(id) {
+		// The worker was reaped while its request was held, so no later
+		// reap will reclaim what the request was just granted.
+		c.queue.RequeueWorker(id)
+		fleetErr(w, http.StatusNotFound, "unknown worker %q", id)
+		return
 	}
 	if len(tasks) > 0 {
 		c.logf("worker %s leased %d task(s)", id, len(tasks))
@@ -175,6 +187,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
+	c.reap()
 	id := r.PathValue("id")
 	var comp Completion
 	if !readBody(w, r, &comp) {

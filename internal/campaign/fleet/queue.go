@@ -7,9 +7,10 @@
 // its store cannot answer to Coordinator.Execute, which is what makes a
 // fleet run of a manifest bit-for-bit identical to a local one.
 //
-// The failure model is lease-based: a worker that stops heartbeating (or
-// never reports a leased task) loses its leases, and the tasks requeue
-// with capped exponential backoff. Tasks that keep failing reach a
+// The failure model has one rule: a worker's leases live exactly as long
+// as the worker. A worker none of whose calls has arrived within the lease
+// ttl is reaped, its leases requeue with capped exponential backoff, and it
+// must re-register under a fresh ID. Tasks that keep failing reach a
 // terminal poison state after a bounded number of attempts, so one broken
 // spec cannot wedge a campaign. Completions are idempotent, keyed by
 // (task ID, attempt): duplicate or stale reports — a worker presumed dead
@@ -79,7 +80,6 @@ type qtask struct {
 	state     qstate
 	attempt   int       // lease grants so far
 	worker    string    // current lease holder (stateLeased)
-	expires   time.Time // lease deadline (stateLeased)
 	notBefore time.Time // backoff gate (statePending)
 	lastErr   string    // most recent attempt failure
 	onDone    func(Outcome)
@@ -97,10 +97,10 @@ type QueueStats struct {
 	// when it reaches either terminal state.
 	Done     int64 `json:"done"`
 	Poisoned int64 `json:"poisoned"`
-	// Requeues counts every return to pending: failed attempts, expired
-	// leases and lost workers.
+	// Requeues counts every return to pending: failed attempts and the
+	// leases of reaped workers.
 	Requeues int64 `json:"requeues"`
-	// Expirations counts leases reclaimed by timeout or worker loss.
+	// Expirations counts leases reclaimed from reaped workers.
 	Expirations int64 `json:"expirations"`
 	// Duplicates counts rejected completion reports (stale attempt, wrong
 	// worker, unknown or already-terminal task).
@@ -196,12 +196,12 @@ func (q *Queue) Remove(id string) {
 	q.mu.Unlock()
 }
 
-// Lease grants workerID up to max pending tasks under a ttl lease, oldest
-// first. Backoff-gated tasks are skipped until their notBefore passes.
-// Each granted task's attempt number increments. A closed queue grants
-// nothing.
-func (q *Queue) Lease(workerID string, max int, ttl time.Duration) []Task {
-	out, _ := q.lease(workerID, max, ttl)
+// Lease grants workerID up to max pending tasks, oldest first; each lease
+// lasts until the task completes or the worker is reaped. Backoff-gated
+// tasks are skipped until their notBefore passes. Each granted task's
+// attempt number increments. A closed queue grants nothing.
+func (q *Queue) Lease(workerID string, max int) []Task {
+	out, _ := q.lease(workerID, max)
 	return out
 }
 
@@ -209,11 +209,11 @@ func (q *Queue) Lease(workerID string, max int, ttl time.Duration) []Task {
 var errClosed = errors.New("fleet: coordinator shutting down")
 
 // LeaseWait is Lease held open: while nothing is leasable it waits for the
-// next change that may make work leasable — an Add, a requeue, a reclaimed
-// lease, or a backoff gate passing — and tries again. It returns empty once
-// hold elapses, ctx's error once ctx is done, and errClosed once the queue
-// closes.
-func (q *Queue) LeaseWait(ctx context.Context, workerID string, max int, ttl, hold time.Duration) ([]Task, error) {
+// next change that may make work leasable — an Add, a requeue (a failed
+// attempt or a reaped worker's lease), or a backoff gate passing — and
+// tries again. It returns empty once hold elapses, ctx's error once ctx is
+// done, and errClosed once the queue closes.
+func (q *Queue) LeaseWait(ctx context.Context, workerID string, max int, hold time.Duration) ([]Task, error) {
 	expired := time.NewTimer(hold)
 	defer expired.Stop()
 	var gate *time.Timer // the earliest backoff gate, reset per wait
@@ -229,7 +229,7 @@ func (q *Queue) LeaseWait(ctx context.Context, workerID string, max int, ttl, ho
 		}
 	}()
 	for {
-		out, w := q.lease(workerID, max, ttl)
+		out, w := q.lease(workerID, max)
 		if w.closed {
 			return nil, errClosed
 		}
@@ -274,7 +274,7 @@ type waitFor struct {
 }
 
 // lease is Lease plus the waitFor of its scan.
-func (q *Queue) lease(workerID string, max int, ttl time.Duration) ([]Task, waitFor) {
+func (q *Queue) lease(workerID string, max int) ([]Task, waitFor) {
 	now := q.clock()
 	q.mu.Lock()
 	w := waitFor{changed: q.changed, closed: q.closed}
@@ -302,7 +302,6 @@ func (q *Queue) lease(workerID string, max int, ttl time.Duration) ([]Task, wait
 		t.worker = workerID
 		t.attempt++
 		t.task.Attempt = t.attempt
-		t.expires = now.Add(ttl)
 	}
 	out := make([]Task, len(granted))
 	for i, t := range granted {
@@ -322,25 +321,9 @@ func (q *Queue) spec(id string) (experiments.Spec, bool) {
 	return experiments.Spec{}, false
 }
 
-// Renew extends every lease held by workerID to now+ttl (the heartbeat
-// path) and returns how many it extended.
-func (q *Queue) Renew(workerID string, ttl time.Duration) int {
-	now := q.clock()
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := 0
-	for _, t := range q.tasks {
-		if t.state == stateLeased && t.worker == workerID {
-			t.expires = now.Add(ttl)
-			n++
-		}
-	}
-	return n
-}
-
 // Complete processes a worker's report for a leased task. It is accepted
 // only if the task is currently leased to workerID under the same attempt
-// number; anything else (stale attempt after an expiry requeued the item,
+// number; anything else (stale attempt after a reap requeued the item,
 // a duplicate report, an unknown or terminal task) is counted and ignored,
 // which is what makes completion idempotent. An accepted success fires
 // onDone; an accepted failure requeues with backoff or poisons at the
@@ -395,43 +378,28 @@ func (q *Queue) failLocked(t *qtask) (func(Outcome), Outcome) {
 	return nil, Outcome{}
 }
 
-// ExpireLeases reclaims every lease past its deadline: the items requeue
-// (or poison at the attempt cap) exactly as a reported failure would, and
-// any late completion for the old attempt becomes a duplicate no-op.
-// It returns the number of leases reclaimed.
-func (q *Queue) ExpireLeases() int {
-	now := q.clock()
-	return q.reclaim(func(t *qtask) bool { return now.After(t.expires) }, "lease expired")
-}
-
-// RequeueWorker reclaims every lease held by workerID immediately — the
-// registry reaped it, so its leases are dead even if their ttl has time
-// left. Returns the number reclaimed.
+// RequeueWorker reclaims every lease held by workerID — the registry
+// reaped it: each item requeues (or poisons at the attempt cap) exactly as
+// a reported failure would, and a late completion for the old attempt
+// becomes a duplicate no-op. It returns the number of leases reclaimed.
 func (q *Queue) RequeueWorker(workerID string) int {
-	return q.reclaim(func(t *qtask) bool { return t.worker == workerID }, "worker lost")
-}
-
-// reclaim applies the failure path to every leased task matching cond.
-func (q *Queue) reclaim(cond func(*qtask) bool, reason string) int {
 	q.mu.Lock()
 	n := 0
-	var dones []func(Outcome)
-	var outs []Outcome
+	var poisoned []func()
 	for _, t := range q.tasks {
-		if t.state != stateLeased || !cond(t) {
+		if t.state != stateLeased || t.worker != workerID {
 			continue
 		}
 		n++
 		q.expirations++
-		t.lastErr = reason
+		t.lastErr = "worker lost"
 		if done, out := q.failLocked(t); done != nil {
-			dones = append(dones, done)
-			outs = append(outs, out)
+			poisoned = append(poisoned, func() { done(out) })
 		}
 	}
 	q.mu.Unlock()
-	for i, done := range dones {
-		done(outs[i])
+	for _, f := range poisoned {
+		f()
 	}
 	return n
 }

@@ -64,69 +64,8 @@ func (d *doneRecorder) outcome(id string) (Outcome, bool) {
 	return d.m[id][0], true
 }
 
-const ttl = 10 * time.Second
-
 func newTestQueue(clk *fakeClock, maxAttempts int) *Queue {
 	return NewQueue(maxAttempts, 100*time.Millisecond, time.Second, clk.now)
-}
-
-func TestExpiryRequeuesExactlyOnce(t *testing.T) {
-	clk := newFakeClock()
-	q := newTestQueue(clk, 5)
-	rec := newDoneRecorder(t)
-	if err := q.Add(Task{ID: "a"}, rec.onDone); err != nil {
-		t.Fatal(err)
-	}
-
-	got := q.Lease("w1", 10, ttl)
-	if len(got) != 1 || got[0].Attempt != 1 {
-		t.Fatalf("lease = %+v, want 1 task at attempt 1", got)
-	}
-
-	clk.advance(ttl + time.Second)
-	if n := q.ExpireLeases(); n != 1 {
-		t.Fatalf("first ExpireLeases reclaimed %d leases, want 1", n)
-	}
-	if n := q.ExpireLeases(); n != 0 {
-		t.Fatalf("second ExpireLeases reclaimed %d leases, want 0 (already requeued)", n)
-	}
-	st := q.Stats()
-	if st.Pending != 1 || st.Requeues != 1 || st.Expirations != 1 {
-		t.Fatalf("stats after expiry = %+v", st)
-	}
-
-	// The requeued item leases again with a bumped attempt (after backoff).
-	clk.advance(2 * time.Second)
-	got = q.Lease("w1", 10, ttl)
-	if len(got) != 1 || got[0].Attempt != 2 {
-		t.Fatalf("re-lease = %+v, want attempt 2", got)
-	}
-}
-
-func TestRenewalPreventsRequeue(t *testing.T) {
-	clk := newFakeClock()
-	q := newTestQueue(clk, 5)
-	rec := newDoneRecorder(t)
-	q.Add(Task{ID: "a"}, rec.onDone)
-	q.Lease("w1", 1, ttl)
-
-	// Heartbeat renewals inside the ttl keep the lease alive arbitrarily
-	// long past the original deadline.
-	for i := 0; i < 5; i++ {
-		clk.advance(ttl / 2)
-		if n := q.Renew("w1", ttl); n != 1 {
-			t.Fatalf("Renew extended %d leases, want 1", n)
-		}
-		if n := q.ExpireLeases(); n != 0 {
-			t.Fatalf("lease expired despite renewal (round %d)", i)
-		}
-	}
-	if !q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{Cycles: 1}}) {
-		t.Fatal("completion rejected on a renewed lease")
-	}
-	if o, ok := rec.outcome("a"); !ok || o.Err != nil {
-		t.Fatalf("outcome = %+v, %v", o, ok)
-	}
 }
 
 func TestDuplicateCompletionAfterExpiryIgnored(t *testing.T) {
@@ -134,13 +73,12 @@ func TestDuplicateCompletionAfterExpiryIgnored(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, rec.onDone)
-	q.Lease("w1", 1, ttl)
+	q.Lease("w1", 1)
 
-	// w1 goes silent; its lease expires and w2 picks the item up.
-	clk.advance(ttl + time.Second)
-	q.ExpireLeases()
+	// w1 goes silent and is reaped; w2 picks the item up.
+	q.RequeueWorker("w1")
 	clk.advance(time.Second)
-	got := q.Lease("w2", 1, ttl)
+	got := q.Lease("w2", 1)
 	if len(got) != 1 || got[0].Attempt != 2 {
 		t.Fatalf("w2 lease = %+v, want attempt 2", got)
 	}
@@ -175,7 +113,7 @@ func TestCompletionFromWrongWorkerRejected(t *testing.T) {
 	clk := newFakeClock()
 	q := newTestQueue(clk, 5)
 	q.Add(Task{ID: "a"}, nil)
-	q.Lease("w1", 1, ttl)
+	q.Lease("w1", 1)
 	if q.Complete("w2", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
 		t.Fatal("completion from a worker that does not hold the lease was accepted")
 	}
@@ -189,26 +127,26 @@ func TestBackoffGatesRelease(t *testing.T) {
 	q := newTestQueue(clk, 5) // base 100ms, cap 1s
 	q.Add(Task{ID: "a"}, nil)
 
-	q.Lease("w1", 1, ttl)
+	q.Lease("w1", 1)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
 
 	// Immediately after the failure the item is backing off.
-	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1); len(got) != 0 {
 		t.Fatalf("leased %d tasks during backoff, want 0", len(got))
 	}
 	clk.advance(150 * time.Millisecond) // past base<<0
-	if got := q.Lease("w1", 1, ttl); len(got) != 1 {
+	if got := q.Lease("w1", 1); len(got) != 1 {
 		t.Fatal("item not leasable after backoff elapsed")
 	}
 
 	// Second failure doubles the backoff window.
 	q.Complete("w1", Completion{ID: "a", Attempt: 2, Error: "boom"})
 	clk.advance(150 * time.Millisecond)
-	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1); len(got) != 0 {
 		t.Fatal("second backoff did not grow")
 	}
 	clk.advance(100 * time.Millisecond) // total 250ms > base<<1
-	if got := q.Lease("w1", 1, ttl); len(got) != 1 {
+	if got := q.Lease("w1", 1); len(got) != 1 {
 		t.Fatal("item not leasable after doubled backoff")
 	}
 }
@@ -221,7 +159,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 
 	for attempt := 1; attempt <= 2; attempt++ {
 		clk.advance(2 * time.Second) // clears any backoff
-		got := q.Lease("w1", 1, ttl)
+		got := q.Lease("w1", 1)
 		if len(got) != 1 {
 			t.Fatalf("attempt %d not leased", attempt)
 		}
@@ -244,7 +182,7 @@ func TestPoisonAfterAttemptCap(t *testing.T) {
 	}
 	// Terminal: never leased again.
 	clk.advance(time.Hour)
-	if got := q.Lease("w1", 1, ttl); len(got) != 0 {
+	if got := q.Lease("w1", 1); len(got) != 0 {
 		t.Fatal("poisoned task leased again")
 	}
 }
@@ -254,14 +192,17 @@ func TestRequeueWorkerReclaimsImmediately(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	q.Add(Task{ID: "a"}, nil)
 	q.Add(Task{ID: "b"}, nil)
-	q.Lease("w1", 2, ttl)
+	q.Lease("w1", 2)
 
-	// The registry reaped w1: its leases die now, not at ttl.
+	// The registry reaped w1: its leases die with it.
 	if n := q.RequeueWorker("w1"); n != 2 {
 		t.Fatalf("RequeueWorker reclaimed %d, want 2", n)
 	}
-	if st := q.Stats(); st.Pending != 2 || st.Leased != 0 {
-		t.Fatalf("stats = %+v, want both pending", st)
+	if st := q.Stats(); st.Pending != 2 || st.Leased != 0 || st.Requeues != 2 || st.Expirations != 2 {
+		t.Fatalf("stats = %+v, want both pending after 2 requeues and 2 expirations", st)
+	}
+	if n := q.RequeueWorker("w1"); n != 0 {
+		t.Fatalf("second RequeueWorker reclaimed %d, want 0 (already requeued)", n)
 	}
 	if q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
 		t.Fatal("completion accepted after the worker was requeued")
@@ -285,21 +226,21 @@ func TestLeaseOldestFirst(t *testing.T) {
 		}
 		return out
 	}
-	if got := ids(q.Lease("w1", 3, ttl)); !slices.Equal(got, order[:3]) {
+	if got := ids(q.Lease("w1", 3)); !slices.Equal(got, order[:3]) {
 		t.Fatalf("w1 leased %v, want the three oldest %v", got, order[:3])
 	}
-	if got := ids(q.Lease("w2", 2, ttl)); !slices.Equal(got, order[3:5]) {
+	if got := ids(q.Lease("w2", 2)); !slices.Equal(got, order[3:5]) {
 		t.Fatalf("w2 leased %v, want the next two %v", got, order[3:5])
 	}
 	// t3 fails: it backs off, so the next lease skips it...
 	q.Complete("w1", Completion{ID: "t3", Attempt: 1, Error: "boom"})
-	if got := ids(q.Lease("w2", 1, ttl)); !slices.Equal(got, order[5:6]) {
+	if got := ids(q.Lease("w2", 1)); !slices.Equal(got, order[5:6]) {
 		t.Fatalf("w2 leased %v during t3's backoff, want %v", got, order[5:6])
 	}
 	// ...and once the backoff passes it is the oldest again.
 	clk.advance(time.Second)
 	want := []string{"t3", "t4", "t2"}
-	if got := ids(q.Lease("w2", 8, ttl)); !slices.Equal(got, want) {
+	if got := ids(q.Lease("w2", 8)); !slices.Equal(got, want) {
 		t.Fatalf("w2 leased %v after t3's backoff, want %v", got, want)
 	}
 }
@@ -309,7 +250,7 @@ func TestRemoveSilencesCompletions(t *testing.T) {
 	q := newTestQueue(clk, 5)
 	rec := newDoneRecorder(t)
 	q.Add(Task{ID: "a"}, rec.onDone)
-	q.Lease("w1", 1, ttl)
+	q.Lease("w1", 1)
 
 	q.Remove("a")
 	if q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}}) {
@@ -332,7 +273,7 @@ func leaseAsync(q *Queue, worker string, hold time.Duration) <-chan leaseResult 
 	ch := make(chan leaseResult, 1)
 	go func() {
 		start := time.Now()
-		tasks, err := q.LeaseWait(context.Background(), worker, 4, ttl, hold)
+		tasks, err := q.LeaseWait(context.Background(), worker, 4, hold)
 		ch <- leaseResult{tasks, err, time.Since(start)}
 	}()
 	return ch
@@ -375,7 +316,7 @@ func TestLeaseWaitWakesWhenBackoffPasses(t *testing.T) {
 	const backoff = 50 * time.Millisecond
 	q := NewQueue(4, backoff, backoff, nil)
 	q.Add(Task{ID: "a"}, nil)
-	q.Lease("w1", 1, ttl)
+	q.Lease("w1", 1)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Error: "boom"})
 
 	r := <-leaseAsync(q, "w2", 5*time.Second)
@@ -436,7 +377,7 @@ func TestTerminalTasksLeaveQueue(t *testing.T) {
 	for _, id := range []string{"a", "b", "c"} {
 		q.Add(Task{ID: id}, func(Outcome) {})
 	}
-	q.Lease("w1", 3, ttl)
+	q.Lease("w1", 3)
 	q.Complete("w1", Completion{ID: "a", Attempt: 1, Stats: &metrics.Stats{}})
 	q.Complete("w1", Completion{ID: "b", Attempt: 1, Stats: &metrics.Stats{}})
 	q.Complete("w1", Completion{ID: "c", Attempt: 1, Error: "bad spec"})
@@ -467,7 +408,7 @@ func TestAddRejectsDuplicate(t *testing.T) {
 	if st := q.Stats(); st.Pending != 1 {
 		t.Fatalf("pending = %d after the rejected Add, want 1", st.Pending)
 	}
-	if got := q.Lease("w1", 2, ttl); len(got) != 1 || got[0].TraceLen != 1000 {
+	if got := q.Lease("w1", 2); len(got) != 1 || got[0].TraceLen != 1000 {
 		t.Fatalf("leased %+v, want the original task only", got)
 	}
 }

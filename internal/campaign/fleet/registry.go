@@ -20,9 +20,9 @@ type WorkerInfo struct {
 	Leased int `json:"leased,omitempty"`
 }
 
-// registry tracks live workers by heartbeat. A worker that misses its ttl
-// is reaped: removed from the registry, with its leases requeued by the
-// coordinator.
+// registry tracks live workers by their calls. A worker none of whose
+// calls arrived within the ttl is reaped: removed from the registry, with
+// its leases requeued by the coordinator.
 type registry struct {
 	ttl   time.Duration
 	clock func() time.Time
@@ -30,13 +30,6 @@ type registry struct {
 	mu      sync.Mutex
 	seq     int
 	workers map[string]*WorkerInfo
-}
-
-func newRegistry(ttl time.Duration, clock func() time.Time) *registry {
-	if clock == nil {
-		clock = time.Now
-	}
-	return &registry{ttl: ttl, clock: clock, workers: make(map[string]*WorkerInfo)}
 }
 
 // register admits a worker and returns its assigned ID. IDs are sequential
@@ -57,8 +50,9 @@ func (r *registry) register(name string) *WorkerInfo {
 	return w
 }
 
-// heartbeat refreshes a worker's liveness; false means the ID is unknown
-// (reaped or never registered) and the worker must re-register.
+// heartbeat refreshes a worker's liveness (every call from the worker
+// does); false means the ID is unknown (reaped or never registered) and
+// the worker must re-register.
 func (r *registry) heartbeat(id string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -82,7 +76,7 @@ func (r *registry) list() []WorkerInfo {
 	return out
 }
 
-// reap removes workers whose last heartbeat is older than the ttl and
+// reap removes workers whose last call is older than the ttl and
 // returns their IDs so the caller can requeue their leases.
 func (r *registry) reap() []string {
 	cutoff := r.clock().Add(-r.ttl)

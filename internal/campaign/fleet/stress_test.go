@@ -12,11 +12,11 @@ import (
 	"clustersmt/internal/metrics"
 )
 
-// TestQueueStress hammers one queue from 8 goroutines — six worker loops
-// leasing/completing/failing/abandoning, one lease expirer, one
-// whole-worker requeuer — and checks the dispatch invariants. Half the
-// workers hold their lease requests open (LeaseWait), so the wake-ups race
-// the requeues and reclaims that fire them:
+// TestQueueStress hammers one queue from 7 goroutines — six worker loops
+// leasing/completing/failing/abandoning and one reaper requeueing whole
+// workers' leases — and checks the dispatch invariants. Half the workers
+// hold their lease requests open (LeaseWait), so the wake-ups race the
+// requeues that fire them:
 //
 //   - no (task, attempt) pair is ever granted twice: a lease grant is
 //     identified by its attempt number, so a duplicate grant would mean an
@@ -73,7 +73,7 @@ func TestQueueStress(t *testing.T) {
 	var wg sync.WaitGroup
 
 	// Six workers: lease a small batch, then per task randomly complete,
-	// fail, or abandon (the expirer requeues abandoned leases).
+	// fail, or abandon (the reaper requeues abandoned leases).
 	for w := 0; w < numWorkers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -88,14 +88,14 @@ func TestQueueStress(t *testing.T) {
 				}
 				var tasks []Task
 				if w%2 == 0 {
-					tasks = q.Lease(id, 4, 50*time.Microsecond)
+					tasks = q.Lease(id, 4)
 				} else {
-					tasks, _ = q.LeaseWait(ctx, id, 4, 50*time.Microsecond, time.Millisecond)
+					tasks, _ = q.LeaseWait(ctx, id, 4, time.Millisecond)
 				}
 				for _, task := range tasks {
 					onLease(task)
 					switch rng.Intn(4) {
-					case 0: // abandon: say nothing, let the lease expire
+					case 0: // abandon: say nothing, as a dead worker would
 					case 1:
 						q.Complete(id, Completion{ID: task.ID, Attempt: task.Attempt, Error: "injected"})
 					case 2: // duplicate/stale storm
@@ -106,27 +106,10 @@ func TestQueueStress(t *testing.T) {
 						q.Complete(id, Completion{ID: task.ID, Attempt: task.Attempt, Executed: true, Stats: &metrics.Stats{}})
 					}
 				}
-				if rng.Intn(8) == 0 {
-					q.Renew(id, 50*time.Microsecond)
-				}
 			}
 		}(w)
 	}
-	// Expirer: abandoned leases requeue here.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			default:
-				q.ExpireLeases()
-				time.Sleep(20 * time.Microsecond)
-			}
-		}
-	}()
-	// Reaper: whole workers randomly "die", requeueing their leases early.
+	// Reaper: whole workers randomly "die", requeueing their leases.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

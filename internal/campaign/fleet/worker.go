@@ -176,9 +176,10 @@ func (w *Worker) register(ctx context.Context) error {
 	}
 }
 
-// heartbeatLoop renews the worker's registration and leases on the
-// coordinator-advertised cadence. A 404 means the coordinator reaped us
-// (our leases are already requeued): re-register for a fresh identity.
+// heartbeatLoop keeps the worker, and so its leases, alive on the
+// coordinator-advertised cadence, also while every slot is simulating. A
+// 404 means the coordinator reaped us (our leases are already requeued):
+// re-register for a fresh identity.
 func (w *Worker) heartbeatLoop(ctx context.Context) {
 	w.mu.Lock()
 	interval := w.heartbeat
@@ -257,8 +258,8 @@ func (w *Worker) execute(ctx context.Context, tasks []Task) {
 
 // runTask simulates one leased task and reports its completion. A task
 // whose execution was cut off by ctx cancellation is deliberately NOT
-// reported: a dying worker stays silent, the lease expires, and the
-// coordinator requeues — reporting a cancellation as failure would burn an
+// reported: a dying worker stays silent, the coordinator reaps it and
+// requeues its leases — reporting a cancellation as failure would burn an
 // attempt on a healthy item.
 func (w *Worker) runTask(ctx context.Context, t Task) {
 	if w.testOnTaskStart != nil {
@@ -272,7 +273,7 @@ func (w *Worker) runTask(ctx context.Context, t Task) {
 	}
 	st, executed, err := w.eng.Simulate(ctx, t.TraceLen, t.Spec)
 	if err != nil && isCtxErr(err) {
-		return // dying quietly; the lease requeues the item
+		return // dying quietly; the reap requeues the item
 	}
 	comp := Completion{ID: t.ID, Attempt: t.Attempt, Executed: executed, Stats: st}
 	if err != nil {
@@ -282,21 +283,32 @@ func (w *Worker) runTask(ctx context.Context, t Task) {
 	w.report(ctx, comp)
 }
 
-// report posts one completion; a transport failure is logged and dropped
-// (the lease expiry path re-runs the item — at the cost of an attempt,
-// which is why transient coordinator outages should be shorter than
-// MaxAttempts × LeaseTTL).
+// report posts one completion, retrying a transport failure with capped
+// backoff until the coordinator answers or ctx ends: the worker stays
+// alive meanwhile, so its lease on the task stays too, and a dropped
+// completion would leave the item leased for good. Any answer, a
+// rejection as stale included, ends the retries.
 func (w *Worker) report(ctx context.Context, comp Completion) {
 	id := w.ID()
-	var resp CompleteResponse
-	code, err := w.postJSON(ctx, "/v1/workers/"+id+"/complete", comp, &resp)
-	switch {
-	case err != nil:
-		w.logf("complete %s: %v", comp.ID, err)
-	case code != http.StatusOK:
-		w.logf("complete %s: status %d", comp.ID, code)
-	case !resp.Accepted:
-		w.logf("complete %s attempt %d: rejected as stale/duplicate", comp.ID, comp.Attempt)
+	var retry backoff
+	for {
+		var resp CompleteResponse
+		code, err := w.postJSON(ctx, "/v1/workers/"+id+"/complete", comp, &resp)
+		switch {
+		case code == 0: // no answer
+			d := retry.next()
+			w.logf("complete %s: %v (retrying in %s)", comp.ID, err, d)
+			if sleepCtx(ctx, d) {
+				continue
+			}
+		case err != nil:
+			w.logf("complete %s: %v", comp.ID, err)
+		case code != http.StatusOK:
+			w.logf("complete %s: status %d", comp.ID, code)
+		case !resp.Accepted:
+			w.logf("complete %s attempt %d: rejected as stale/duplicate", comp.ID, comp.Attempt)
+		}
+		return
 	}
 }
 

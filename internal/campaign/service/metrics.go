@@ -130,8 +130,8 @@ func writeFleetMetrics(w http.ResponseWriter, st fleet.Status) {
 		{"clustersmt_fleet_leases_held", "gauge", "Worker lease requests currently held open waiting for work.", int64(q.Held)},
 		{"clustersmt_fleet_tasks_done_total", "counter", "Fleet tasks completed successfully.", q.Done},
 		{"clustersmt_fleet_tasks_poisoned_total", "counter", "Fleet tasks that exhausted their attempts.", q.Poisoned},
-		{"clustersmt_fleet_requeues_total", "counter", "Returns to pending: failed attempts, expired leases and lost workers.", q.Requeues},
-		{"clustersmt_fleet_lease_expirations_total", "counter", "Leases reclaimed by timeout or worker loss.", q.Expirations},
+		{"clustersmt_fleet_requeues_total", "counter", "Returns to pending: failed attempts and the leases of reaped workers.", q.Requeues},
+		{"clustersmt_fleet_lease_expirations_total", "counter", "Leases reclaimed from reaped workers.", q.Expirations},
 		{"clustersmt_fleet_duplicate_completions_total", "counter", "Rejected stale or duplicate completion reports.", q.Duplicates},
 	} {
 		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)

@@ -29,23 +29,28 @@ func runOneCtx(ctx context.Context, r *Runner, s Spec) (*metrics.Stats, error) {
 }
 
 // doAll answers specs on r from workers goroutines, as the campaign
-// engine's pool does, and returns each spec's content key.
-func doAll(r *Runner, specs []Spec, workers int) ([]string, error) {
+// engine's pool does, and returns each spec's content key and how many
+// specs Do reported executed.
+func doAll(r *Runner, specs []Spec, workers int) ([]string, int, error) {
 	keys := make([]string, len(specs))
 	errs := make([]error, len(specs))
-	var next atomic.Int64
+	var next, executed atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(specs); i = int(next.Add(1) - 1) {
-				_, keys[i], _, _, errs[i] = r.Do(context.Background(), specs[i], nil)
+				var ran bool
+				_, keys[i], ran, _, errs[i] = r.Do(context.Background(), specs[i], nil)
+				if ran {
+					executed.Add(1)
+				}
 			}
 		}()
 	}
 	wg.Wait()
-	return keys, errors.Join(errs...)
+	return keys, int(executed.Load()), errors.Join(errs...)
 }
 
 func TestRunnerMemoizes(t *testing.T) {

@@ -70,11 +70,8 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 	}
 
 	r := NewRunner(traceLen)
-	if _, err := runOneCtx(newPollCancelCtx(1), r, s); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled run: err = %v, want context.Canceled", err)
-	}
-	if r.Executed() != 0 {
-		t.Fatalf("cancelled run counted as executed")
+	if _, _, executed, _, err := r.Do(newPollCancelCtx(1), s, nil); !errors.Is(err, context.Canceled) || executed {
+		t.Fatalf("cancelled run: executed=%v, err = %v; want context.Canceled, not executed", executed, err)
 	}
 	got, err := runOneCtx(context.Background(), r, s)
 	if err != nil {
@@ -113,14 +110,11 @@ func TestSimulationAllocBudget(t *testing.T) {
 		if i == 1 {
 			runtime.ReadMemStats(&before)
 		}
-		if _, err := runOne(r, s); err != nil {
-			t.Fatalf("%s: %v", s.key(), err)
+		if _, _, executed, _, err := r.Do(context.Background(), s, nil); err != nil || !executed {
+			t.Fatalf("%s: executed=%v, err=%v; want a fresh simulation", s.key(), executed, err)
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if got := r.Executed(); got != int64(len(specs)) {
-		t.Fatalf("executed %d simulations, want %d", got, len(specs))
-	}
 	perSim := (after.TotalAlloc - before.TotalAlloc) / uint64(len(specs)-1)
 	t.Logf("%d bytes allocated per executed simulation", perSim)
 	if raceEnabled {

@@ -17,7 +17,6 @@ import (
 	"reflect"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"clustersmt/internal/core"
 	"clustersmt/internal/isa"
@@ -163,9 +162,6 @@ type Runner struct {
 	configs   map[core.Config][]byte
 	workloads map[workloadID][]byte
 
-	// executed counts actual simulations (store hits excluded).
-	executed atomic.Int64
-
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
 }
@@ -262,10 +258,6 @@ func NewRunner(traceLen int) *Runner {
 		workloads: make(map[workloadID][]byte),
 	}
 }
-
-// Executed returns the number of simulations this runner actually ran
-// (store and singleflight hits excluded).
-func (r *Runner) Executed() int64 { return r.executed.Load() }
 
 // traceFor returns thread i's materialized trace for w, generating it at
 // most once per (profile, seed, length) for the runner's lifetime. The
@@ -609,10 +601,6 @@ func (r *Runner) runOnce(ctx context.Context, s Spec, k, ck string, onSample fun
 		f.st, f.err = r.execute(ctx, s, onSample)
 		executed = f.err == nil
 	}
-	if executed {
-		r.executed.Add(1)
-	}
-
 	if f.err == nil {
 		putErr = store.Put(ck, f.st)
 	}

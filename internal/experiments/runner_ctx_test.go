@@ -28,10 +28,11 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 	defer cancelA()
 	var wg sync.WaitGroup
 	var ownerErr error
+	var ownerRan bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, ownerErr = runOneCtx(ctxA, r, spec)
+		_, _, ownerRan, _, ownerErr = r.Do(ctxA, spec, nil)
 	}()
 
 	// Wait for the owner's flight to register so the second call is a
@@ -52,10 +53,11 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 
 	var waiterSt *metrics.Stats
 	var waiterErr error
+	var waiterRan bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		waiterSt, waiterErr = runOne(r, spec)
+		waiterSt, _, waiterRan, _, waiterErr = r.Do(context.Background(), spec, nil)
 	}()
 
 	// Let the waiter block on the flight, then cancel the owner mid-run.
@@ -73,8 +75,8 @@ func TestWaiterSurvivesOwnerCancel(t *testing.T) {
 		t.Fatalf("waiter stats = %+v", waiterSt)
 	}
 	// Exactly one successful execution no matter who ran it.
-	if got := r.Executed(); got != 1 {
-		t.Fatalf("executed = %d, want 1", got)
+	if ownerRan == waiterRan {
+		t.Fatalf("owner executed=%v, waiter executed=%v; want exactly one", ownerRan, waiterRan)
 	}
 }
 
@@ -89,11 +91,12 @@ func TestRunCtxCancelBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	spec := Spec{Workload: w, Scheme: "icount", IQSize: 32, SingleThread: -1}
-	if _, err := runOneCtx(ctx, r, spec); !errors.Is(err, context.Canceled) {
+	_, _, executed, _, err := r.Do(ctx, spec, nil)
+	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if r.Executed() != 0 {
-		t.Fatalf("executed = %d", r.Executed())
+	if executed {
+		t.Fatal("cancelled run reported executed")
 	}
 	if st, ok, _ := r.Store.Get(r.CacheKey(spec)); ok {
 		t.Fatalf("cancelled run stored a result: %+v", st)
@@ -118,15 +121,15 @@ func wedgedSpec(t *testing.T) Spec {
 func TestRunCycleBoundIsAnError(t *testing.T) {
 	r := NewRunner(1000)
 	s := wedgedSpec(t)
-	st, err := runOne(r, s)
+	st, _, executed, _, err := r.Do(context.Background(), s, nil)
 	if !errors.Is(err, ErrCycleBound) {
 		t.Fatalf("Run = %v, %v; want ErrCycleBound", st, err)
 	}
 	if st != nil {
 		t.Errorf("bounded run returned stats %v", st)
 	}
-	if n := r.Executed(); n != 0 {
-		t.Errorf("Executed = %d, want 0", n)
+	if executed {
+		t.Error("bounded run reported executed")
 	}
 	if _, ok, _ := r.Store.Get(r.CacheKey(s)); ok {
 		t.Error("bounded run reached the store")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"clustersmt/internal/policy"
@@ -107,27 +108,27 @@ func TestComposedSpecRuns(t *testing.T) {
 	w := keyWorkload(t)
 	r := NewRunner(2000)
 	spec := Spec{Workload: w, Scheme: "sel=stall,iq=cssp,rf=cdprf:interval=8192", IQSize: 32}
-	st, err := runOne(r, spec)
+	st, _, executed, _, err := r.Do(context.Background(), spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.IPC() <= 0 {
 		t.Fatalf("composed spec produced IPC %v", st.IPC())
 	}
-	if got := r.Executed(); got != 1 {
-		t.Fatalf("executed = %d, want 1", got)
+	if !executed {
+		t.Fatal("the composed spec was not executed")
 	}
 	// An equivalent spelling (clauses reordered, explicit defaults) is a
 	// pure store hit.
-	again, err := runOne(r, Spec{Workload: w, Scheme: "rf=cdprf:interval=8192,iq=cssp,sel=stall", IQSize: 32})
+	again, _, executed, _, err := r.Do(context.Background(), Spec{Workload: w, Scheme: "rf=cdprf:interval=8192,iq=cssp,sel=stall", IQSize: 32}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.IPC() != st.IPC() {
 		t.Errorf("respelled run diverged: %v vs %v", again.IPC(), st.IPC())
 	}
-	if got := r.Executed(); got != 1 {
-		t.Errorf("executed = %d after respelled recall, want 1", got)
+	if executed {
+		t.Error("the respelled recall was executed")
 	}
 	// An unparseable scheme surfaces the parse error.
 	if _, err := runOne(r, Spec{Workload: w, Scheme: "sel=bogus", IQSize: 32}); err == nil {

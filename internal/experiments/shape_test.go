@@ -75,11 +75,12 @@ func TestPaperShape(t *testing.T) {
 	if h.CDPRFSpeedup < 1.10 {
 		t.Errorf("CDPRF headline speedup %.3f, want >= 1.10 (paper: 1.176)", h.CDPRFSpeedup)
 	}
-	// Deviation note (EXPERIMENTS.md): the paper reports +24% fairness.
-	// Our Icount baseline starves threads less than the authors' (their
-	// mechanism: a missing thread invades both issue queues), so the
-	// aggregate fairness gain is smaller here; we assert CDPRF does not
-	// meaningfully damage fairness while delivering its throughput win.
+	// Deviation note (DESIGN.md §4, "Known deviations"): the paper
+	// reports +24% fairness. Our Icount baseline starves threads less than
+	// the authors' (their mechanism: a missing thread invades both issue
+	// queues), so the aggregate fairness gain is smaller here; we assert
+	// CDPRF does not meaningfully damage fairness while delivering its
+	// throughput win.
 	if h.FairnessRatio < 0.85 {
 		t.Errorf("CDPRF fairness ratio %.3f, want >= 0.85", h.FairnessRatio)
 	}

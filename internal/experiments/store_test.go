@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
@@ -67,21 +68,21 @@ func TestRunnerTreatsStoreErrorAsMiss(t *testing.T) {
 	fs := &flakyStore{getErr: errors.New("checksum mismatch")}
 	r.Store = fs
 	w := workload.ByCategory("ispec00")[0]
-	st, err := runOne(r, iqStudySpec(w, "icount", 32))
+	st, _, executed, _, err := r.Do(context.Background(), iqStudySpec(w, "icount", 32), nil)
 	if err != nil || st == nil {
 		t.Fatalf("Run = (%v, %v), want re-execution on store error", st, err)
 	}
-	if r.Executed() != 1 {
-		t.Errorf("executed %d, want 1", r.Executed())
+	if !executed {
+		t.Error("the run over a failing store was not executed")
 	}
 	// With the store healthy again, the Put-through entry answers.
 	fs.getErr = nil
-	st2, err := runOne(r, iqStudySpec(w, "icount", 32))
+	st2, _, executed, _, err := r.Do(context.Background(), iqStudySpec(w, "icount", 32), nil)
 	if err != nil || st2 != st {
 		t.Errorf("healthy store did not recall the executed result")
 	}
-	if r.Executed() != 1 {
-		t.Errorf("executed %d after recall, want still 1", r.Executed())
+	if executed {
+		t.Error("the recall was executed again")
 	}
 }
 
@@ -124,12 +125,12 @@ func TestNonCanonicalEntryResimulated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := runOne(r, spec)
+	st, _, executed, _, err := r.Do(context.Background(), spec, nil)
 	if err != nil || st == nil || st.Cycles == 0 {
 		t.Fatalf("run = (%v, %v), want a simulated result", st, err)
 	}
-	if n := r.Executed(); n != 1 {
-		t.Errorf("Executed() = %d, want 1", n)
+	if !executed {
+		t.Error("the non-canonical entry was not re-simulated")
 	}
 	want, err := store.EncodeEntry(key, st)
 	if err != nil {
