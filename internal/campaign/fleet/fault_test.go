@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -257,6 +260,65 @@ func TestDroppedCompletionIsRetried(t *testing.T) {
 	matchLocal(t, m, rs)
 	if q := coord.Status().Queue; q.Done != int64(rs.Total) || q.Requeues != 0 || q.Duplicates != 0 {
 		t.Fatalf("queue = %+v, want %d done with no requeue or duplicate", q, rs.Total)
+	}
+}
+
+// dropFirstTaskLease is a synthetic network between a worker and its
+// coordinator: it loses the answer to the first lease request that granted
+// tasks, after the coordinator has leased them, and passes everything else
+// through.
+type dropFirstTaskLease struct{ dropped atomic.Bool }
+
+func (d *dropFirstTaskLease) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || !strings.HasSuffix(req.URL.Path, "/lease") {
+		return resp, err
+	}
+	b, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	var lr LeaseResponse
+	if json.Unmarshal(b, &lr) == nil && len(lr.Tasks) > 0 && d.dropped.CompareAndSwap(false, true) {
+		return nil, errors.New("injected: connection reset")
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(b))
+	return resp, nil
+}
+
+// TestLostLeaseAnswerIsRequeued: a lease granted by the coordinator whose
+// answer the worker never received is requeued when that worker leases
+// again. The worker stays alive throughout, so only the lease request
+// itself can reclaim the batch.
+func TestLostLeaseAnswerIsRequeued(t *testing.T) {
+	if testing.Short() {
+		t.Skip("worker integration test")
+	}
+	m := faultManifest(t)
+	coord, srv := fastFleet(t, experiments.NewMemStore())
+	net := &dropFirstTaskLease{}
+	w, err := NewWorker(WorkerConfig{Coordinator: srv.URL, Name: "lossy", Parallel: 2, Client: &http.Client{Transport: net}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, w)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	rs, err := (&campaign.Engine{Store: coord.Store(), Resume: true, Exec: coord.Execute}).RunCtx(ctx, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !net.dropped.Load() {
+		t.Fatal("no lease granted tasks; the fault was not injected")
+	}
+	if ctx.Err() != nil || rs.Failed != 0 {
+		t.Fatalf("campaign unfinished after 10s (%d of %d items failed); status %+v", rs.Failed, rs.Total, coord.Status())
+	}
+	matchLocal(t, m, rs)
+	if q := coord.Status().Queue; q.Requeues == 0 {
+		t.Fatalf("queue = %+v, want the lost batch requeued", q)
 	}
 }
 

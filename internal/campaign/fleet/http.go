@@ -161,6 +161,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		fleetErr(w, http.StatusNotFound, "unknown worker %q", id)
 		return
 	}
+	// A worker leases again only once it has reported every task of its
+	// previous batch, so anything it still holds was granted by a lease
+	// whose answer never reached it: requeue that batch, or it would stay
+	// leased to a live worker for good.
+	c.queue.RequeueWorker(id)
 	max := req.Max
 	if max <= 0 {
 		max = 1

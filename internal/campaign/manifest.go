@@ -19,6 +19,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"clustersmt/internal/core"
@@ -169,24 +170,25 @@ func Parse(b []byte) (*Manifest, error) {
 // registries, the workload pool, the axis rules (see Manifest) and the
 // expansion cap (MaxItems).
 func (m *Manifest) Validate() error {
-	_, _, err := m.validate()
+	_, _, _, err := m.validate()
 	return err
 }
 
 // validate is Validate returning the canonical scheme list and the
-// workload pool, which Expand iterates.
-func (m *Manifest) validate() ([]string, []workload.Workload, error) {
+// workload pool, which Expand iterates, and the number of items they
+// expand to.
+func (m *Manifest) validate() ([]string, []workload.Workload, int, error) {
 	schemes, err := m.schemeList()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	points, err := m.validateAxes()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	pool, err := m.selectedWorkloads()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	perPoint := 0 // items per axis point, summed over the pool
 	for _, w := range pool {
@@ -195,10 +197,11 @@ func (m *Manifest) validate() ([]string, []workload.Workload, error) {
 			perPoint += len(w.Threads)
 		}
 	}
-	if n := float64(perPoint) * float64(max(1, m.Repetitions)) * points; n > MaxItems {
-		return nil, nil, fmt.Errorf("%w: expands to %.0f, above the cap of %d", ErrTooManyItems, n, MaxItems)
+	n := float64(perPoint) * float64(max(1, m.Repetitions)) * points
+	if n > MaxItems {
+		return nil, nil, 0, fmt.Errorf("%w: expands to %.0f, above the cap of %d", ErrTooManyItems, n, MaxItems)
 	}
-	return schemes, pool, nil
+	return schemes, pool, int(n), nil
 }
 
 // validateAxes checks the axis rules and returns the number of points
@@ -534,15 +537,30 @@ type Item struct {
 // the shape axes existed still diff row-for-row against new ones (the same
 // compatibility rule the content-addressed store keys follow).
 func (it Item) Label() string {
-	l := fmt.Sprintf("%s|%s|iq%d|rf%d|rob%d|len%d|r%d|st%d",
-		it.Base, it.Spec.Scheme, it.Spec.IQSize, it.Spec.RegsPerClust,
-		it.Spec.ROBPerThread, it.TraceLen, it.Rep, it.Spec.SingleThread)
 	s := it.Spec
+	var buf [160]byte
+	b := append(buf[:0], it.Base...)
+	b = append(b, '|')
+	b = append(b, s.Scheme...)
+	b = appendLabelField(b, "|iq", s.IQSize)
+	b = appendLabelField(b, "|rf", s.RegsPerClust)
+	b = appendLabelField(b, "|rob", s.ROBPerThread)
+	b = appendLabelField(b, "|len", it.TraceLen)
+	b = appendLabelField(b, "|r", it.Rep)
+	b = appendLabelField(b, "|st", s.SingleThread)
 	if s.NumClusters != defaultNumClusters || s.Links != defaultLinks ||
 		s.LinkLatency != defaultLinkLatency || s.MemLatency != defaultMemLatency {
-		l += fmt.Sprintf("|c%d|lk%d|ll%d|ml%d", s.NumClusters, s.Links, s.LinkLatency, s.MemLatency)
+		b = appendLabelField(b, "|c", s.NumClusters)
+		b = appendLabelField(b, "|lk", s.Links)
+		b = appendLabelField(b, "|ll", s.LinkLatency)
+		b = appendLabelField(b, "|ml", s.MemLatency)
 	}
-	return l
+	return string(b)
+}
+
+// appendLabelField appends name and v in decimal, as fmt's %s%d would.
+func appendLabelField(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
 }
 
 // repSeedStride separates repetition seed spaces (golden-ratio stride, the
@@ -602,7 +620,7 @@ func axis(vals []int, def int) []int {
 // SingleThreadBaselines is set. Dry runs print exactly this list; real
 // runs execute exactly this list.
 func (m *Manifest) Expand() ([]Item, error) {
-	schemes, pool, err := m.validate()
+	schemes, pool, n, err := m.validate()
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +639,7 @@ func (m *Manifest) Expand() ([]Item, error) {
 			}
 		}
 	}
-	var items []Item
+	items := make([]Item, 0, n)
 	for _, tl := range axis(m.TraceLens, defaultTraceLen) {
 		for _, base := range pool {
 			for rep := 0; rep < reps; rep++ {

@@ -2,6 +2,8 @@ package service
 
 import (
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -47,7 +49,10 @@ type eventLog struct {
 	start  int64 // seq of the oldest retained event
 	next   int64 // seq the next append will get
 	closed bool
-	wake   chan struct{} // closed and replaced on every append/close
+	// wake closes on the next append or close after a reader took it
+	// (taken); an append nobody waits for leaves it in place.
+	wake  chan struct{}
+	taken bool
 }
 
 func newEventLog(size int) *eventLog {
@@ -71,8 +76,13 @@ func (l *eventLog) add(e Event) {
 	if l.next-l.start > int64(len(l.buf)) {
 		l.start = l.next - int64(len(l.buf))
 	}
+	if !l.taken {
+		l.mu.Unlock()
+		return
+	}
 	wake := l.wake
 	l.wake = make(chan struct{})
+	l.taken = false
 	l.mu.Unlock()
 	close(wake)
 }
@@ -85,10 +95,8 @@ func (l *eventLog) close() {
 		return
 	}
 	l.closed = true
-	wake := l.wake
-	l.wake = make(chan struct{})
 	l.mu.Unlock()
-	close(wake)
+	close(l.wake) // never replaced once closed
 }
 
 // read returns the events with sequence >= from, how many the cursor
@@ -101,9 +109,13 @@ func (l *eventLog) read(from int64) (evs []Event, dropped int64, next int64, clo
 		dropped = l.start - from
 		from = l.start
 	}
+	if from < l.next {
+		evs = make([]Event, 0, l.next-from)
+	}
 	for seq := from; seq < l.next; seq++ {
 		evs = append(evs, l.buf[seq%int64(len(l.buf))])
 	}
+	l.taken = true
 	return evs, dropped, l.next, l.closed, l.wake
 }
 
@@ -137,10 +149,10 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		evs, dropped, next, closed, wait := j.events.read(cursor)
 		cursor = next
 		if dropped > 0 {
-			writeSSE(w, Event{Seq: -1, Type: "dropped", Index: -1, Dropped: dropped})
+			writeSSE(w, &Event{Seq: -1, Type: "dropped", Index: -1, Dropped: dropped})
 		}
 		for i := range evs {
-			writeSSE(w, evs[i])
+			writeSSE(w, &evs[i])
 		}
 		if len(evs) > 0 || dropped > 0 {
 			fl.Flush()
@@ -156,17 +168,109 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeSSE emits one SSE frame. The data payload is compact (single-line)
-// JSON — SSE terminates a field at the first newline, so the indented
-// report.WriteJSON encoder cannot be used here.
-func writeSSE(w http.ResponseWriter, e Event) {
-	b, err := json.Marshal(e)
-	if err != nil {
-		return // Event is a flat struct of encodable fields; cannot happen
+// writeSSE emits one SSE frame in one Write. The data payload is compact
+// (single-line) JSON — SSE terminates a field at the first newline, so the
+// indented report.WriteJSON encoder cannot be used here. An event that
+// json.Marshal rejects (a NaN or infinite IPC) writes no frame.
+func writeSSE(w io.Writer, e *Event) {
+	bp := frameBufs.Get().(*[]byte)
+	b, ok := appendSSE((*bp)[:0], e)
+	if ok {
+		_, _ = w.Write(b) // a broken stream ends with its request's context
 	}
-	w.Write([]byte("event: " + e.Type + "\nid: " + strconv.FormatInt(e.Seq, 10) + "\ndata: "))
-	w.Write(b)
-	w.Write([]byte("\n\n"))
+	*bp = b[:0]
+	frameBufs.Put(bp)
+}
+
+// frameBufs recycles SSE frame buffers across events and streams.
+var frameBufs = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+// appendSSE appends e's SSE frame to b: the event and id fields, then a
+// data field holding exactly the bytes json.Marshal(e) writes, then the
+// blank line that ends the frame. It appends Event's fields by hand; only
+// a sample payload goes through json.Marshal. ok is false, with nothing
+// appended, where json.Marshal(e) would fail.
+func appendSSE(b []byte, e *Event) (_ []byte, ok bool) {
+	start := len(b)
+	b = append(b, "event: "...)
+	b = append(b, e.Type...)
+	b = append(b, "\nid: "...)
+	b = strconv.AppendInt(b, e.Seq, 10)
+	b = append(b, "\ndata: {\"seq\":"...)
+	b = strconv.AppendInt(b, e.Seq, 10)
+	b = append(b, `,"type":`...)
+	b = appendJSONString(b, e.Type)
+	b = append(b, `,"index":`...)
+	b = strconv.AppendInt(b, int64(e.Index), 10)
+	if e.Label != "" {
+		b = append(b, `,"label":`...)
+		b = appendJSONString(b, e.Label)
+	}
+	if e.State != "" {
+		b = append(b, `,"state":`...)
+		b = appendJSONString(b, string(e.State))
+	}
+	if e.Cached {
+		b = append(b, `,"cached":true`...)
+	}
+	if e.IPC != 0 {
+		if math.IsNaN(e.IPC) || math.IsInf(e.IPC, 0) {
+			return b[:start], false
+		}
+		b = append(b, `,"ipc":`...)
+		b = appendJSONFloat(b, e.IPC)
+	}
+	if e.Error != "" {
+		b = append(b, `,"error":`...)
+		b = appendJSONString(b, e.Error)
+	}
+	if e.Sample != nil {
+		sb, err := json.Marshal(e.Sample)
+		if err != nil {
+			return b[:start], false
+		}
+		b = append(b, `,"sample":`...)
+		b = append(b, sb...)
+	}
+	if e.Dropped != 0 {
+		b = append(b, `,"dropped":`...)
+		b = strconv.AppendInt(b, e.Dropped, 10)
+	}
+	return append(b, "}\n\n"...), true
+}
+
+// appendJSONString appends s as encoding/json writes it. Printable ASCII
+// without the characters json.Marshal escapes (quote, backslash, and the
+// HTML-sensitive <, > and &) is copied as is; anything else falls back to
+// json.Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64:
+// the shortest round-trip form, in exponent notation below 1e-6 and from
+// 1e21 up, with a two-digit negative exponent trimmed to one digit.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
 }
 
 // publish translates one engine progress event into the job's event log.

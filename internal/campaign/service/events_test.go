@@ -2,12 +2,17 @@ package service
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"clustersmt/internal/metrics"
 )
 
 // readSSE consumes an SSE response body until the server closes it (or the
@@ -91,6 +96,20 @@ func TestEventLogRing(t *testing.T) {
 	select {
 	case <-wait:
 		t.Fatal("wait channel fired without an append")
+	default:
+	}
+	// The next append wakes that reader, and reading again hands out a
+	// fresh channel.
+	l.add(Event{Type: "item"})
+	select {
+	case <-wait:
+	default:
+		t.Fatal("append did not wake the reader")
+	}
+	_, _, next, _, wait = l.read(next)
+	select {
+	case <-wait:
+		t.Fatal("fresh wait channel fired without an append")
 	default:
 	}
 	l.close()
@@ -252,4 +271,42 @@ func TestEventsUnknownJob(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", resp.StatusCode)
 	}
+}
+
+// FuzzSSEFrame is a differential target for the hand-written frame
+// encoder: for any event, the frame's data field must be exactly the bytes
+// json.Marshal writes for the Event, framed by its event and id fields and
+// the blank line. An event json.Marshal rejects (a NaN or infinite IPC)
+// must write nothing.
+func FuzzSSEFrame(f *testing.F) {
+	f.Add(int64(0), "item", 3, "wl|cdprf|iq32", "done", false, 1.25, "", false, int64(0))
+	f.Add(int64(-1), "dropped", -1, "", "", false, 0.0, "", false, int64(17))
+	f.Add(int64(9), "item", 0, "a<b>&c", "failed", false, 0.0, "bad \"spec\"\n\t\x01", false, int64(0))
+	f.Add(int64(1), "item", 1, "ünïcode \u2028", "done", true, 5e-324, "\xff\xfe invalid utf-8", false, int64(0))
+	f.Add(int64(2), "sample", 2, "x", "", false, 1e-7, "", true, int64(0))
+	f.Add(int64(3), "item", 2, "x", "done", false, 1e21, "", false, int64(0))
+	f.Add(int64(4), "item", 2, "x", "done", false, -123456789.125e-12, "", false, int64(0))
+	f.Add(int64(5), "item", 2, "x", "done", false, math.NaN(), "", false, int64(0))
+	f.Add(int64(6), "item", 2, "x", "done", false, math.Inf(1), "", true, int64(0))
+	f.Add(int64(7), "item", 2, "x", "done", false, math.Inf(-1), "", false, int64(0))
+	f.Fuzz(func(t *testing.T, seq int64, typ string, index int, label, state string, cached bool, ipc float64, errMsg string, sample bool, dropped int64) {
+		e := Event{Seq: seq, Type: typ, Index: index, Label: label, State: State(state),
+			Cached: cached, IPC: ipc, Error: errMsg, Dropped: dropped}
+		if sample {
+			e.Sample = &metrics.Sample{Cycle: seq, Window: 1000, Committed: uint64(index), IPC: ipc, IQOcc: 3.5}
+		}
+		var got bytes.Buffer
+		writeSSE(&got, &e)
+		data, err := json.Marshal(e)
+		if err != nil {
+			if got.Len() != 0 {
+				t.Fatalf("json.Marshal rejects %+v (%v), yet a frame was written: %q", e, err, got.Bytes())
+			}
+			return
+		}
+		want := "event: " + typ + "\nid: " + strconv.FormatInt(seq, 10) + "\ndata: " + string(data) + "\n\n"
+		if got.String() != want {
+			t.Fatalf("frame for %+v:\ngot  %q\nwant %q", e, got.Bytes(), want)
+		}
+	})
 }

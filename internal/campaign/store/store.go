@@ -15,10 +15,13 @@ package store
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"clustersmt/internal/metrics"
 )
@@ -56,7 +59,24 @@ func Open(dir string) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".json")
+	return s.dir + string(filepath.Separator) + key[:2] + string(filepath.Separator) + key + ".json"
+}
+
+// readBufs recycles entry read buffers across Get and Put calls. Nothing
+// decoded from a buffer aliases it: decodeStats keeps numbers only.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// readEntry reads key's entry file into a pooled buffer and passes its
+// bytes to use, which must not retain them.
+func (s *Store) readEntry(key string, use func([]byte)) error {
+	bp := readBufs.Get().(*[]byte)
+	b, err := readFile(s.path(key), (*bp)[:0])
+	if err == nil {
+		use(b)
+	}
+	*bp = b[:0]
+	readBufs.Put(bp)
+	return err
 }
 
 // Get loads the result stored under key. A corrupt or mismatched entry
@@ -65,16 +85,16 @@ func (s *Store) Get(key string) (*metrics.Stats, bool, error) {
 	if !ValidKey(key) {
 		return nil, false, nil
 	}
-	b, err := os.ReadFile(s.path(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, false, nil
-		}
+	var st *metrics.Stats
+	var decErr error
+	err := s.readEntry(key, func(b []byte) { st, decErr = DecodeEntry(key, b) })
+	switch {
+	case errors.Is(err, fs.ErrNotExist):
+		return nil, false, nil
+	case err != nil:
 		return nil, false, fmt.Errorf("store: read %s: %w", key, err)
-	}
-	st, err := DecodeEntry(key, b)
-	if err != nil {
-		return nil, false, err
+	case decErr != nil:
+		return nil, false, decErr
 	}
 	return st, true, nil
 }
@@ -95,7 +115,8 @@ func (s *Store) Put(key string, st *metrics.Stats) error {
 	// resume re-executes and re-puts every item, and processes sharing one
 	// store directory put the same results. Reading the entry is much
 	// cheaper than a temp file, a write and a rename.
-	if old, err := os.ReadFile(s.path(key)); err == nil && bytes.Equal(old, b) {
+	same := false
+	if err := s.readEntry(key, func(old []byte) { same = bytes.Equal(old, b) }); err == nil && same {
 		return nil
 	}
 	dir := filepath.Dir(s.path(key))

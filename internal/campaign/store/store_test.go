@@ -1,8 +1,11 @@
 package store
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -61,7 +64,8 @@ func TestMissIsSilent(t *testing.T) {
 }
 
 // TestCorruptEntryRejected garbles a stored entry every way the disk can
-// and asserts each read is a diagnosed miss — never silently bad data.
+// and asserts each read is a diagnosed miss — never silently bad data. An
+// entry path that cannot be read as a file is an error too, not a miss.
 func TestCorruptEntryRejected(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -85,6 +89,15 @@ func TestCorruptEntryRejected(t *testing.T) {
 		}},
 		{"not json", func(p string) error {
 			return os.WriteFile(p, []byte("not json at all"), 0o644)
+		}},
+		{"empty file", func(p string) error {
+			return os.WriteFile(p, nil, 0o644)
+		}},
+		{"directory at the entry path", func(p string) error {
+			if err := os.Remove(p); err != nil {
+				return err
+			}
+			return os.Mkdir(p, 0o755)
 		}},
 	}
 	for _, tc := range cases {
@@ -224,5 +237,73 @@ func TestIdenticalPutKeepsEntry(t *testing.T) {
 	}
 	if _, ok, err := s.Get(keyA); err != nil || !ok {
 		t.Fatalf("corrupt entry not healed by a put: (%v, %v)", ok, err)
+	}
+}
+
+// TestGetResultsOwnTheirMemory: Get reads entries into a recycled buffer,
+// so the stats it returns must not alias that buffer. Reading a second
+// entry on the same goroutine (which reuses the buffer) must leave the
+// first result as a fresh decode of its own bytes.
+func TestGetResultsOwnTheirMemory(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyB := "bb" + keyA[2:]
+	other := metrics.NewStats(4, 4)
+	for i := range other.Committed {
+		other.Committed[i] = 99999
+		other.ThreadWindowCycles[i] = 77777
+	}
+	other.Cycles = 5555555
+	if err := s.Put(keyA, testStats()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(keyB, other); err != nil {
+		t.Fatal(err)
+	}
+	a, ok, err := s.Get(keyA)
+	if err != nil || !ok {
+		t.Fatalf("Get(A) = (%v, %v)", ok, err)
+	}
+	if _, ok, err := s.Get(keyB); err != nil || !ok {
+		t.Fatalf("Get(B) = (%v, %v)", ok, err)
+	}
+	raw, err := os.ReadFile(s.path(keyA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeEntry(keyA, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("A's stats changed after reading B:\ngot  %+v\nwant %+v", a, want)
+	}
+}
+
+// BenchmarkStoreGet times the warm path's store read: 720 stored results
+// (the warm-resubmit campaign's size) spread over the 256 key shards, read
+// round robin.
+func BenchmarkStoreGet(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	keys := make([]string, 720)
+	for i := range keys {
+		sum := sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+		keys[i] = hex.EncodeToString(sum[:])
+		if err := s.Put(keys[i], testStats()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if _, ok, err := s.Get(keys[i%len(keys)]); !ok || err != nil {
+			b.Fatalf("Get = (%v, %v)", ok, err)
+		}
+		i++
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -66,10 +67,26 @@ func (s Spec) keyOf(d uint64) string {
 	if debugKeyWork != nil {
 		debugKeyWork("spec")
 	}
-	return fmt.Sprintf("%s@%x|%s|iq%d|rf%d|rob%d|st%d|c%d|lk%d|ll%d|ml%d",
-		s.Workload.Name, d, s.Scheme,
-		s.IQSize, s.RegsPerClust, s.ROBPerThread, s.SingleThread,
-		s.NumClusters, s.Links, s.LinkLatency, s.MemLatency)
+	var buf [160]byte
+	b := append(buf[:0], s.Workload.Name...)
+	b = append(b, '@')
+	b = strconv.AppendUint(b, d, 16)
+	b = append(b, '|')
+	b = append(b, s.Scheme...)
+	b = appendField(b, "|iq", s.IQSize)
+	b = appendField(b, "|rf", s.RegsPerClust)
+	b = appendField(b, "|rob", s.ROBPerThread)
+	b = appendField(b, "|st", s.SingleThread)
+	b = appendField(b, "|c", s.NumClusters)
+	b = appendField(b, "|lk", s.Links)
+	b = appendField(b, "|ll", s.LinkLatency)
+	b = appendField(b, "|ml", s.MemLatency)
+	return string(b)
+}
+
+// appendField appends name and v in decimal, as fmt's %s%d would.
+func appendField(b []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(b, name...), int64(v), 10)
 }
 
 // debugKeyWork, when set by a test, observes the key derivation's work:
@@ -410,13 +427,20 @@ func canonicalScheme(s string) string {
 // computeKey hashes s's fingerprint; k and d are its session key and
 // workload digest.
 func (r *Runner) computeKey(s Spec, k string, d uint64) string {
-	b, err := r.fingerprint(s, d)
+	bp := fingerprintBufs.Get().(*[]byte)
+	defer fingerprintBufs.Put(bp)
+	b, err := r.appendFingerprint((*bp)[:0], s, d)
 	if err != nil {
 		return "spec:" + k // unhashable: session-local key, never persisted as content
 	}
+	*bp = b[:0]
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
+
+// fingerprintBufs recycles computeKey's fingerprint buffers: a fingerprint
+// is a few kilobytes, and a warm resubmission derives one per item.
+var fingerprintBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // simVersionJSON is core.SimVersion encoded as a JSON string.
 var simVersionJSON, _ = json.Marshal(core.SimVersion)
@@ -433,6 +457,11 @@ var simVersionJSON, _ = json.Marshal(core.SimVersion)
 // machines, and each workload recurs once per scheme.
 // d is workloadDigest(s.Workload).
 func (r *Runner) fingerprint(s Spec, d uint64) ([]byte, error) {
+	return r.appendFingerprint(nil, s, d)
+}
+
+// appendFingerprint appends fingerprint's bytes to b.
+func (r *Runner) appendFingerprint(b []byte, s Spec, d uint64) ([]byte, error) {
 	r.encMu.Lock()
 	cfg, err := encodeOnce(r.configs, Machine(s, r.TraceLen), "config", core.Config.Canonical)
 	var wl []byte
@@ -448,7 +477,7 @@ func (r *Runner) fingerprint(s Spec, d uint64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, 0, 128+len(scheme)+len(wl)+len(cfg))
+	b = slices.Grow(b, 128+len(scheme)+len(wl)+len(cfg))
 	b = append(b, `{"version":`...)
 	b = append(b, simVersionJSON...)
 	b = append(b, `,"scheme":`...)

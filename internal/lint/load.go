@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -203,11 +204,22 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+		if !e.IsDir() && isSource(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
+}
+
+// isSource reports whether n is a non-test Go file of dir that this
+// platform builds: file-name suffixes and //go:build lines decide, as for
+// the compiler, so platform variants of one function do not collide.
+func isSource(dir, n string) bool {
+	if !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, n)
+	return err == nil && ok
 }
 
 // Import implements types.Importer: in-module paths load from source,
@@ -261,7 +273,7 @@ func (m *Module) loadPackage(path, dir string) (*Package, error) {
 	var names []string
 	for _, e := range entries {
 		n := e.Name()
-		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
+		if e.IsDir() || !isSource(dir, n) {
 			continue
 		}
 		names = append(names, n)
