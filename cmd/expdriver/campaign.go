@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -81,7 +82,7 @@ func runCampaign(o campaignOpts) int {
 	}
 
 	start := time.Now()
-	rs, err := eng.Run(m)
+	rs, err := eng.RunCtx(context.Background(), m, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -71,7 +72,7 @@ func runReport(args []string) int {
 	}
 
 	start := time.Now()
-	rs, err := eng.Run(m)
+	rs, err := eng.RunCtx(context.Background(), m, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1

@@ -107,7 +107,7 @@ func TestDryRunMatchesRun(t *testing.T) {
 		t.Fatalf("expanded %d items, want 4", len(items))
 	}
 	eng := campaign.Engine{}
-	rs, err := eng.Run(m)
+	rs, err := eng.RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestResumeExecutesOnlyMissing(t *testing.T) {
 	partial := tinyManifest()
 	partial.Schemes = []string{"icount"}
 	eng := campaign.Engine{Store: st, Resume: true}
-	prs, err := eng.Run(partial)
+	prs, err := eng.RunCtx(context.Background(), partial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestResumeExecutesOnlyMissing(t *testing.T) {
 	}
 
 	full := tinyManifest()
-	rs, err := (&campaign.Engine{Store: st, Resume: true}).Run(full)
+	rs, err := (&campaign.Engine{Store: st, Resume: true}).RunCtx(context.Background(), full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestResumeExecutesOnlyMissing(t *testing.T) {
 	}
 
 	// Third pass: everything is a hit, nothing executes.
-	rs2, err := (&campaign.Engine{Store: st, Resume: true}).Run(full)
+	rs2, err := (&campaign.Engine{Store: st, Resume: true}).RunCtx(context.Background(), full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestResumeExecutesOnlyMissing(t *testing.T) {
 	}
 
 	// Resume=false ignores the store and re-executes everything.
-	rs3, err := (&campaign.Engine{Store: st, Resume: false}).Run(full)
+	rs3, err := (&campaign.Engine{Store: st, Resume: false}).RunCtx(context.Background(), full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,20 +267,20 @@ func TestNoResumeExecutesSharedItemsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A filled store, for the engine to ignore.
-	if _, err := (&campaign.Engine{Store: st, Resume: true}).Run(tinyManifest()); err != nil {
+	if _, err := (&campaign.Engine{Store: st, Resume: true}).RunCtx(context.Background(), tinyManifest(), nil); err != nil {
 		t.Fatal(err)
 	}
 	eng := &campaign.Engine{Store: st, Resume: false}
 	partial := tinyManifest()
 	partial.Schemes = []string{"icount"}
-	first, err := eng.Run(partial)
+	first, err := eng.RunCtx(context.Background(), partial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.Executed != 2 || first.StoreHits != 0 {
 		t.Errorf("first campaign executed %d, hit %d; want 2 executed despite the filled store", first.Executed, first.StoreHits)
 	}
-	second, err := eng.Run(tinyManifest())
+	second, err := eng.RunCtx(context.Background(), tinyManifest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +304,11 @@ func TestStoreResultsMatchFreshRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := (&campaign.Engine{Store: st, Resume: true}).Run(m)
+	fresh, err := (&campaign.Engine{Store: st, Resume: true}).RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recalled, err := (&campaign.Engine{Store: st, Resume: true}).Run(m)
+	recalled, err := (&campaign.Engine{Store: st, Resume: true}).RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestRepetitionsDiverge(t *testing.T) {
 	m.Schemes = []string{"icount"}
 	m.IQSizes = []int{32}
 	m.Repetitions = 2
-	rs, err := (&campaign.Engine{}).Run(m)
+	rs, err := (&campaign.Engine{}).RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +353,7 @@ func TestBaselinesEnableFairness(t *testing.T) {
 	m.Schemes = []string{"icount"}
 	m.IQSizes = []int{32}
 	m.SingleThreadBaselines = true
-	rs, err := (&campaign.Engine{}).Run(m)
+	rs, err := (&campaign.Engine{}).RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +380,7 @@ func TestResultSetJSONRoundTrip(t *testing.T) {
 	m := tinyManifest()
 	m.Schemes = []string{"icount"}
 	m.IQSizes = []int{32}
-	rs, err := (&campaign.Engine{}).Run(m)
+	rs, err := (&campaign.Engine{}).RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestMultiLengthCampaignMatchesSplit(t *testing.T) {
 	for _, it := range items {
 		labels[it.Label()] = true
 	}
-	rs, err := (&campaign.Engine{Workers: 2}).Run(both)
+	rs, err := (&campaign.Engine{Workers: 2}).RunCtx(context.Background(), both, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestMultiLengthCampaignMatchesSplit(t *testing.T) {
 	}
 	split := map[string]campaign.Result{}
 	for _, tl := range []int{1000, 1500} {
-		one, err := (&campaign.Engine{Workers: 2}).Run(manifest(tl))
+		one, err := (&campaign.Engine{Workers: 2}).RunCtx(context.Background(), manifest(tl), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -510,7 +510,7 @@ func TestCacheKeyStableAcrossRecycle(t *testing.T) {
 	}
 	var first *campaign.ResultSet
 	for pass := 0; pass < 2; pass++ {
-		rs, err := eng.Run(tinyManifest())
+		rs, err := eng.RunCtx(context.Background(), tinyManifest(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -547,7 +547,7 @@ func TestCycleBoundFailsItem(t *testing.T) {
 		RegsPerCluster: []int{16},
 		TraceLens:      []int{1000},
 	}
-	rs, err := (&campaign.Engine{Store: st, Resume: true}).Run(m)
+	rs, err := (&campaign.Engine{Store: st, Resume: true}).RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ import (
 // with Exec sending each simulation its store cannot answer to the fleet.
 //
 // An Engine may be shared: runners (and with them the in-memory result
-// layer, the singleflight tables and the trace memos) persist across RunCtx
+// layer, the singleflight tables and the trace memos) persist across RunPlan
 // calls, so concurrent campaigns submitted to one Engine — the service
 // daemon's configuration — deduplicate overlapping specs exactly once even
 // while both are in flight. Local simulations of every campaign share one
@@ -59,7 +59,7 @@ type Engine struct {
 	putErrs atomic.Int64 // fresh results the store refused
 }
 
-// ItemEvent reports one expanded item's lifecycle during RunCtx.
+// ItemEvent reports one planned item's lifecycle during RunPlan.
 type ItemEvent struct {
 	// Index addresses the item in the expansion (and the eventual
 	// ResultSet.Results slice).
@@ -196,7 +196,7 @@ func (e *Engine) slots() int {
 	return runtime.NumCPU()
 }
 
-// Simulate answers one spec at trace length traceLen the way RunCtx
+// Simulate answers one spec at trace length traceLen the way RunPlan
 // answers a campaign item, on the engine's runner for that length: from
 // the engine's result layers, or by simulating under its gate. It reports
 // whether this call simulated. Fleet workers run their leased tasks
@@ -247,26 +247,25 @@ func (e *Engine) Recycle(keep ...int) {
 	e.mem = nil
 }
 
-// Run expands m and executes every item, recalling whatever the store
-// already holds. Simulation failures do not abort the campaign: failed
-// items carry their error and the set reports the partial tally, so an
-// interrupted or partly broken campaign still lands its completed results
-// (and a later -resume run executes only what is missing).
-func (e *Engine) Run(m *Manifest) (*ResultSet, error) {
-	return e.RunCtx(context.Background(), m, nil)
-}
-
-// RunCtx is Run with cooperative cancellation and optional per-item
-// progress reporting. Cancelling the context stops in-flight simulations
-// mid-run and fails the not-yet-started items with the context's error;
-// completed items keep their results, so a cancelled campaign still returns
-// the partial ResultSet. The progress callback (optional) is invoked from
-// worker goroutines and must be safe for concurrent use.
+// RunCtx expands m into a plan and runs it (see RunPlan). The only error
+// is an invalid manifest.
 func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEvent)) (*ResultSet, error) {
 	plan, err := NewPlan(m)
 	if err != nil {
 		return nil, err
 	}
+	return e.RunPlan(ctx, plan, progress), nil
+}
+
+// RunPlan executes every item of plan, recalling whatever the store
+// already holds. Simulation failures do not abort the campaign: failed
+// items carry their error and the set reports the partial tally, so an
+// interrupted or partly broken campaign still lands its completed results
+// (and a later -resume run executes only what is missing). Cancelling the
+// context stops in-flight simulations mid-run and fails the not-yet-started
+// items with the context's error. The progress callback (optional) is
+// invoked from worker goroutines and must be safe for concurrent use.
+func (e *Engine) RunPlan(ctx context.Context, plan *Plan, progress func(ItemEvent)) *ResultSet {
 	rs := plan.NewResultSet(core.SimVersion)
 	c := &campaignRun{e: e, plan: plan, rs: rs, runners: map[int]*experiments.Runner{}, progress: progress}
 	for _, it := range plan.Items {
@@ -308,10 +307,10 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 	wg.Wait()
 
 	plan.Finalize(rs)
-	return rs, nil
+	return rs
 }
 
-// campaignRun is one RunCtx call's state, shared by its pool's workers.
+// campaignRun is one RunPlan call's state, shared by its pool's workers.
 type campaignRun struct {
 	e        *Engine
 	plan     *Plan

@@ -7,7 +7,7 @@ import (
 
 // Plan is the placement half of a campaign, split from execution: the
 // validated, deterministic item expansion and the assembly of raw
-// simulation outcomes into the campaign's ResultSet. Engine.RunCtx
+// simulation outcomes into the campaign's ResultSet. Engine.RunPlan
 // executes it whether its simulations run in-process or on the fleet, and
 // every per-item decision (ordering, labeling, result shaping, fairness,
 // tallies) lives here, not in where a simulation ran.

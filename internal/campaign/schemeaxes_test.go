@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -136,7 +137,7 @@ func TestComposedCampaignEndToEnd(t *testing.T) {
 		},
 	}
 	eng := &campaign.Engine{Resume: true}
-	rs, err := eng.Run(m)
+	rs, err := eng.RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestComposedCampaignEndToEnd(t *testing.T) {
 		}
 	}
 
-	again, err := eng.Run(m)
+	again, err := eng.RunCtx(context.Background(), m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

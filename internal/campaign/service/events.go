@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"sync"
 
-	"clustersmt/internal/campaign"
 	"clustersmt/internal/metrics"
 )
 
@@ -271,36 +270,4 @@ func appendJSONFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
-}
-
-// publish translates one engine progress event into the job's event log.
-// Called from engine worker goroutines with j.mu NOT held.
-func (j *job) publish(ev campaign.ItemEvent) {
-	e := Event{Index: ev.Index}
-	j.mu.Lock()
-	if ev.Index >= 0 && ev.Index < len(j.items) {
-		e.Label = j.items[ev.Index].Label
-	}
-	j.mu.Unlock()
-	switch {
-	case ev.Started:
-		e.Type = "item"
-		e.State = StateRunning
-	case ev.Sample != nil:
-		e.Type = "sample"
-		e.Sample = ev.Sample
-	case ev.Result != nil:
-		e.Type = "item"
-		if ev.Result.Error != "" {
-			e.State = StateFailed
-			e.Error = ev.Result.Error
-		} else {
-			e.State = StateDone
-			e.Cached = ev.Result.Cached
-			e.IPC = ev.Result.IPC
-		}
-	default:
-		return
-	}
-	j.events.add(e)
 }

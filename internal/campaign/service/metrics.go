@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"clustersmt/internal/campaign"
-	"clustersmt/internal/campaign/fleet"
 )
 
 // svcMetrics is the daemon's process-lifetime instrumentation, exposed in
@@ -87,55 +86,39 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled} {
 		fmt.Fprintf(w, "clustersmt_jobs{state=%q} %d\n", st, states[st])
 	}
-	fmt.Fprintf(w, "# HELP clustersmt_job_queue_depth Jobs admitted but not yet picked up by a job worker.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_job_queue_depth gauge\n")
-	fmt.Fprintf(w, "clustersmt_job_queue_depth %d\n", queueDepth)
-	fmt.Fprintf(w, "# HELP clustersmt_sims_inflight Simulations currently holding a slot of the shared worker gate.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_sims_inflight gauge\n")
-	fmt.Fprintf(w, "clustersmt_sims_inflight %d\n", s.eng.Inflight())
-	fmt.Fprintf(w, "# HELP clustersmt_sims_executed_total Fresh simulations completed since the daemon started.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_sims_executed_total counter\n")
-	fmt.Fprintf(w, "clustersmt_sims_executed_total %d\n", s.met.executed.Load())
-	fmt.Fprintf(w, "# HELP clustersmt_store_hits_total Items answered by the result store or another job's in-flight execution.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_store_hits_total counter\n")
-	fmt.Fprintf(w, "clustersmt_store_hits_total %d\n", s.met.storeHits.Load())
-	fmt.Fprintf(w, "# HELP clustersmt_items_failed_total Items that completed with an error.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_items_failed_total counter\n")
-	fmt.Fprintf(w, "clustersmt_items_failed_total %d\n", s.met.failed.Load())
-	fmt.Fprintf(w, "# HELP clustersmt_sim_cycles_total Simulated machine cycles observed through sampling windows.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_sim_cycles_total counter\n")
-	fmt.Fprintf(w, "clustersmt_sim_cycles_total %d\n", s.met.cycles.Load())
-	fmt.Fprintf(w, "# HELP clustersmt_sim_cycles_per_second Mean simulated-cycle rate since the previous scrape.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_sim_cycles_per_second gauge\n")
-	fmt.Fprintf(w, "clustersmt_sim_cycles_per_second %g\n", s.met.cyclesPerSecond(time.Now()))
-	fmt.Fprintf(w, "# HELP clustersmt_store_put_errors_total Fresh results the daemon failed to write into its result store.\n")
-	fmt.Fprintf(w, "# TYPE clustersmt_store_put_errors_total counter\n")
-	fmt.Fprintf(w, "clustersmt_store_put_errors_total %d\n", s.eng.StorePutErrors())
+	ms := []promMetric{
+		{"clustersmt_job_queue_depth", "gauge", "Jobs admitted but not yet picked up by a job worker.", queueDepth},
+		{"clustersmt_sims_inflight", "gauge", "Simulations currently holding a slot of the shared worker gate.", s.eng.Inflight()},
+		{"clustersmt_sims_executed_total", "counter", "Fresh simulations completed since the daemon started.", s.met.executed.Load()},
+		{"clustersmt_store_hits_total", "counter", "Items answered by the result store or another job's in-flight execution.", s.met.storeHits.Load()},
+		{"clustersmt_items_failed_total", "counter", "Items that completed with an error.", s.met.failed.Load()},
+		{"clustersmt_sim_cycles_total", "counter", "Simulated machine cycles observed through sampling windows.", s.met.cycles.Load()},
+		{"clustersmt_sim_cycles_per_second", "gauge", "Mean simulated-cycle rate since the previous scrape.", s.met.cyclesPerSecond(time.Now())},
+		{"clustersmt_store_put_errors_total", "counter", "Fresh results the daemon failed to write into its result store.", s.eng.StorePutErrors()},
+	}
 	if s.fleet != nil {
-		writeFleetMetrics(w, s.fleet.Status())
+		st := s.fleet.Status()
+		q := st.Queue
+		ms = append(ms, []promMetric{
+			{"clustersmt_fleet_workers", "gauge", "Registered fleet workers.", len(st.Workers)},
+			{"clustersmt_fleet_tasks_pending", "gauge", "Fleet tasks waiting to be leased, including those backing off after a failed attempt.", q.Pending},
+			{"clustersmt_fleet_tasks_leased", "gauge", "Fleet tasks currently leased to a worker.", q.Leased},
+			{"clustersmt_fleet_leases_held", "gauge", "Worker lease requests currently held open waiting for work.", q.Held},
+			{"clustersmt_fleet_tasks_done_total", "counter", "Fleet tasks completed successfully.", q.Done},
+			{"clustersmt_fleet_tasks_poisoned_total", "counter", "Fleet tasks that exhausted their attempts.", q.Poisoned},
+			{"clustersmt_fleet_requeues_total", "counter", "Returns to pending: failed attempts and the leases of reaped workers.", q.Requeues},
+			{"clustersmt_fleet_lease_expirations_total", "counter", "Leases reclaimed from reaped workers.", q.Expirations},
+			{"clustersmt_fleet_duplicate_completions_total", "counter", "Rejected stale or duplicate completion reports.", q.Duplicates},
+		}...)
+	}
+	for _, m := range ms {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", m.name, m.help, m.name, m.typ, m.name, m.v)
 	}
 }
 
-// writeFleetMetrics appends the coordinator's registry and dispatch-queue
-// counters to a scrape (fleet mode only).
-func writeFleetMetrics(w http.ResponseWriter, st fleet.Status) {
-	q := st.Queue
-	for _, m := range []struct {
-		name, typ, help string
-		v               int64
-	}{
-		{"clustersmt_fleet_workers", "gauge", "Registered fleet workers.", int64(len(st.Workers))},
-		{"clustersmt_fleet_tasks_pending", "gauge", "Fleet tasks waiting to be leased, including those backing off after a failed attempt.", int64(q.Pending)},
-		{"clustersmt_fleet_tasks_leased", "gauge", "Fleet tasks currently leased to a worker.", int64(q.Leased)},
-		{"clustersmt_fleet_leases_held", "gauge", "Worker lease requests currently held open waiting for work.", int64(q.Held)},
-		{"clustersmt_fleet_tasks_done_total", "counter", "Fleet tasks completed successfully.", q.Done},
-		{"clustersmt_fleet_tasks_poisoned_total", "counter", "Fleet tasks that exhausted their attempts.", q.Poisoned},
-		{"clustersmt_fleet_requeues_total", "counter", "Returns to pending: failed attempts and the leases of reaped workers.", q.Requeues},
-		{"clustersmt_fleet_lease_expirations_total", "counter", "Leases reclaimed from reaped workers.", q.Expirations},
-		{"clustersmt_fleet_duplicate_completions_total", "counter", "Rejected stale or duplicate completion reports.", q.Duplicates},
-	} {
-		fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help)
-		fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.typ)
-		fmt.Fprintf(w, "%s %d\n", m.name, m.v)
-	}
+// promMetric is one unlabelled series of a scrape: its HELP and TYPE lines
+// and its value, an integer or a float64 (written as %g).
+type promMetric struct {
+	name, typ, help string
+	v               any
 }

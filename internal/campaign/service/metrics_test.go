@@ -180,6 +180,107 @@ func TestFleetMetrics(t *testing.T) {
 	}
 }
 
+// localScrapeShape is a local-mode scrape with every sample's value cut
+// off: the ordered HELP and TYPE lines and the series names.
+const localScrapeShape = `# HELP clustersmt_jobs Campaign jobs currently retained, by lifecycle state.
+# TYPE clustersmt_jobs gauge
+clustersmt_jobs{state="queued"}
+clustersmt_jobs{state="running"}
+clustersmt_jobs{state="done"}
+clustersmt_jobs{state="failed"}
+clustersmt_jobs{state="canceled"}
+# HELP clustersmt_job_queue_depth Jobs admitted but not yet picked up by a job worker.
+# TYPE clustersmt_job_queue_depth gauge
+clustersmt_job_queue_depth
+# HELP clustersmt_sims_inflight Simulations currently holding a slot of the shared worker gate.
+# TYPE clustersmt_sims_inflight gauge
+clustersmt_sims_inflight
+# HELP clustersmt_sims_executed_total Fresh simulations completed since the daemon started.
+# TYPE clustersmt_sims_executed_total counter
+clustersmt_sims_executed_total
+# HELP clustersmt_store_hits_total Items answered by the result store or another job's in-flight execution.
+# TYPE clustersmt_store_hits_total counter
+clustersmt_store_hits_total
+# HELP clustersmt_items_failed_total Items that completed with an error.
+# TYPE clustersmt_items_failed_total counter
+clustersmt_items_failed_total
+# HELP clustersmt_sim_cycles_total Simulated machine cycles observed through sampling windows.
+# TYPE clustersmt_sim_cycles_total counter
+clustersmt_sim_cycles_total
+# HELP clustersmt_sim_cycles_per_second Mean simulated-cycle rate since the previous scrape.
+# TYPE clustersmt_sim_cycles_per_second gauge
+clustersmt_sim_cycles_per_second
+# HELP clustersmt_store_put_errors_total Fresh results the daemon failed to write into its result store.
+# TYPE clustersmt_store_put_errors_total counter
+clustersmt_store_put_errors_total
+`
+
+// fleetScrapeShape is what a fleet-mode scrape adds after the local
+// section, in the same form.
+const fleetScrapeShape = `# HELP clustersmt_fleet_workers Registered fleet workers.
+# TYPE clustersmt_fleet_workers gauge
+clustersmt_fleet_workers
+# HELP clustersmt_fleet_tasks_pending Fleet tasks waiting to be leased, including those backing off after a failed attempt.
+# TYPE clustersmt_fleet_tasks_pending gauge
+clustersmt_fleet_tasks_pending
+# HELP clustersmt_fleet_tasks_leased Fleet tasks currently leased to a worker.
+# TYPE clustersmt_fleet_tasks_leased gauge
+clustersmt_fleet_tasks_leased
+# HELP clustersmt_fleet_leases_held Worker lease requests currently held open waiting for work.
+# TYPE clustersmt_fleet_leases_held gauge
+clustersmt_fleet_leases_held
+# HELP clustersmt_fleet_tasks_done_total Fleet tasks completed successfully.
+# TYPE clustersmt_fleet_tasks_done_total counter
+clustersmt_fleet_tasks_done_total
+# HELP clustersmt_fleet_tasks_poisoned_total Fleet tasks that exhausted their attempts.
+# TYPE clustersmt_fleet_tasks_poisoned_total counter
+clustersmt_fleet_tasks_poisoned_total
+# HELP clustersmt_fleet_requeues_total Returns to pending: failed attempts and the leases of reaped workers.
+# TYPE clustersmt_fleet_requeues_total counter
+clustersmt_fleet_requeues_total
+# HELP clustersmt_fleet_lease_expirations_total Leases reclaimed from reaped workers.
+# TYPE clustersmt_fleet_lease_expirations_total counter
+clustersmt_fleet_lease_expirations_total
+# HELP clustersmt_fleet_duplicate_completions_total Rejected stale or duplicate completion reports.
+# TYPE clustersmt_fleet_duplicate_completions_total counter
+clustersmt_fleet_duplicate_completions_total
+`
+
+// TestMetricsScrapeShape pins the order of a scrape's HELP, TYPE and
+// sample lines, the HELP texts and the series names, in local and in fleet
+// mode; the values are left out.
+func TestMetricsScrapeShape(t *testing.T) {
+	coord := fleet.NewCoordinator(fleet.Config{Store: putFails{}, PollInterval: 5 * time.Second})
+	for _, tc := range []struct {
+		mode string
+		cfg  Config
+		want string
+	}{
+		{"local", Config{Workers: 1}, localScrapeShape},
+		{"fleet", Config{Workers: 1, Store: putFails{}, Fleet: coord}, localScrapeShape + fleetScrapeShape},
+	} {
+		resp, err := http.Get(startServer(t, tc.cfg).URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got strings.Builder
+		for _, line := range strings.SplitAfter(string(body), "\n") {
+			if sp := strings.LastIndexByte(line, ' '); sp >= 0 && !strings.HasPrefix(line, "#") {
+				line = line[:sp] + "\n"
+			}
+			got.WriteString(line)
+		}
+		if got.String() != tc.want {
+			t.Errorf("%s-mode scrape shape:\n%s\nwant:\n%s", tc.mode, got.String(), tc.want)
+		}
+	}
+}
+
 // TestLocalModeHasNoFleetMetrics: the fleet section is fleet-mode only.
 func TestLocalModeHasNoFleetMetrics(t *testing.T) {
 	srv := startServer(t, Config{Workers: 1})

@@ -121,8 +121,8 @@ type JobStatus struct {
 
 // job is the service-side record of one submission.
 type job struct {
-	id       string
-	manifest *campaign.Manifest
+	id   string
+	plan *campaign.Plan // expanded once, by Submit; the engine runs it
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -130,16 +130,11 @@ type job struct {
 	mu        sync.Mutex
 	state     State
 	items     []ItemStatus
-	executed  int
-	storeHits int
-	failed    int
-	doneCount int
 	rs        *campaign.ResultSet
 	err       string
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
-	done      chan struct{} // closed on terminal state
 
 	// events is the job's bounded observability stream (see events.go).
 	// It has its own lock; the only ordering rule is that j.mu is never
@@ -254,25 +249,24 @@ func (s *Service) Close() {
 
 // Submit validates and enqueues a manifest, returning the job's initial
 // status. The manifest must already have passed campaign.Parse; Submit
-// re-expands it so an invalid axis combination is rejected here, before
-// anything enqueues.
+// expands it into the plan the job runs, so an invalid axis combination is
+// rejected here, before anything enqueues.
 func (s *Service) Submit(m *campaign.Manifest) (*JobStatus, error) {
-	items, err := m.Expand()
+	plan, err := campaign.NewPlan(m)
 	if err != nil {
 		return nil, err
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
-		manifest:  m,
+		plan:      plan,
 		ctx:       ctx,
 		cancel:    cancel,
 		state:     StateQueued,
-		items:     make([]ItemStatus, len(items)),
+		items:     make([]ItemStatus, len(plan.Items)),
 		submitted: time.Now(),
-		done:      make(chan struct{}),
 		events:    newEventLog(s.eventBuffer),
 	}
-	for i, it := range items {
+	for i, it := range plan.Items {
 		j.items[i] = ItemStatus{Label: it.Label(), State: StateQueued}
 	}
 
@@ -362,23 +356,6 @@ func (s *Service) Results(id string) (*campaign.ResultSet, bool, bool) {
 	return j.rs, true, true
 }
 
-// Wait blocks until the job reaches a terminal state (or the context
-// expires) and returns its final status.
-func (s *Service) Wait(ctx context.Context, id string) (*JobStatus, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("service: unknown job %q", id)
-	}
-	select {
-	case <-j.done:
-		return j.status(false), nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
 // prune evicts the oldest finished jobs beyond the retention cap, so a
 // long-running daemon's memory does not grow with its submission history.
 // Evicted jobs 404; their simulation results remain in the persistent
@@ -425,13 +402,12 @@ func (s *Service) worker() {
 		s.running++
 		s.mu.Unlock()
 		if j.begin() {
-			//smtlint:allow detcheck: queue delivery order picks when a job runs, not its rows, which depend on its manifest alone
-			rs, err := s.eng.RunCtx(j.ctx, j.manifest, func(ev campaign.ItemEvent) {
+			//smtlint:allow detcheck: queue delivery order picks when a job runs, not its rows, which depend on its plan alone
+			rs := s.eng.RunPlan(j.ctx, j.plan, func(ev campaign.ItemEvent) {
 				s.met.onItem(ev)
 				j.onEvent(ev)
-				j.publish(ev)
 			})
-			j.end(rs, err)
+			j.end(rs)
 		}
 		s.mu.Lock()
 		s.running--
@@ -463,14 +439,12 @@ func (j *job) begin() bool {
 }
 
 // end records the engine's outcome for j.
-func (j *job) end(rs *campaign.ResultSet, err error) {
+func (j *job) end(rs *campaign.ResultSet) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
 	case j.ctx.Err() != nil:
 		j.finish(StateCanceled, rs, "canceled")
-	case err != nil:
-		j.finish(StateFailed, rs, err.Error())
 	case rs.Failed > 0:
 		j.finish(StateFailed, rs, fmt.Sprintf("%d of %d items failed", rs.Failed, rs.Total))
 	default:
@@ -478,40 +452,35 @@ func (j *job) end(rs *campaign.ResultSet, err error) {
 	}
 }
 
-// onEvent folds engine progress events into the job's live status. It runs
-// on the engine's worker goroutines.
+// onEvent folds one engine progress event into the job: under one j.mu
+// hold it moves the item's state and appends the matching event, labelled
+// from the item, to the job's event log. It runs on the engine's worker
+// goroutines.
 func (j *job) onEvent(ev campaign.ItemEvent) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if ev.Index < 0 || ev.Index >= len(j.items) {
-		return
-	}
 	it := &j.items[ev.Index]
+	e := Event{Type: "item", Index: ev.Index, Label: it.Label}
 	switch {
 	case ev.Started:
 		it.State = StateRunning
-	case ev.Result != nil:
-		j.doneCount++
-		if ev.Result.Error != "" {
-			it.State = StateFailed
-			it.Error = ev.Result.Error
-			j.failed++
-		} else {
-			it.State = StateDone
-			it.Cached = ev.Result.Cached
-			if ev.Result.Cached {
-				j.storeHits++
-			} else {
-				j.executed++
-			}
-		}
+		e.State = it.State
+	case ev.Sample != nil:
+		e.Type = "sample"
+		e.Sample = ev.Sample
+	case ev.Result == nil:
+		return
+	case ev.Result.Error != "":
+		it.State, it.Error = StateFailed, ev.Result.Error
+		e.State, e.Error = it.State, it.Error
+	default:
+		it.State, it.Cached = StateDone, ev.Result.Cached
+		e.State, e.Cached, e.IPC = it.State, it.Cached, ev.Result.IPC
 	}
+	j.events.add(e)
 }
 
-// finish moves the job to a terminal state. Callers hold j.mu. When the
-// engine returned a ResultSet its tallies are authoritative (they include
-// the fairness pass); the event counters already match for the plain
-// fields.
+// finish moves the job to a terminal state. Callers hold j.mu.
 func (j *job) finish(state State, rs *campaign.ResultSet, errMsg string) {
 	if j.state.Finished() {
 		return
@@ -520,7 +489,9 @@ func (j *job) finish(state State, rs *campaign.ResultSet, errMsg string) {
 	j.rs = rs
 	j.err = errMsg
 	j.finished = time.Now()
-	close(j.done)
+	// The plan never runs again: a retained job keeps its rows, not its
+	// expansion. status still reads the plan's manifest.
+	j.plan.Items = nil
 	// Publish the terminal event and complete the stream; SSE readers see
 	// a final "state" frame and then the server closes the connection.
 	// Safe under j.mu: the event log has its own lock and never takes j.mu.
@@ -528,29 +499,33 @@ func (j *job) finish(state State, rs *campaign.ResultSet, errMsg string) {
 	j.events.close()
 }
 
-// status snapshots the job for the API.
+// status snapshots the job for the API, tallying its item states.
 func (j *job) status(withItems bool) *JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := &JobStatus{
 		ID:        j.id,
-		Campaign:  j.manifest.Name,
+		Campaign:  j.plan.Manifest.Name,
 		State:     j.state,
 		Total:     len(j.items),
-		Running:   0,
-		Done:      j.doneCount - j.failed,
-		Failed:    j.failed,
-		Executed:  j.executed,
-		StoreHits: j.storeHits,
 		Submitted: j.submitted,
 		Error:     j.err,
 	}
 	for i := range j.items {
-		switch j.items[i].State {
+		switch it := &j.items[i]; it.State {
 		case StateQueued:
 			st.Queued++
 		case StateRunning:
 			st.Running++
+		case StateFailed:
+			st.Failed++
+		case StateDone:
+			st.Done++
+			if it.Cached {
+				st.StoreHits++
+			} else {
+				st.Executed++
+			}
 		}
 	}
 	if !j.started.IsZero() {

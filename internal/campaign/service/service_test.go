@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"net/http"
@@ -224,6 +223,80 @@ func TestResubmitAllStoreHits(t *testing.T) {
 	}
 	if second.Executed != 0 || second.StoreHits != 2 {
 		t.Fatalf("second run executed = %d, store hits = %d; want 0/2", second.Executed, second.StoreHits)
+	}
+}
+
+// TestFailedItemStatus submits a manifest whose first item hits its cycle
+// bound (TestCycleBoundFailsItem's wedge) beside one healthy item, twice on
+// one store. Each time the job's status tally must equal its ResultSet's,
+// the per-item view and the event stream must carry the failed item's
+// error, and the second stream must report the healthy item as cached.
+func TestFailedItemStatus(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := startServer(t, Config{Workers: 2, Store: st})
+	manifest := `{
+		"workloads": ["isfs.mix.2.1"],
+		"schemes": ["icount"],
+		"regs_per_cluster": [16, 64],
+		"trace_lens": [1000]
+	}`
+	for run, wantExecuted := range []int{1, 0} {
+		id := submit(t, srv, manifest).ID
+		evs := readSSE(t, openEvents(t, srv, id))
+		final := waitFinished(t, srv, id)
+		rs := getResults(t, srv, id)
+		if final.State != StateFailed {
+			t.Fatalf("run %d: state = %s (%s), want failed", run, final.State, final.Error)
+		}
+		if final.Executed != rs.Executed || final.StoreHits != rs.StoreHits || final.Failed != rs.Failed ||
+			final.Done != rs.Executed+rs.StoreHits || final.Queued != 0 || final.Running != 0 {
+			t.Errorf("run %d: status tally %+v disagrees with results executed %d, store hits %d, failed %d",
+				run, final, rs.Executed, rs.StoreHits, rs.Failed)
+		}
+		if rs.Failed != 1 || rs.Executed != wantExecuted || rs.StoreHits != 1-wantExecuted {
+			t.Errorf("run %d: results executed %d, store hits %d, failed %d; want %d, %d, 1",
+				run, rs.Executed, rs.StoreHits, rs.Failed, wantExecuted, 1-wantExecuted)
+		}
+
+		resp, err := http.Get(srv.URL + "/v1/campaigns/" + id + "?items=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := decodeStatus(t, resp, http.StatusOK).Items
+		var failedLabel string
+		for _, it := range items {
+			if it.State == StateFailed {
+				failedLabel = it.Label
+				if !strings.Contains(it.Error, "cycle bound") {
+					t.Errorf("run %d: failed item %s error %q, want the cycle-bound error", run, it.Label, it.Error)
+				}
+			}
+		}
+		if failedLabel == "" {
+			t.Fatalf("run %d: no failed item in %+v", run, items)
+		}
+
+		var sawFailed, sawCached bool
+		for _, e := range evs {
+			if e.Type != "item" {
+				continue
+			}
+			switch {
+			case e.State == StateFailed:
+				sawFailed = e.Label == failedLabel && strings.Contains(e.Error, "cycle bound")
+			case e.State == StateDone && e.Cached:
+				sawCached = e.Label != failedLabel
+			}
+		}
+		if !sawFailed {
+			t.Errorf("run %d: no failed item frame for %s with the cycle-bound error in %+v", run, failedLabel, evs)
+		}
+		if wantCached := run == 1; sawCached != wantCached {
+			t.Errorf("run %d: cached done frame for the healthy item = %v, want %v", run, sawCached, wantCached)
+		}
 	}
 }
 
@@ -456,33 +529,6 @@ func TestFinishedJobEviction(t *testing.T) {
 	}
 	if st := getStatus(t, srv, ids[2]); st.State != StateDone {
 		t.Fatalf("newest job state = %s", st.State)
-	}
-}
-
-// TestWaitAPI covers the in-process Wait helper the CLI submit -wait path
-// uses.
-func TestWaitAPI(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer s.Close()
-	m, err := campaign.Parse([]byte(`{"workloads": ["dh.ilp.2.1"], "schemes": ["icount"], "trace_lens": [1000]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Submit(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	final, err := s.Wait(ctx, st.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone {
-		t.Fatalf("state = %s (%s)", final.State, final.Error)
-	}
-	if _, err := s.Wait(ctx, "nope"); err == nil {
-		t.Error("Wait on unknown id succeeded")
 	}
 }
 

@@ -117,8 +117,8 @@ func countKeyWork(fn func()) map[string]int {
 // TestCacheKeyWorkCounts pins the key derivation's work, a host-invariant
 // count: one warm pass of Do over BenchmarkRunnerWarmHits's sweep (60
 // workloads × 6 schemes, two goroutines) derives each spec's session key
-// once, encodes each distinct workload once and the machine once, and a
-// second pass on the same runner encodes nothing.
+// once, encodes each distinct workload once, each scheme once and the
+// machine once, and a second pass on the same runner encodes nothing.
 func TestCacheKeyWorkCounts(t *testing.T) {
 	schemes := []string{"icount", "stall", "flush+", "cisp", "cssp", "cdprf"}
 	var specs []Spec
@@ -146,7 +146,7 @@ func TestCacheKeyWorkCounts(t *testing.T) {
 		}
 	}
 	got := countKeyWork(run)
-	want := map[string]int{"spec": len(specs), "workload": 60, "config": 1}
+	want := map[string]int{"spec": len(specs), "workload": 60, "scheme": len(schemes), "config": 1}
 	for what, n := range want {
 		if got[what] != n {
 			t.Errorf("first pass: %d %s derivations, want %d", got[what], what, n)

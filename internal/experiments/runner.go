@@ -90,8 +90,8 @@ func appendField(b []byte, name string, v int) []byte {
 }
 
 // debugKeyWork, when set by a test, observes the key derivation's work:
-// "spec" for each session key, and "config" or "workload" for each
-// encoding a runner computes rather than recalls.
+// "spec" for each session key, and "config", "workload" or "scheme" for
+// each encoding a runner computes rather than recalls.
 var debugKeyWork func(what string)
 
 // workloadDigest hashes a workload's simulation-relevant content (seeds and
@@ -178,6 +178,7 @@ type Runner struct {
 	encMu     sync.Mutex
 	configs   map[core.Config][]byte
 	workloads map[workloadID][]byte
+	schemes   map[string][]byte // by scheme reference, canonicalized
 
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
@@ -273,6 +274,7 @@ func NewRunner(traceLen int) *Runner {
 		traces:    make(map[traceKey]*traceEntry),
 		configs:   make(map[core.Config][]byte),
 		workloads: make(map[workloadID][]byte),
+		schemes:   make(map[string][]byte),
 	}
 }
 
@@ -454,7 +456,7 @@ var simVersionJSON, _ = json.Marshal(core.SimVersion)
 // {version, scheme, single_thread, trace_len, workload, config} that keys
 // have always hashed (TestCacheKeyFingerprintMatchesJSON). It appends
 // memoized encodings instead of marshalling per spec: a sweep shares a few
-// machines, and each workload recurs once per scheme.
+// machines and schemes, and each workload recurs once per scheme.
 // d is workloadDigest(s.Workload).
 func (r *Runner) fingerprint(s Spec, d uint64) ([]byte, error) {
 	return r.appendFingerprint(nil, s, d)
@@ -464,16 +466,15 @@ func (r *Runner) fingerprint(s Spec, d uint64) ([]byte, error) {
 func (r *Runner) appendFingerprint(b []byte, s Spec, d uint64) ([]byte, error) {
 	r.encMu.Lock()
 	cfg, err := encodeOnce(r.configs, Machine(s, r.TraceLen), "config", core.Config.Canonical)
-	var wl []byte
+	var wl, scheme []byte
 	if err == nil {
 		id := workloadID{digest: d, name: s.Workload.Name, category: s.Workload.Category, typ: s.Workload.Type}
 		wl, err = encodeOnce(r.workloads, id, "workload", func(workloadID) ([]byte, error) { return json.Marshal(s.Workload) })
 	}
-	r.encMu.Unlock()
-	if err != nil {
-		return nil, err
+	if err == nil {
+		scheme, err = encodeOnce(r.schemes, s.Scheme, "scheme", func(ref string) ([]byte, error) { return json.Marshal(canonicalScheme(ref)) })
 	}
-	scheme, err := json.Marshal(canonicalScheme(s.Scheme))
+	r.encMu.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -251,7 +251,7 @@ func (p *problem) blockingCall(call *ast.CallExpr) string {
 				return "time.Sleep"
 			}
 			switch obj.Name() {
-			case "RunCtx", "Run", "Wait":
+			case "RunCtx", "RunPlan", "Run", "Wait":
 				if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 					return "call to " + obj.Name() + " (runs or waits for work of unbounded duration)"
 				}

@@ -17,8 +17,9 @@ type srv struct {
 
 type engine struct{}
 
-func (engine) RunCtx() {}
-func (engine) Wait()   {}
+func (engine) RunCtx()  {}
+func (engine) RunPlan() {}
+func (engine) Wait()    {}
 
 // --- violations ---
 
@@ -58,6 +59,12 @@ func (s *srv) runUnderLock(e engine) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e.RunCtx() // want `call to RunCtx \(runs or waits for work of unbounded duration\) while holding s\.mu`
+}
+
+func (s *srv) runPlanUnderLock(e engine) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.RunPlan() // want `call to RunPlan \(runs or waits for work of unbounded duration\) while holding s\.mu`
 }
 
 func (s *srv) selectNoDefault() {
