@@ -13,6 +13,7 @@ import (
 	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
+	"clustersmt/internal/workload"
 )
 
 // Engine executes expanded campaigns: one pool of workers answers every
@@ -22,11 +23,13 @@ import (
 // with Exec sending each simulation its store cannot answer to the fleet.
 //
 // An Engine may be shared: runners (and with them the in-memory result
-// layer, the singleflight tables and the trace memos) persist across RunPlan
-// calls, so concurrent campaigns submitted to one Engine — the service
-// daemon's configuration — deduplicate overlapping specs exactly once even
-// while both are in flight. Local simulations of every campaign share one
-// gate of Workers slots.
+// layer and the singleflight tables) persist across RunPlan calls, so
+// concurrent campaigns submitted to one Engine — the service daemon's
+// configuration — deduplicate overlapping specs exactly once even while
+// both are in flight. Local simulations of every campaign share one gate of
+// Workers slots. A workload's memoized traces live only while a pending
+// item of some running plan needs them (see pin); those Simulate generates
+// live until Recycle.
 type Engine struct {
 	// Store is the persistent result layer (typically *store.Store). Nil
 	// runs the campaign memory-only.
@@ -57,6 +60,24 @@ type Engine struct {
 	mem     *experiments.MemStore
 	runners map[int]*experiments.Runner
 	putErrs atomic.Int64 // fresh results the store refused
+
+	pinMu sync.Mutex
+	pins  map[pinKey]*tracePin // pending items per runner and workload, across running plans
+}
+
+// pinKey names the traces one workload needs on one runner. A plan's
+// workloads are pool workloads and their repetitions, whose names identify
+// their content.
+type pinKey struct {
+	r        *experiments.Runner
+	workload string
+}
+
+// tracePin counts the pending items, over every plan the engine is running,
+// that need one workload's traces on one runner.
+type tracePin struct {
+	key pinKey
+	n   int
 }
 
 // ItemEvent reports one planned item's lifecycle during RunPlan.
@@ -231,7 +252,8 @@ func (e *Engine) StorePutErrors() int64 { return e.putErrs.Load() }
 
 // Recycle drops the engine's cached runners, except those for the trace
 // lengths in keep, and its shared in-memory result layer (kept runners
-// keep theirs), releasing the trace memos and Stats they hold. Live
+// keep theirs), releasing the key encodings, Stats and Simulate's trace
+// memos they hold (RunPlan's traces are gone when no item needs them). Live
 // campaigns are unaffected — each resolved its runners when it started and
 // keeps them to the end; only future sharing starts cold. The service
 // daemon calls Recycle() whenever it goes idle, and a fleet worker calls
@@ -273,6 +295,7 @@ func (e *Engine) RunPlan(ctx context.Context, plan *Plan, progress func(ItemEven
 			c.runners[it.TraceLen] = e.runnerFor(it.TraceLen)
 		}
 	}
+	c.pins = e.pin(plan.Items, c.runners)
 
 	// One pool over every item, whatever its trace length. The engine
 	// shares runners (and their in-memory layer) across campaigns, so
@@ -310,12 +333,49 @@ func (e *Engine) RunPlan(ctx context.Context, plan *Plan, progress func(ItemEven
 	return rs
 }
 
+// pin adds items to the engine's pending counts and returns each item's
+// pin. Plans are workload-major, so it looks up one pin per run of items
+// on one workload, not one per item.
+func (e *Engine) pin(items []Item, runners map[int]*experiments.Runner) []*tracePin {
+	pins := make([]*tracePin, len(items))
+	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
+	if e.pins == nil {
+		e.pins = make(map[pinKey]*tracePin)
+	}
+	var p *tracePin
+	for i, it := range items {
+		if i == 0 || it.TraceLen != items[i-1].TraceLen || it.Spec.Workload.Name != items[i-1].Spec.Workload.Name {
+			k := pinKey{r: runners[it.TraceLen], workload: it.Spec.Workload.Name}
+			if p = e.pins[k]; p == nil {
+				p = &tracePin{key: k}
+				e.pins[k] = p
+			}
+		}
+		p.n++
+		pins[i] = p
+	}
+	return pins
+}
+
+// unpin counts one finished item of workload w off p. The last pending item
+// of w on p's runner, over every running plan, drops w's traces there.
+func (e *Engine) unpin(p *tracePin, w workload.Workload) {
+	e.pinMu.Lock()
+	defer e.pinMu.Unlock()
+	if p.n--; p.n == 0 {
+		delete(e.pins, p.key)
+		p.key.r.DropTraces(w)
+	}
+}
+
 // campaignRun is one RunPlan call's state, shared by its pool's workers.
 type campaignRun struct {
 	e        *Engine
 	plan     *Plan
 	rs       *ResultSet
 	runners  map[int]*experiments.Runner // by trace length, resolved at start
+	pins     []*tracePin                 // by item
 	progress func(ItemEvent)
 }
 
@@ -338,6 +398,7 @@ func (c *campaignRun) item(ctx context.Context, i int) {
 	}
 	it := c.plan.Items[i]
 	st, key, executed, err := c.e.do(ctx, c.runners[it.TraceLen], it.Spec, onSample)
+	c.e.unpin(c.pins[i], it.Spec.Workload)
 	res := c.plan.Result(i, key, st, executed, err)
 	if executed {
 		res.Samples = samples

@@ -17,6 +17,9 @@ type Plan struct {
 	// Items is the full expansion in canonical order; ResultSet.Results
 	// indexes match it one-to-one.
 	Items []Item
+	// Labels[i] is Items[i].Label(), rendered once: the item's result row
+	// and the service's status view of it share the string.
+	Labels []string
 }
 
 // NewPlan validates m and expands it into a plan.
@@ -25,7 +28,11 @@ func NewPlan(m *Manifest) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Manifest: m, Items: items}, nil
+	labels := make([]string, len(items))
+	for i := range items {
+		labels[i] = items[i].Label()
+	}
+	return &Plan{Manifest: m, Items: items, Labels: labels}, nil
 }
 
 // NewResultSet returns the empty result set the plan's execution fills:
@@ -48,7 +55,7 @@ func (p *Plan) NewResultSet(version string) *ResultSet {
 func (p *Plan) Result(i int, key string, st *metrics.Stats, executed bool, err error) Result {
 	it := p.Items[i]
 	res := Result{
-		Label:        it.Label(),
+		Label:        p.Labels[i],
 		Workload:     it.Base,
 		Scheme:       it.Spec.Scheme,
 		SchemeSpec:   schemeSpecEcho(it.Spec.Scheme),

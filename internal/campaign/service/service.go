@@ -266,8 +266,8 @@ func (s *Service) Submit(m *campaign.Manifest) (*JobStatus, error) {
 		submitted: time.Now(),
 		events:    newEventLog(s.eventBuffer),
 	}
-	for i, it := range plan.Items {
-		j.items[i] = ItemStatus{Label: it.Label(), State: StateQueued}
+	for i, l := range plan.Labels {
+		j.items[i] = ItemStatus{Label: l, State: StateQueued}
 	}
 
 	s.mu.Lock()
@@ -415,10 +415,12 @@ func (s *Service) worker() {
 		s.mu.Unlock()
 		s.prune()
 		// When the daemon goes idle, drop the engine's in-memory caches
-		// (trace memos, shared MemStore, runner tables): memory stays
-		// bounded by one busy period, and the persistent store still
-		// answers resubmissions. Without a persistent store the memory
-		// layer IS the result history, so it is kept.
+		// (shared MemStore, runner tables and their key encodings; the
+		// engine already dropped each workload's traces when its last
+		// pending item finished): memory stays bounded by one busy period,
+		// and the persistent store still answers resubmissions. Without a
+		// persistent store the memory layer IS the result history, so it
+		// is kept.
 		if idle && s.eng.Store != nil {
 			s.eng.Recycle()
 		}
@@ -491,7 +493,7 @@ func (j *job) finish(state State, rs *campaign.ResultSet, errMsg string) {
 	j.finished = time.Now()
 	// The plan never runs again: a retained job keeps its rows, not its
 	// expansion. status still reads the plan's manifest.
-	j.plan.Items = nil
+	j.plan.Items, j.plan.Labels = nil, nil
 	// Publish the terminal event and complete the stream; SSE readers see
 	// a final "state" frame and then the server closes the connection.
 	// Safe under j.mu: the event log has its own lock and never takes j.mu.

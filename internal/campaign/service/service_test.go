@@ -162,9 +162,12 @@ func TestSubmitStatusResults(t *testing.T) {
 	if len(withItems.Items) != 2 {
 		t.Fatalf("items = %d, want 2", len(withItems.Items))
 	}
-	for _, it := range withItems.Items {
+	for i, it := range withItems.Items {
 		if it.State != StateDone {
 			t.Errorf("item %s state = %s", it.Label, it.State)
+		}
+		if it.Label != rs.Results[i].Label {
+			t.Errorf("item %d: status label %q, result label %q", i, it.Label, rs.Results[i].Label)
 		}
 	}
 }

@@ -31,10 +31,11 @@ func refSessionKey(s experiments.Spec) string {
 		s.NumClusters, s.Links, s.LinkLatency, s.MemLatency)
 }
 
-// TestFormattersMatchSprintf: Item.Label and the runner's session key,
-// both built with appends, equal their fmt.Sprintf references for every
-// item of manifests with single-thread baselines, repetitions, swept
-// machine shapes and composed schemes; and Expand sizes its result once.
+// TestFormattersMatchSprintf: Item.Label, the plan's rendered labels and
+// the runner's session key, all built with appends, equal their fmt.Sprintf
+// references for every item of manifests with single-thread baselines,
+// repetitions, swept machine shapes and composed schemes; and Expand sizes
+// its result once.
 func TestFormattersMatchSprintf(t *testing.T) {
 	manifests := map[string]string{
 		"baselines": `{"categories":["dh","isfs"],"max_per_category":2,"schemes":["icount","cdprf"],
@@ -57,9 +58,16 @@ func TestFormattersMatchSprintf(t *testing.T) {
 		if len(items) != cap(items) {
 			t.Errorf("%s: Expand returned len %d, cap %d", name, len(items), cap(items))
 		}
-		for _, it := range items {
+		plan, err := campaign.NewPlan(m)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, it := range items {
 			if got, want := it.Label(), refLabel(it); got != want {
 				t.Fatalf("%s: Label %q, want %q", name, got, want)
+			}
+			if got, want := plan.Labels[i], refLabel(it); got != want {
+				t.Fatalf("%s: plan label %q, want %q", name, got, want)
 			}
 			if got, want := experiments.SessionKey(it.Spec), refSessionKey(it.Spec); got != want {
 				t.Fatalf("%s: session key %q, want %q", name, got, want)

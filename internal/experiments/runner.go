@@ -135,7 +135,8 @@ func workloadDigest(w workload.Workload) uint64 {
 // and a thread's trace is identical whether it runs alone (the fairness
 // baseline) or inside the SMT pair, so generation cost is paid once per
 // workload thread rather than once per spec. Traces are read-only to the
-// core, which is what makes the sharing safe.
+// core, which is what makes the sharing safe. A trace stays memoized until
+// DropTraces forgets its workload or the runner itself goes.
 type Runner struct {
 	// TraceLen is the per-thread trace length in uops; it also sets each
 	// simulation's warm-up and cycle bound (see Machine).
@@ -278,16 +279,24 @@ func NewRunner(traceLen int) *Runner {
 	}
 }
 
+// traceKey returns the memo key of thread i's trace for w.
+func (r *Runner) traceKey(w workload.Workload, i int) traceKey {
+	return traceKey{seed: w.Seeds[i], length: r.TraceLen, profile: profileFingerprint(w.Threads[i])}
+}
+
 // traceFor returns thread i's materialized trace for w, generating it at
-// most once per (profile, seed, length) for the runner's lifetime. The
+// most once per (profile, seed, length) until DropTraces forgets it. The
 // returned slice is shared; callers must treat it as immutable.
 func (r *Runner) traceFor(w workload.Workload, i int) []isa.Uop {
-	k := traceKey{seed: w.Seeds[i], length: r.TraceLen, profile: profileFingerprint(w.Threads[i])}
+	k := r.traceKey(w, i)
 	r.traceMu.Lock()
 	e := r.traces[k]
 	if e == nil {
 		e = &traceEntry{}
 		r.traces[k] = e
+		if debugTraceMemo != nil {
+			debugTraceMemo(r, k.seed, r.traces)
+		}
 	}
 	r.traceMu.Unlock()
 	e.once.Do(func() {
@@ -296,6 +305,24 @@ func (r *Runner) traceFor(w workload.Workload, i int) []isa.Uop {
 	})
 	return e.uops
 }
+
+// DropTraces forgets w's memoized traces at the runner's trace length, so
+// the memory they hold goes once no running simulation reads them. A later
+// spec of w generates them again. The campaign engine calls it when no
+// pending item of any plan it runs needs w on this runner any more.
+func (r *Runner) DropTraces(w workload.Workload) {
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
+	for i := range w.Threads {
+		delete(r.traces, r.traceKey(w, i))
+	}
+}
+
+// debugTraceMemo, when set by a test, is called under traceMu each time the
+// runner memoizes a new trace, with the new trace's seed and the memo as it
+// then stands. A memoized trace is generated exactly once, so each call is
+// one generation.
+var debugTraceMemo func(r *Runner, seed uint64, memo map[traceKey]*traceEntry)
 
 // Programs returns the thread programs spec s simulates at traceLen uops
 // per thread: every workload thread, or only s.SingleThread. Each thread's
