@@ -1,19 +1,14 @@
-// Package clustersmt's top-level benchmark harness: one testing.B benchmark
-// per paper table/figure (DESIGN.md §4) plus ablations of the design
-// choices DESIGN.md §5 calls out. Each figure benchmark regenerates its
-// artifact on a reduced, type-balanced pool and reports the headline series
-// as custom metrics, so `go test -bench=. -benchmem` both exercises the
-// full pipeline and prints the reproduced numbers.
+// Package clustersmt's top-level benchmark harness: raw simulator speed on
+// the Table 1 machine, ablations of the design choices DESIGN.md §5 calls
+// out, and trace-generator throughput. The paper's figures are pinned by
+// the figure goldens and internal/figures' reducer tests instead.
 package clustersmt_test
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
-	"clustersmt/internal/campaign"
 	"clustersmt/internal/core"
-	"clustersmt/internal/figures"
 	"clustersmt/internal/policy"
 	"clustersmt/internal/steer"
 	"clustersmt/internal/trace"
@@ -23,22 +18,6 @@ import (
 // benchTraceLen keeps per-benchmark wall time manageable while staying well
 // past the warm-up region.
 const benchTraceLen = 20000
-
-// benchTemplate is the figure benchmarks' campaign template: at most two
-// workloads of each listed category (nil: all) at benchTraceLen.
-func benchTemplate(cats ...string) campaign.Manifest {
-	return campaign.Manifest{Categories: cats, MaxPerCategory: 2, TraceLens: []int{benchTraceLen}}
-}
-
-// runFigure runs f on a fresh memory-only engine and returns its value.
-func runFigure[T any](b *testing.B, f figures.Figure) T {
-	b.Helper()
-	res, err := f.Run(context.Background(), &campaign.Engine{Resume: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Value.(T)
-}
 
 // BenchmarkTable1Machine measures raw simulator speed on the Table 1
 // baseline (cycles simulated per second appear as ns/cycle inverse).
@@ -63,99 +42,6 @@ func BenchmarkTable1Machine(b *testing.B) {
 		cycles += st.Cycles
 	}
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
-}
-
-// BenchmarkTable2Pool regenerates the 120-workload pool (Table 2).
-func BenchmarkTable2Pool(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pool := workload.Pool()
-		if len(pool) != 120 {
-			b.Fatalf("pool size %d", len(pool))
-		}
-	}
-}
-
-// BenchmarkFig2IQSchemes regenerates Figure 2 (7 schemes x {32,64} IQ).
-func BenchmarkFig2IQSchemes(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := runFigure[*figures.CategorySeries](b, figures.Fig2(benchTemplate(), policy.PaperIQSchemes(), []int{32, 64}))
-		b.ReportMetric(cs.Values["cssp/32"]["AVG"], "cssp32_speedup")
-		b.ReportMetric(cs.Values["pc/32"]["AVG"], "pc32_speedup")
-	}
-}
-
-// BenchmarkFig3Copies regenerates Figure 3 (copies per retired uop).
-func BenchmarkFig3Copies(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := runFigure[*figures.CategorySeries](b, figures.Fig3(benchTemplate(), policy.PaperIQSchemes()))
-		b.ReportMetric(cs.Values["cssp"]["AVG"], "cssp_copies_per_ret")
-		b.ReportMetric(cs.Values["pc"]["AVG"], "pc_copies_per_ret")
-	}
-}
-
-// BenchmarkFig4IQStalls regenerates Figure 4 (IQ stalls per retired uop).
-func BenchmarkFig4IQStalls(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := runFigure[*figures.CategorySeries](b, figures.Fig4(benchTemplate(), policy.PaperIQSchemes()))
-		b.ReportMetric(cs.Values["icount"]["AVG"], "icount_stalls_per_ret")
-	}
-}
-
-// BenchmarkFig5Imbalance regenerates Figure 5 (workload imbalance).
-func BenchmarkFig5Imbalance(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := runFigure[*figures.Fig5Result](b, figures.Fig5(benchTemplate(), []string{"icount", "cisp", "cssp", "pc"}))
-		pc := res.Frac["AVG"]["pc"]
-		cssp := res.Frac["AVG"]["cssp"]
-		// kind 1 = true imbalance (other cluster had a free port)
-		b.ReportMetric(pc[0][1]+pc[1][1]+pc[2][1], "pc_imbalance")
-		b.ReportMetric(cssp[0][1]+cssp[1][1]+cssp[2][1], "cssp_imbalance")
-	}
-}
-
-// BenchmarkFig6RegFile regenerates Figure 6 (RF schemes at 64/128 regs).
-func BenchmarkFig6RegFile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := runFigure[*figures.CategorySeries](b, figures.Fig6(benchTemplate(), policy.PaperRFSchemes(), []int{64, 128}))
-		b.ReportMetric(cs.Values["cssprf/64"]["AVG"], "cssprf64")
-		b.ReportMetric(cs.Values["cisprf/64"]["AVG"], "cisprf64")
-	}
-}
-
-// BenchmarkFig9CDPRF regenerates Figure 9 (CDPRF on ISPEC-FSPEC).
-func BenchmarkFig9CDPRF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := runFigure[*figures.Fig9Result](b, figures.Fig9(benchTemplate(), []string{"cssp", "cssprf", "cisprf", "cdprf"}))
-		b.ReportMetric(res.Speedup["AVG"]["cdprf"], "cdprf_isfs")
-		b.ReportMetric(res.Speedup["AVG"]["cisprf"], "cisprf_isfs")
-	}
-}
-
-// BenchmarkFig10Fairness regenerates Figure 10 (fairness vs Icount).
-func BenchmarkFig10Fairness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cs := runFigure[*figures.CategorySeries](b, figures.Fig10(benchTemplate("ispec00", "server", "mixes"),
-			[]string{"stall", "flush+", "cssp", "cdprf"}))
-		b.ReportMetric(cs.Values["cdprf"]["AVG"], "cdprf_fairness")
-	}
-}
-
-// BenchmarkHeadline regenerates the §1/§6 claim (paper: +17.6%, +24%).
-func BenchmarkHeadline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := runFigure[*figures.HeadlineResult](b, figures.Headline(benchTemplate()))
-		b.ReportMetric(h.CDPRFSpeedup, "cdprf_speedup")
-		b.ReportMetric(h.FairnessRatio, "cdprf_fairness")
-	}
-}
-
-// BenchmarkFutureWork compares the §6 adaptations against CDPRF.
-func BenchmarkFutureWork(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := runFigure[map[string]float64](b, figures.FutureWork(benchTemplate("ispec00", "server")))
-		b.ReportMetric(out["dcra"], "dcra_speedup")
-		b.ReportMetric(out["hillclimb"], "hillclimb_speedup")
-	}
 }
 
 // --- ablations (DESIGN.md §5) --------------------------------------------

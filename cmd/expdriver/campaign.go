@@ -40,26 +40,18 @@ func newEngine(o campaignOpts) (*campaign.Engine, error) {
 	return eng, nil
 }
 
-// dryRun prints the label of every distinct item of ms, in expansion
-// order, and how many there are, and runs nothing. An item that two
+// dryRun prints the label of every distinct item of plan, in plan order,
+// and how many there are, and runs nothing. An item that two of the plan's
 // manifests share runs once, so it is listed once.
-func dryRun(what string, ms ...*campaign.Manifest) int {
+func dryRun(what string, plan *campaign.Plan) {
 	seen := map[string]bool{}
-	for _, m := range ms {
-		items, err := m.Expand()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		for _, it := range items {
-			if l := it.Label(); !seen[l] {
-				seen[l] = true
-				fmt.Println(l)
-			}
+	for _, l := range plan.Labels {
+		if !seen[l] {
+			seen[l] = true
+			fmt.Println(l)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "%s: %d simulations would run (dry run; nothing executed)\n", what, len(seen))
-	return 0
 }
 
 // runCampaign executes (or dry-runs) a manifest-defined sweep and renders
@@ -67,12 +59,17 @@ func dryRun(what string, ms ...*campaign.Manifest) int {
 // unreadable or invalid manifest is a usage error: exit 2.
 func runCampaign(o campaignOpts) int {
 	m, err := campaign.Load(o.manifest)
+	var plan *campaign.Plan
+	if err == nil {
+		plan, err = campaign.NewPlan(m)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
 	if o.dryRun {
-		return dryRun("campaign "+m.Name, m)
+		dryRun("campaign "+m.Name, plan)
+		return 0
 	}
 
 	eng, err := newEngine(o)
@@ -82,11 +79,7 @@ func runCampaign(o campaignOpts) int {
 	}
 
 	start := time.Now()
-	rs, err := eng.RunCtx(context.Background(), m, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
+	rs := eng.RunPlan(context.Background(), plan, nil)
 
 	fmt.Println(report.Table(fmt.Sprintf("Campaign %s (%s)", rs.Campaign, rs.Version),
 		campaignHeader(m), campaignRows(m, rs)))

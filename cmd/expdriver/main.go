@@ -177,7 +177,7 @@ func main() {
 		os.Exit(2)
 	}
 	// The figure flags fill the template every figure's campaigns start
-	// from, so validating the campaigns validates the flags.
+	// from, so planning the campaigns validates the flags.
 	tmpl := campaign.Manifest{
 		TraceLens:   []int{*traceLen},
 		NumClusters: shapeAxis(*clusters),
@@ -202,12 +202,9 @@ func main() {
 	if len(figs) == 0 {
 		usageErr(fmt.Errorf("unknown experiment %q (%s)", *exp, strings.Join(names, "|")))
 	}
-	for _, f := range figs {
-		for _, m := range f.Campaigns {
-			if err := m.Validate(); err != nil {
-				usageErr(flagError(err))
-			}
-		}
+	plan, err := figures.Plan(figs...)
+	if err != nil {
+		usageErr(flagError(err))
 	}
 
 	if len(schemeFlags) > 0 && (*exp == "headline" || *exp == "future") {
@@ -216,7 +213,7 @@ func main() {
 	if *clusters != 0 && (*exp == "all" || *exp == "clusterscale") {
 		fmt.Fprintln(os.Stderr, "warning: -clusters is ignored by -exp clusterscale (the figure sweeps its own cluster axis)")
 	}
-	code := runFigures(figs, opts)
+	code := runFigures(figs, plan, opts)
 	flushProfiles() // before the deferless exit
 	os.Exit(code)
 }
@@ -248,16 +245,13 @@ func flagError(err error) error {
 	return err
 }
 
-// runFigures runs (or dry-runs) figs one after another on one engine,
+// runFigures runs (or dry-runs) figs as their one plan on one engine,
 // prints each figure's tables, and writes the -json figure map and the
 // cluster-scaling -csv rows.
-func runFigures(figs []figures.Figure, o campaignOpts) int {
+func runFigures(figs []figures.Figure, plan *campaign.Plan, o campaignOpts) int {
 	if o.dryRun {
-		var ms []*campaign.Manifest
-		for _, f := range figs {
-			ms = append(ms, f.Campaigns...)
-		}
-		return dryRun("figures", ms...)
+		dryRun("figures", plan)
+		return 0
 	}
 	eng, err := newEngine(o)
 	if err != nil {
@@ -265,18 +259,16 @@ func runFigures(figs []figures.Figure, o campaignOpts) int {
 		return 1
 	}
 	start := time.Now()
+	res, rs, err := figures.Run(context.Background(), eng, plan, figs...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "figures: %v\n", err)
+		return 1
+	}
 	emitted := map[string]any{}
-	var total, executed, hits int
-	for _, f := range figs {
-		res, err := f.Run(context.Background(), eng)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", f.Name, err)
-			return 1
-		}
-		fmt.Print(res.Text)
-		emitted[f.Name] = res.Value
-		total, executed, hits = total+res.Total, executed+res.Executed, hits+res.StoreHits
-		if cs, ok := res.Value.(*figures.ClusterScalingResult); ok && o.csvOut != "" {
+	for i, f := range figs {
+		fmt.Print(res[i].Text)
+		emitted[f.Name] = res[i].Value
+		if cs, ok := res[i].Value.(*figures.ClusterScalingResult); ok && o.csvOut != "" {
 			header, rows := cs.CSV()
 			if err := os.WriteFile(o.csvOut, []byte(report.CSV(header, rows)), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "csv: %v\n", err)
@@ -291,7 +283,7 @@ func runFigures(figs []figures.Figure, o campaignOpts) int {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "figures: %d items — %d executed, %d store hits (%v)\n",
-		total, executed, hits, time.Since(start).Round(time.Second))
+		rs.Total, rs.Executed, rs.StoreHits, time.Since(start).Round(time.Second))
 	return 0
 }
 

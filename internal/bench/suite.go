@@ -141,12 +141,16 @@ func benchHeadline(o Options) (Benchmark, error) {
 	fig := figures.Headline(campaign.Manifest{TraceLens: []int{traceLen}, MaxPerCategory: 1})
 	r := measure(o.Target, o.Reps, func(n int) map[string]float64 {
 		for i := 0; i < n; i++ {
-			res, err := fig.Run(context.Background(), &campaign.Engine{Resume: true})
+			plan, err := figures.Plan(fig)
+			var res []figures.Result
+			if err == nil {
+				res, _, err = figures.Run(context.Background(), &campaign.Engine{Resume: true}, plan, fig)
+			}
 			if err != nil {
 				firstErr = err
 				return nil
 			}
-			last = res.Value.(*figures.HeadlineResult)
+			last = res[0].Value.(*figures.HeadlineResult)
 		}
 		return nil
 	})

@@ -152,26 +152,6 @@ type ResultSet struct {
 	Results   []Result `json:"results"`
 }
 
-// baselinePoint identifies one single-thread baseline coordinate. The
-// machine shape participates: a baseline on a 1-cluster machine must not
-// answer for an SMT run on 4 clusters.
-type baselinePoint struct {
-	base                 string
-	rep, tl, iq, rf, rob int
-	nc, lk, ll, ml       int
-	thread               int
-}
-
-// pointOf projects an item onto its baseline coordinate for thread t.
-func pointOf(it Item, t int) baselinePoint {
-	return baselinePoint{
-		base: it.Base, rep: it.Rep, tl: it.TraceLen,
-		iq: it.Spec.IQSize, rf: it.Spec.RegsPerClust, rob: it.Spec.ROBPerThread,
-		nc: it.Spec.NumClusters, lk: it.Spec.Links, ll: it.Spec.LinkLatency, ml: it.Spec.MemLatency,
-		thread: t,
-	}
-}
-
 // runnerFor returns the engine's shared runner for trace length tl,
 // creating it on first use: a fresh-layer MemStore in front of the
 // persistent store, sharing the engine's gate and Exec. With Resume

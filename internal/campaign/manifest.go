@@ -526,6 +526,8 @@ type Item struct {
 	TraceLen int
 	// Rep is the repetition index (0 = canonical seeding).
 	Rep int
+	// Campaign is the index of the item's manifest in its plan.
+	Campaign int
 }
 
 // Label renders the item's identity as a stable, human-readable key. Diff

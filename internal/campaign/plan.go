@@ -1,19 +1,21 @@
 package campaign
 
 import (
+	"slices"
+
 	"clustersmt/internal/metrics"
 	"clustersmt/internal/policy"
 )
 
 // Plan is the placement half of a campaign, split from execution: the
-// validated, deterministic item expansion and the assembly of raw
-// simulation outcomes into the campaign's ResultSet. Engine.RunPlan
+// validated, deterministic item expansion of one or more manifests and the
+// assembly of raw simulation outcomes into their ResultSet. Engine.RunPlan
 // executes it whether its simulations run in-process or on the fleet, and
 // every per-item decision (ordering, labeling, result shaping, fairness,
 // tallies) lives here, not in where a simulation ran.
 type Plan struct {
-	// Manifest is the campaign declaration the plan was expanded from.
-	Manifest *Manifest
+	// Name is the first manifest's name, which the ResultSet carries.
+	Name string
 	// Items is the full expansion in canonical order; ResultSet.Results
 	// indexes match it one-to-one.
 	Items []Item
@@ -22,24 +24,52 @@ type Plan struct {
 	Labels []string
 }
 
-// NewPlan validates m and expands it into a plan.
-func NewPlan(m *Manifest) (*Plan, error) {
-	items, err := m.Expand()
+// NewPlan validates and expands ms (at least one) into one plan, tagging
+// each item with its manifest's index. Items are workload-major, as the
+// engine's trace memo needs: grouped by (trace length, workload) in order of
+// first appearance, in manifest and then expansion order; Expand's already is.
+func NewPlan(ms ...*Manifest) (*Plan, error) {
+	items, err := ms[0].Expand()
 	if err != nil {
 		return nil, err
+	}
+	for c, m := range ms[1:] {
+		more, err := m.Expand()
+		if err != nil {
+			return nil, err
+		}
+		for _, it := range more {
+			it.Campaign = c + 1
+			items = append(items, it)
+		}
+	}
+	if len(ms) > 1 {
+		type group struct {
+			tl int
+			w  string
+		}
+		rank := map[group]int{}
+		for _, it := range items {
+			if g := (group{it.TraceLen, it.Spec.Workload.Name}); rank[g] == 0 {
+				rank[g] = len(rank) + 1
+			}
+		}
+		slices.SortStableFunc(items, func(a, b Item) int {
+			return rank[group{a.TraceLen, a.Spec.Workload.Name}] - rank[group{b.TraceLen, b.Spec.Workload.Name}]
+		})
 	}
 	labels := make([]string, len(items))
 	for i := range items {
 		labels[i] = items[i].Label()
 	}
-	return &Plan{Manifest: m, Items: items, Labels: labels}, nil
+	return &Plan{Name: ms[0].Name, Items: items, Labels: labels}, nil
 }
 
 // NewResultSet returns the empty result set the plan's execution fills:
 // one slot per item, in expansion order.
 func (p *Plan) NewResultSet(version string) *ResultSet {
 	return &ResultSet{
-		Campaign: p.Manifest.Name,
+		Campaign: p.Name,
 		Version:  version,
 		Total:    len(p.Items),
 		Results:  make([]Result, len(p.Items)),
@@ -91,13 +121,11 @@ func (p *Plan) Result(i int, key string, st *metrics.Stats, executed bool, err e
 }
 
 // Finalize completes a fully-populated result set: the §4 fairness pass
-// (when the manifest requested single-thread baselines) and the
+// (for manifests that requested single-thread baselines) and the
 // executed / store-hit / failed tallies. Call it exactly once, after every
 // Results slot has been filled.
 func (p *Plan) Finalize(rs *ResultSet) {
-	if p.Manifest.SingleThreadBaselines {
-		p.fillFairness(rs)
-	}
+	p.fillFairness(rs)
 	rs.Executed, rs.StoreHits, rs.Failed = 0, 0, 0
 	for i := range rs.Results {
 		switch {
@@ -112,29 +140,31 @@ func (p *Plan) Finalize(rs *ResultSet) {
 }
 
 // fillFairness computes the §4 fairness metric for every SMT result whose
-// per-thread Icount baselines all completed at the same axis point.
+// Icount baselines all completed in its campaign: the items labelled as it
+// is but for scheme icount and the thread (labels carry every axis).
 func (p *Plan) fillFairness(rs *ResultSet) {
-	single := map[baselinePoint]float64{}
+	type point struct {
+		campaign int
+		label    string
+	}
+	single := map[point]float64{}
 	for i, it := range p.Items {
 		if it.Spec.SingleThread >= 0 && rs.Results[i].Error == "" {
-			single[pointOf(it, it.Spec.SingleThread)] = rs.Results[i].IPC
+			single[point{it.Campaign, p.Labels[i]}] = rs.Results[i].IPC
 		}
 	}
 	for i, it := range p.Items {
-		if it.Spec.SingleThread >= 0 || rs.Results[i].Error != "" {
-			continue
-		}
 		n := len(it.Spec.Workload.Threads)
-		if len(rs.Results[i].ThreadIPC) != n {
+		if len(single) == 0 || it.Spec.SingleThread >= 0 || rs.Results[i].Error != "" || len(rs.Results[i].ThreadIPC) != n {
 			continue
 		}
 		singles := make([]float64, 0, n)
 		for t := 0; t < n; t++ {
-			ipc, ok := single[pointOf(it, t)]
-			if !ok {
-				break
+			base := it
+			base.Spec.Scheme, base.Spec.SingleThread = "icount", t
+			if ipc, ok := single[point{it.Campaign, base.Label()}]; ok {
+				singles = append(singles, ipc)
 			}
-			singles = append(singles, ipc)
 		}
 		if len(singles) == n {
 			rs.Results[i].Fairness = metrics.Fairness(singles, rs.Results[i].ThreadIPC)

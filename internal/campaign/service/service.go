@@ -492,7 +492,7 @@ func (j *job) finish(state State, rs *campaign.ResultSet, errMsg string) {
 	j.err = errMsg
 	j.finished = time.Now()
 	// The plan never runs again: a retained job keeps its rows, not its
-	// expansion. status still reads the plan's manifest.
+	// expansion. status still reads the plan's name.
 	j.plan.Items, j.plan.Labels = nil, nil
 	// Publish the terminal event and complete the stream; SSE readers see
 	// a final "state" frame and then the server closes the connection.
@@ -507,7 +507,7 @@ func (j *job) status(withItems bool) *JobStatus {
 	defer j.mu.Unlock()
 	st := &JobStatus{
 		ID:        j.id,
-		Campaign:  j.plan.Manifest.Name,
+		Campaign:  j.plan.Name,
 		State:     j.state,
 		Total:     len(j.items),
 		Submitted: j.submitted,

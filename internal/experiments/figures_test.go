@@ -32,11 +32,15 @@ func runFigure[T any](t *testing.T, f figures.Figure, eng ...*campaign.Engine) T
 	if len(eng) > 0 {
 		e = eng[0]
 	}
-	res, err := f.Run(context.Background(), e)
+	plan, err := figures.Plan(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Value.(T)
+	res, _, err := figures.Run(context.Background(), e, plan, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].Value.(T)
 }
 
 func TestFig2SeriesComplete(t *testing.T) {

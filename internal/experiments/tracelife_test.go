@@ -8,6 +8,7 @@ import (
 
 	"clustersmt/internal/campaign"
 	"clustersmt/internal/experiments"
+	"clustersmt/internal/figures"
 )
 
 // memoWatch observes every runner's trace memo through the test hook:
@@ -230,4 +231,54 @@ func uncached(rows []campaign.Result) []campaign.Result {
 		out[i].Cached = false
 	}
 	return out
+}
+
+// TestFigureRunGeneratesEachTraceOnce: figures that share workloads run as
+// one plan, so each thread's trace is generated once per run, not once per
+// campaign, with at most Workers+1 workloads' traces held at once and none
+// left over. Each figure's value equals the value of its own run.
+func TestFigureRunGeneratesEachTraceOnce(t *testing.T) {
+	figs := []figures.Figure{
+		figures.Fig2(tinyPool(1000), []string{"icount", "cssp"}, []int{32}),
+		figures.Headline(tinyPool(1000)),
+	}
+	plan, err := figures.Plan(figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := watchMemos(t, plan)
+	const workers = 2
+	res, rs, err := figures.Run(context.Background(), &campaign.Engine{Workers: workers, Resume: true}, plan, figs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Total != len(plan.Items) || rs.Executed+rs.StoreHits != rs.Total {
+		t.Errorf("tally %d executed, %d store hits of %d; want all %d items answered", rs.Executed, rs.StoreHits, rs.Total, len(plan.Items))
+	}
+	if len(watch.gens) != 1 {
+		t.Fatalf("%d runners memoized traces, want 1", len(watch.gens))
+	}
+	for _, gens := range watch.gens {
+		if want := len(watch.owner); len(gens) != want {
+			t.Errorf("%d traces generated, want %d", len(gens), want)
+		}
+		for seed, n := range gens {
+			if n != 1 {
+				t.Errorf("trace %x (%s) generated %d times", seed, watch.owner[seed], n)
+			}
+		}
+	}
+	if watch.maxWork > workers+1 {
+		t.Errorf("%d workloads' traces memoized at once, want at most %d", watch.maxWork, workers+1)
+	}
+	if n := watch.leftover(); n != 0 {
+		t.Errorf("%d traces memoized after the run", n)
+	}
+
+	experiments.SetTraceMemoHook(nil)
+	for i, f := range figs {
+		if alone := runFigure[any](t, f); !reflect.DeepEqual(res[i].Value, alone) {
+			t.Errorf("%s: value %+v run with the others, %+v alone", f.Name, res[i].Value, alone)
+		}
+	}
 }

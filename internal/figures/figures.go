@@ -12,7 +12,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"sync"
 
 	"clustersmt/internal/campaign"
 	"clustersmt/internal/experiments"
@@ -26,9 +25,9 @@ import (
 type Figure struct {
 	// Name is the figure's expdriver -exp key.
 	Name string
-	// Campaigns share one workload pool. A workload's row is the stats of
-	// its items across them, in campaign order and, within a campaign, in
-	// expansion order.
+	// Campaigns share one workload pool and one trace length. A workload's
+	// row is the stats of its items across them, in campaign order and,
+	// within a campaign, in expansion order.
 	Campaigns []*campaign.Manifest
 	// reduce turns the rows into the figure's value and its text tables.
 	reduce func(rows) (any, string)
@@ -46,46 +45,46 @@ func newFigure[T any](name string, campaigns []*campaign.Manifest, reduce func(r
 	}}
 }
 
-// Result is one figure run: the figure's value (its -json form), its text
-// tables, and the campaigns' tallies summed. An item shared by two
-// campaigns counts in both, as an execution at most once.
+// Result is one figure's value (its -json form) and text tables.
 type Result struct {
-	Value                      any
-	Text                       string
-	Total, Executed, StoreHits int
+	Value any
+	Text  string
 }
 
-// Run executes the figure's campaigns on eng, one after another, and
-// reduces their results. A failed item fails the figure; the items that
-// completed stay in eng's store.
-func (f Figure) Run(ctx context.Context, eng *campaign.Engine) (*Result, error) {
-	res := &Result{}
-	r := rows{}
-	for _, m := range f.Campaigns {
-		var mu sync.Mutex
-		stats := map[int]*metrics.Stats{}
-		rs, err := eng.RunCtx(ctx, m, func(ev campaign.ItemEvent) {
-			if ev.Stats != nil {
-				mu.Lock()
-				stats[ev.Index] = ev.Stats
-				mu.Unlock()
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		if rs.Failed > 0 {
-			return nil, rs.Err()
-		}
-		for i, item := range rs.Results {
-			r[item.Workload] = append(r[item.Workload], stats[i])
-		}
-		res.Total += rs.Total
-		res.Executed += rs.Executed
-		res.StoreHits += rs.StoreHits
+// Plan expands the campaigns of figs, in figs order, into one plan.
+func Plan(figs ...Figure) (*campaign.Plan, error) {
+	var ms []*campaign.Manifest
+	for _, f := range figs {
+		ms = append(ms, f.Campaigns...)
 	}
-	res.Value, res.Text = f.reduce(r)
-	return res, nil
+	return campaign.NewPlan(ms...)
+}
+
+// Run executes plan, which is Plan(figs...), on eng and returns each
+// figure's result and the plan's result set. The plan keeps each workload's
+// items in campaign and expansion order, so plan order is row order. A
+// failed item fails the run; the items that completed stay in eng's store.
+func Run(ctx context.Context, eng *campaign.Engine, plan *campaign.Plan, figs ...Figure) ([]Result, *campaign.ResultSet, error) {
+	stats := make([]*metrics.Stats, len(plan.Items))
+	rs := eng.RunPlan(ctx, plan, func(ev campaign.ItemEvent) {
+		stats[ev.Index] = ev.Stats // an item's last event carries its stats
+	})
+	if rs.Failed > 0 {
+		return nil, rs, rs.Err()
+	}
+	out := make([]Result, len(figs))
+	lo := 0
+	for f, fig := range figs {
+		r, hi := rows{}, lo+len(fig.Campaigns)
+		for i, it := range plan.Items {
+			if lo <= it.Campaign && it.Campaign < hi {
+				r[it.Base] = append(r[it.Base], stats[i])
+			}
+		}
+		out[f].Value, out[f].Text = fig.reduce(r)
+		lo = hi
+	}
+	return out, rs, nil
 }
 
 // All returns every figure in -exp order, on campaigns derived from the

@@ -21,21 +21,31 @@ import (
 // ISPEC-FSPEC, both two-thread.
 var twoCats = campaign.Manifest{Categories: []string{"ispec00", "isfs"}, MaxPerCategory: 1, TraceLens: []int{1000}}
 
+// outcome is one figure's run: its result and its plan's result set.
+type outcome struct {
+	Result
+	*campaign.ResultSet
+}
+
 // run runs f on a memory-only engine whose executor answers each spec with
-// synth(spec), and returns the figure's result and the number of specs the
+// synth(spec), and returns the figure's outcome and the number of specs the
 // executor answered.
-func run(t *testing.T, f Figure, synth func(experiments.Spec) *metrics.Stats) (*Result, int64) {
+func run(t *testing.T, f Figure, synth func(experiments.Spec) *metrics.Stats) (outcome, int64) {
 	t.Helper()
 	var calls atomic.Int64
 	eng := &campaign.Engine{Resume: true, Exec: func(_ context.Context, _ int, s experiments.Spec) (*metrics.Stats, bool, error) {
 		calls.Add(1)
 		return synth(s), true, nil
 	}}
-	res, err := f.Run(context.Background(), eng)
+	plan, err := Plan(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, calls.Load()
+	res, rs, err := Run(context.Background(), eng, plan, f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return outcome{res[0], rs}, calls.Load()
 }
 
 // stats is a 1000-cycle run in which thread t commits ipcs[t]*1000 uops.

@@ -194,8 +194,8 @@ func TestMutationFairnessBaselinesMapOrdered(t *testing.T) {
 	}
 	root := copyModule(t)
 	mutate(t, root, filepath.Join("internal", "campaign", "plan.go"),
-		"\t\tfor t := 0; t < n; t++ {\n\t\t\tipc, ok := single[pointOf(it, t)]\n\t\t\tif !ok {\n\t\t\t\tbreak\n\t\t\t}\n\t\t\tsingles = append(singles, ipc)\n\t\t}\n",
-		"\t\tfor pt, ipc := range single {\n\t\t\tif pt == pointOf(it, pt.thread) {\n\t\t\t\tsingles = append(singles, ipc)\n\t\t\t}\n\t\t}\n")
+		"\t\tfor t := 0; t < n; t++ {\n\t\t\tbase := it\n\t\t\tbase.Spec.Scheme, base.Spec.SingleThread = \"icount\", t\n\t\t\tif ipc, ok := single[point{it.Campaign, base.Label()}]; ok {\n\t\t\t\tsingles = append(singles, ipc)\n\t\t\t}\n\t\t}\n",
+		"\t\tfor pt, ipc := range single {\n\t\t\tif pt.campaign == it.Campaign {\n\t\t\t\tsingles = append(singles, ipc)\n\t\t\t}\n\t\t}\n")
 	requireFinding(t, findings(t, root), "nondeterministic value (map iteration order) reaches campaign.Result field Fairness")
 }
 
