@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"regexp"
+	"testing"
+	"time"
 
 	"clustersmt/internal/bench"
 	"clustersmt/internal/report"
@@ -35,10 +37,22 @@ func runBench(args []string) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// The suite runs through testing.Benchmark, whose per-run target is
+	// testing's own -test.benchtime flag.
+	if *benchtime == 0 {
+		*benchtime = 3 * time.Second
+		if *quick {
+			*benchtime = 400 * time.Millisecond
+		}
+	}
+	testing.Init()
+	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
+		fmt.Fprintf(os.Stderr, "bench: -benchtime: %v\n", err)
+		return 2
+	}
 	o := bench.Options{
-		Quick:  *quick,
-		Target: *benchtime,
-		Reps:   *reps,
+		Quick: *quick,
+		Reps:  *reps,
 		Logf: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},

@@ -1,16 +1,17 @@
 // Package bench is the continuous-benchmark harness behind `expdriver
 // bench`: a fixed suite of simulator benchmarks (Table 1 machine throughput,
-// the wakeup ablation, the headline experiment, a cache-hierarchy
-// microbenchmark, and the steady-state allocation gate) measured with a
-// self-contained timing loop and emitted as a schema'd JSON report
-// (BENCH_<n>.json). Reports from two builds are compared with Diff, which
-// knows each metric's improvement direction and which metrics are
+// the wakeup and steering ablations, the headline experiment, a
+// cache-hierarchy microbenchmark, trace-generator throughput and the
+// steady-state allocation gate). Each is one func(*testing.B) body; Run
+// measures the bodies through testing.Benchmark and emits a schema'd JSON
+// report (BENCH_<n>.json), and `go test -bench` runs the same bodies
+// through BenchmarkSuite. Reports from two builds are compared with Diff,
+// which knows each metric's improvement direction and which metrics are
 // host-dependent, so CI can gate deterministic metrics tightly while
 // tolerating shared-runner timing noise.
 package bench
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -21,7 +22,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
+	"testing"
 )
 
 // Schema identifies the report format; Diff refuses mismatched schemas.
@@ -126,13 +127,11 @@ func LoadReport(path string) (*Report, error) {
 	return &r, nil
 }
 
-// Options configures a suite run.
+// Options configures a suite run. The per-repetition wall-clock target is
+// testing's -test.benchtime flag, which `expdriver bench -benchtime` sets.
 type Options struct {
 	// Quick selects the reduced suite for CI smoke runs.
 	Quick bool
-	// Target is the per-repetition wall-clock target (0 = 3s, or 400ms
-	// with Quick).
-	Target time.Duration
 	// Reps is the repetition count per benchmark; the best (fastest)
 	// repetition is recorded, which is the standard defense against
 	// one-off scheduler noise (0 = 3, or 1 with Quick).
@@ -144,33 +143,19 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-func (o *Options) fill() {
-	if o.Target == 0 {
-		if o.Quick {
-			o.Target = 400 * time.Millisecond
-		} else {
-			o.Target = 3 * time.Second
-		}
-	}
+// Run executes the suite through testing.Benchmark and returns the report.
+func Run(o Options) (*Report, error) {
+	return run(o, suite(o.Quick))
+}
+
+// run is Run over an explicit benchmark list.
+func run(o Options, defs []entry) (*Report, error) {
 	if o.Reps == 0 {
+		o.Reps = 3
 		if o.Quick {
 			o.Reps = 1
-		} else {
-			o.Reps = 3
 		}
 	}
-}
-
-// Run executes the suite and returns the report.
-func Run(o Options) (*Report, error) {
-	return RunCtx(context.Background(), o)
-}
-
-// RunCtx is Run with cancellation: the context is polled between
-// benchmarks, so a canceled gate run stops after the benchmark in flight
-// instead of grinding through the rest of the suite.
-func RunCtx(ctx context.Context, o Options) (*Report, error) {
-	o.fill()
 	r := &Report{
 		Schema:    Schema,
 		PR:        PRNumber,
@@ -183,16 +168,13 @@ func RunCtx(ctx context.Context, o Options) (*Report, error) {
 		Reps:      o.Reps,
 	}
 	r.Host = fingerprint(r)
-	for _, d := range suite() {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("bench: canceled: %w", err)
-		}
+	for _, d := range defs {
 		if o.Filter != nil && !o.Filter.MatchString(d.name) {
 			continue
 		}
-		b, err := d.run(o)
+		b, err := record(d, o.Reps)
 		if err != nil {
-			return nil, fmt.Errorf("bench %s: %w", d.name, err)
+			return nil, err
 		}
 		if o.Logf != nil {
 			o.Logf("%s", benchLine(b))
@@ -203,6 +185,50 @@ func RunCtx(ctx context.Context, o Options) (*Report, error) {
 		return nil, fmt.Errorf("bench: filter matched no benchmarks")
 	}
 	return r, nil
+}
+
+// record runs d's body reps times through testing.Benchmark and keeps the
+// fastest repetition. testing.Benchmark returns no error for a failed body:
+// a failure in its first run leaves an empty result, one in a later run a
+// result that looks valid. So the failed state is read inside the run, and
+// either is an error naming the benchmark.
+func record(d entry, reps int) (Benchmark, error) {
+	var best testing.BenchmarkResult
+	for range max(reps, 1) {
+		failed := false
+		res := testing.Benchmark(func(b *testing.B) {
+			defer func() {
+				if b.Failed() {
+					failed = true
+				}
+			}()
+			d.body(b)
+		})
+		if failed || res.N == 0 {
+			return Benchmark{}, fmt.Errorf("bench %s: benchmark failed", d.name)
+		}
+		if best.N == 0 || res.NsPerOp() < best.NsPerOp() {
+			best = res
+		}
+	}
+	n := float64(best.N)
+	b := Benchmark{
+		Name:        d.name,
+		N:           best.N,
+		NsPerOp:     float64(best.T.Nanoseconds()) / n,
+		AllocsPerOp: float64(best.MemAllocs) / n,
+		BytesPerOp:  float64(best.MemBytes) / n,
+		Metrics:     make(map[string]Metric, len(best.Extra)),
+	}
+	for unit, v := range best.Extra {
+		m, ok := metricKinds[unit]
+		if !ok {
+			return Benchmark{}, fmt.Errorf("bench %s: metric %q has no declared kind", d.name, unit)
+		}
+		m.Value = v
+		b.Metrics[unit] = m
+	}
+	return b, nil
 }
 
 // cpuModel returns the CPU model string on Linux (best effort elsewhere).
@@ -229,68 +255,6 @@ func fingerprint(r *Report) string {
 		host, r.GOOS, r.GOARCH, fmt.Sprint(r.NumCPU), r.CPUModel,
 	}, "|")))
 	return hex.EncodeToString(sum[:6])
-}
-
-// measurement harness --------------------------------------------------------
-
-// timedRun is one repetition's raw measurement.
-type timedRun struct {
-	n        int
-	elapsed  time.Duration
-	allocsOp float64
-	bytesOp  float64
-	counters map[string]float64
-}
-
-// runOnce measures n iterations of iter with the heap settled first, so the
-// allocation columns reflect the benchmark body rather than leftover garbage.
-func runOnce(n int, iter func(n int) map[string]float64) timedRun {
-	runtime.GC()
-	var m1, m2 runtime.MemStats
-	runtime.ReadMemStats(&m1)
-	t0 := time.Now()
-	counters := iter(n)
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&m2)
-	return timedRun{
-		n:        n,
-		elapsed:  elapsed,
-		allocsOp: float64(m2.Mallocs-m1.Mallocs) / float64(n),
-		bytesOp:  float64(m2.TotalAlloc-m1.TotalAlloc) / float64(n),
-		counters: counters,
-	}
-}
-
-// measure calibrates the iteration count to the wall-clock target (the same
-// geometric ramp `go test -bench` uses), then repeats at that count and
-// keeps the fastest repetition.
-func measure(target time.Duration, reps int, iter func(n int) map[string]float64) timedRun {
-	n := 1
-	var best timedRun
-	for {
-		best = runOnce(n, iter)
-		if best.elapsed >= target || n >= 1<<30 {
-			break
-		}
-		el := best.elapsed
-		if el < time.Microsecond {
-			el = time.Microsecond
-		}
-		next := int(float64(n) * float64(target) / float64(el) * 1.2)
-		if next > n*100 {
-			next = n * 100
-		}
-		if next <= n {
-			next = n + 1
-		}
-		n = next
-	}
-	for i := 1; i < reps; i++ {
-		if r := runOnce(n, iter); r.elapsed < best.elapsed {
-			best = r
-		}
-	}
-	return best
 }
 
 // text rendering -------------------------------------------------------------

@@ -2,10 +2,11 @@ package bench
 
 import (
 	"encoding/json"
+	"flag"
 	"math"
 	"regexp"
+	"strings"
 	"testing"
-	"time"
 )
 
 func mkReport(quick bool, host string, benches ...Benchmark) *Report {
@@ -171,12 +172,30 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunSmoke executes one real (cheap) suite entry end to end through the
-// calibration harness and checks the report shape.
+// BenchmarkSuite runs the suite's bodies under `go test -bench`, one
+// sub-benchmark per report row.
+func BenchmarkSuite(b *testing.B) {
+	for _, d := range suite(false) {
+		b.Run(d.name, d.body)
+	}
+}
+
+// setBenchtime sets testing's -test.benchtime for the rest of the test.
+func setBenchtime(t *testing.T, v string) {
+	f := flag.Lookup("test.benchtime")
+	old := f.Value.String()
+	if err := f.Value.Set(v); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = f.Value.Set(old) })
+}
+
+// TestRunSmoke executes one real (cheap) suite entry end to end through
+// testing.Benchmark and checks the report shape.
 func TestRunSmoke(t *testing.T) {
+	setBenchtime(t, "20ms")
 	r, err := Run(Options{
 		Quick:  true,
-		Target: 20 * time.Millisecond,
 		Reps:   1,
 		Filter: regexp.MustCompile(`^Cachesim$`),
 	})
@@ -206,5 +225,28 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if !res.OK() {
 		t.Errorf("self-diff regressed: %+v", res.Regressions())
+	}
+}
+
+// TestRunFailingBody checks that a body that fails, on its first run or a
+// later one, or that reports an undeclared metric, is an error naming the
+// benchmark rather than a report row.
+func TestRunFailingBody(t *testing.T) {
+	setBenchtime(t, "3x")
+	bodies := map[string]func(*testing.B){
+		"FatalFirst": func(b *testing.B) { b.Fatal("boom") },
+		"ErrorLater": func(b *testing.B) {
+			if b.N > 1 {
+				b.Error("boom")
+			}
+		},
+		"Undeclared": func(b *testing.B) { b.ReportMetric(1, "widgets/op") },
+	}
+	for name, body := range bodies {
+		ok := entry{"Fine", func(*testing.B) {}}
+		r, err := run(Options{Reps: 1}, []entry{ok, {name, body}})
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: report %v, err %v; want an error naming the benchmark", name, r, err)
+		}
 	}
 }

@@ -58,8 +58,8 @@ type RFConfig struct {
 // uses a 128 K-cycle re-threshold interval on multi-million-cycle runs; the
 // default here is 16 K cycles (still a power of two, so the average is a
 // shift) because the reproduction's traces are two orders of magnitude
-// shorter — the interval-to-run-length ratio is preserved. The ablation
-// benchmark BenchmarkAblationCDPRFInterval sweeps this choice.
+// shorter — the interval-to-run-length ratio is preserved. The campaign
+// manifest examples/campaign/cdprfinterval.json sweeps this choice.
 func DefaultRFConfig(n int) RFConfig {
 	return RFConfig{NumThreads: n, Interval: 16 * 1024}
 }
