@@ -57,6 +57,14 @@ type Predictor struct {
 // New builds a predictor from cfg. Entry counts are rounded up to powers of
 // two. Counters start weakly taken.
 func New(cfg Config) *Predictor {
+	p := &Predictor{}
+	p.Reset(cfg)
+	return p
+}
+
+// Reset makes p the predictor New(cfg) returns, in place: a table whose
+// size cfg leaves unchanged is reused rather than reallocated.
+func (p *Predictor) Reset(cfg Config) {
 	if cfg.GshareEntries <= 0 {
 		cfg.GshareEntries = 1
 	}
@@ -74,11 +82,20 @@ func New(cfg Config) *Predictor {
 	}
 	ge := ceilPow2(cfg.GshareEntries)
 	ie := ceilPow2(cfg.IndirectEntries)
-	p := &Predictor{
+	if len(p.counters) != ge {
+		p.counters = make([]uint8, ge)
+	}
+	if len(p.history) != cfg.NumThreads {
+		p.history = make([]uint64, cfg.NumThreads)
+	}
+	if len(p.indirect) != ie {
+		p.indirect = make([]uint64, ie)
+	}
+	*p = Predictor{
 		cfg:      cfg,
-		counters: make([]uint8, ge),
-		history:  make([]uint64, cfg.NumThreads),
-		indirect: make([]uint64, ie),
+		counters: p.counters,
+		history:  p.history,
+		indirect: p.indirect,
 		mask:     uint64(ge - 1),
 		histMask: (1 << uint(cfg.HistoryBits)) - 1,
 		indMask:  uint64(ie - 1),
@@ -86,7 +103,8 @@ func New(cfg Config) *Predictor {
 	for i := range p.counters {
 		p.counters[i] = 2 // weakly taken
 	}
-	return p
+	clear(p.history)
+	clear(p.indirect)
 }
 
 func ceilPow2(n int) int {

@@ -10,8 +10,6 @@
 // completion cycle. L2 misses are what the Stall/Flush+ policies key on.
 package cachesim
 
-import "sync"
-
 // Level identifies which level of the hierarchy served an access.
 type Level uint8
 
@@ -152,26 +150,12 @@ type setAssocCache struct {
 	wayStride int
 }
 
-// geometry identifies a tag array's shape. Released arrays are pooled by
-// geometry, not by Config, so runs that differ only in latencies or MSHR
-// count (a -mem-latency sweep) share arrays.
-type geometry struct{ sets, assoc int }
-
-// tagPools maps a geometry to the *sync.Pool of released arrays of that
-// shape.
-var tagPools sync.Map
-
-func poolFor(g geometry) *sync.Pool {
-	if p, ok := tagPools.Load(g); ok {
-		return p.(*sync.Pool)
-	}
-	p, _ := tagPools.LoadOrStore(g, new(sync.Pool))
-	return p.(*sync.Pool)
-}
-
-// newSetAssoc returns an empty tag array, recycled from the pool when one
-// of the same geometry has been released.
-func newSetAssoc(totalEntries, assoc int, shift uint) *setAssocCache {
+// reset empties c and sizes it for totalEntries entries in assoc ways with
+// blocks of 1<<shift bytes, the set count rounded down to a power of two.
+// It keeps c's arrays when the geometry (sets × ways) is unchanged and
+// then clears only the valid bits: access and probe never read the tag or
+// LRU stamp of an invalid way.
+func (c *setAssocCache) reset(totalEntries, assoc int, shift uint) {
 	if assoc <= 0 {
 		assoc = 1
 	}
@@ -185,13 +169,13 @@ func newSetAssoc(totalEntries, assoc int, shift uint) *setAssocCache {
 		p *= 2
 	}
 	sets = p
-	if c, ok := poolFor(geometry{sets, assoc}).Get().(*setAssocCache); ok {
-		c.shift = shift
-		c.reset()
-		return c
+	c.shift = shift
+	if c.sets == sets && c.assoc == assoc {
+		clear(c.valid)
+		return
 	}
 	n := sets * assoc
-	return &setAssocCache{
+	*c = setAssocCache{
 		sets:      sets,
 		assoc:     assoc,
 		shift:     shift,
@@ -201,16 +185,6 @@ func newSetAssoc(totalEntries, assoc int, shift uint) *setAssocCache {
 		setMask:   uint64(sets - 1),
 		wayStride: assoc,
 	}
-}
-
-// reset empties the array. Only the valid bits are cleared: access and
-// probe never read the tag or LRU stamp of an invalid way.
-func (c *setAssocCache) reset() { clear(c.valid) }
-
-// release returns the array to its geometry's pool; c must not be used
-// afterwards.
-func (c *setAssocCache) release() {
-	poolFor(geometry{c.sets, c.assoc}).Put(c)
 }
 
 // access looks up addr at time now, filling on miss; it reports hit/miss.
@@ -283,9 +257,9 @@ type Stats struct {
 // use; each simulated processor owns one.
 type Hierarchy struct {
 	cfg  Config
-	l1   *setAssocCache
-	l2   *setAssocCache
-	dtlb *setAssocCache
+	l1   setAssocCache
+	l2   setAssocCache
+	dtlb setAssocCache
 
 	lineShift uint
 
@@ -302,18 +276,25 @@ type Hierarchy struct {
 
 // New builds a hierarchy from cfg (zero fields take Table 1 defaults).
 func New(cfg Config) *Hierarchy {
-	cfg.fillDefaults()
-	lineShift := log2(cfg.LineSize)
-	pageShift := log2(cfg.DTLBPageSize)
-	h := &Hierarchy{
-		cfg:       cfg,
-		lineShift: lineShift,
-		l1:        newSetAssoc(cfg.L1Size/cfg.LineSize, cfg.L1Assoc, lineShift),
-		l2:        newSetAssoc(cfg.L2Size/cfg.LineSize, cfg.L2Assoc, lineShift),
-		dtlb:      newSetAssoc(cfg.DTLBEntries, cfg.DTLBAssoc, pageShift),
-	}
-	h.mshr.init(cfg.MSHRs)
+	h := &Hierarchy{}
+	h.Reset(cfg)
 	return h
+}
+
+// Reset makes h the hierarchy New(cfg) returns, in place: empty caches,
+// no fill in flight, zero counters. A tag array whose geometry cfg leaves
+// unchanged is cleared rather than reallocated, so a sweep that varies
+// latencies, MSHRs or nothing at all reuses all three arrays.
+func (h *Hierarchy) Reset(cfg Config) {
+	cfg.fillDefaults()
+	h.cfg = cfg
+	h.lineShift = log2(cfg.LineSize)
+	h.l1.reset(cfg.L1Size/cfg.LineSize, cfg.L1Assoc, h.lineShift)
+	h.l2.reset(cfg.L2Size/cfg.LineSize, cfg.L2Assoc, h.lineShift)
+	h.dtlb.reset(cfg.DTLBEntries, cfg.DTLBAssoc, log2(cfg.DTLBPageSize))
+	h.mshr.reset(cfg.MSHRs)
+	h.portCycle, h.readsUsed, h.writesUsed = 0, 0, 0
+	h.stats = Stats{}
 }
 
 // mshrTable tracks in-flight line fills: (line block, completion cycle)
@@ -335,10 +316,15 @@ type mshrTable struct {
 	mshrs int // configured MSHR count (Available's threshold)
 }
 
-func (m *mshrTable) init(mshrs int) {
+// reset empties the table for mshrs MSHRs, keeping its slot arrays.
+func (m *mshrTable) reset(mshrs int) {
 	m.mshrs = mshrs
-	m.lines = make([]uint64, 0, mshrs)
-	m.done = make([]int64, 0, mshrs)
+	if cap(m.lines) < mshrs || cap(m.done) < mshrs {
+		m.lines = make([]uint64, 0, mshrs)
+		m.done = make([]int64, 0, mshrs)
+	}
+	m.lines = m.lines[:0]
+	m.done = m.done[:0]
 }
 
 // available reports whether a new outstanding miss can be tracked at now:
@@ -508,27 +494,3 @@ func (h *Hierarchy) ProbeL1(addr uint64) bool { return h.l1.probe(addr) }
 //
 //smtlint:noalloc
 func (h *Hierarchy) Stats() Stats { return h.stats }
-
-// Reset clears all cache contents and counters but keeps the configuration.
-func (h *Hierarchy) Reset() {
-	h.l1.reset()
-	h.l2.reset()
-	h.dtlb.reset()
-	h.mshr.lines = h.mshr.lines[:0]
-	h.mshr.done = h.mshr.done[:0]
-	h.portCycle, h.readsUsed, h.writesUsed = 0, 0, 0
-	h.stats = Stats{}
-}
-
-// Release returns the hierarchy's tag arrays to the pool New draws from.
-// The hierarchy must not be used afterwards: its arrays may already belong
-// to another simulation. Releasing twice is a no-op.
-func (h *Hierarchy) Release() {
-	if h.l1 == nil {
-		return
-	}
-	h.l1.release()
-	h.l2.release()
-	h.dtlb.release()
-	h.l1, h.l2, h.dtlb = nil, nil, nil
-}

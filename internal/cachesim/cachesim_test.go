@@ -3,8 +3,6 @@ package cachesim
 import (
 	"math/rand"
 	"reflect"
-	"runtime"
-	"runtime/debug"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -74,7 +72,8 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 }
 
 func TestLRUReplacement(t *testing.T) {
-	c := newSetAssoc(4, 2, 6) // 2 sets, 2 ways
+	var c setAssocCache
+	c.reset(4, 2, 6) // 2 sets, 2 ways
 	// Two lines in set 0: blocks 0 and 2 (set = block & 1).
 	c.access(0<<6, 0)
 	c.access(2<<6, 1)
@@ -158,7 +157,7 @@ func TestStatsAccumulate(t *testing.T) {
 func TestReset(t *testing.T) {
 	h := small()
 	h.Access(0x1000, 0)
-	h.Reset()
+	h.Reset(h.Config())
 	if h.Stats().L1Accesses != 0 {
 		t.Error("stats survive Reset")
 	}
@@ -183,58 +182,65 @@ func replay(h *Hierarchy) ([]Result, Stats) {
 	return out, h.Stats()
 }
 
-// TestRecycledMatchesFresh checks that a hierarchy built on released,
-// dirty tag arrays, and one Reset in place, replay a stream exactly like
-// a freshly allocated hierarchy, and that Reset does not allocate.
+// TestRecycledMatchesFresh checks that a hierarchy Reset in place after a
+// run, whether to its own configuration or from another geometry, replays
+// a stream exactly like a freshly allocated hierarchy, and that a Reset
+// which keeps the geometry does not allocate.
 func TestRecycledMatchesFresh(t *testing.T) {
-	runtime.GC() // two collections empty the tag-array pools
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := DefaultConfig()
-	h := New(cfg)
-	want, wantStats := replay(h)
-	h.Release()
-	h.Release() // a second Release is a no-op
+	want, wantStats := replay(New(cfg))
+	other := cfg
+	other.L2Size, other.L2Assoc, other.MemLatency, other.MSHRs = 1<<20, 4, 400, 4
 
 	for _, tc := range []struct {
-		name  string
-		build func() *Hierarchy
-	}{
-		{"recycled", func() *Hierarchy { return New(cfg) }},
-		{"reset", func() *Hierarchy { h := New(cfg); replay(h); h.Reset(); return h }},
-	} {
-		h := tc.build()
+		name string
+		from Config
+	}{{"recycled", cfg}, {"reshaped", other}} {
+		h := New(tc.from)
+		replay(h)
+		h.Reset(cfg)
 		got, gotStats := replay(h)
 		if !reflect.DeepEqual(got, want) || gotStats != wantStats {
 			t.Errorf("%s: replay differs from a fresh hierarchy: stats %+v, want %+v", tc.name, gotStats, wantStats)
 		}
-		h.Release()
 	}
 	if wantStats.L2Misses == 0 || wantStats.Coalesced == 0 {
 		t.Errorf("stream never misses the L2 or coalesces: %+v", wantStats)
 	}
 
-	h = New(cfg)
+	h := New(cfg)
 	replay(h)
-	if allocs := testing.AllocsPerRun(5, h.Reset); allocs != 0 {
-		t.Errorf("Reset allocates %.0f times, want 0", allocs)
+	slow := cfg
+	slow.MemLatency, slow.MSHRs = 400, 4
+	for _, c := range []Config{cfg, slow} {
+		if allocs := testing.AllocsPerRun(5, func() { h.Reset(c) }); allocs != 0 {
+			t.Errorf("Reset to %+v allocates %.0f times, want 0", c, allocs)
+		}
 	}
 }
 
-// TestRecycledConcurrently builds, replays and releases hierarchies from
-// several goroutines at once, as a campaign's parallel runners do, so the
-// race detector sees arrays change hands between goroutines.
+// TestRecycledConcurrently passes hierarchies between goroutines through a
+// shared free list, as a runner's spare machines move between its
+// simulating goroutines, so the race detector sees arrays change hands.
 func TestRecycledConcurrently(t *testing.T) {
-	want, wantStats := replay(New(DefaultConfig()))
+	cfg := DefaultConfig()
+	want, wantStats := replay(New(cfg))
+	free := make(chan *Hierarchy, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 5; round++ {
-				h := New(DefaultConfig())
+				var h *Hierarchy
+				select {
+				case h = <-free:
+					h.Reset(cfg)
+				default:
+					h = New(cfg)
+				}
 				got, gotStats := replay(h)
-				h.Release()
+				free <- h
 				if !reflect.DeepEqual(got, want) || gotStats != wantStats {
 					t.Errorf("round %d: replay differs from a fresh hierarchy", round)
 					return

@@ -62,27 +62,40 @@ const nilSlot = int32(-1)
 // NewIssueQueue returns an issue queue with the given capacity, tracking
 // occupancy for n threads.
 func NewIssueQueue[T comparable](capacity, n int) *IssueQueue[T] {
+	q := &IssueQueue[T]{}
+	q.Reset(capacity, n)
+	return q
+}
+
+// Reset makes q the empty queue NewIssueQueue(capacity, n) returns, in
+// place, keeping each array whose size is unchanged.
+func (q *IssueQueue[T]) Reset(capacity, n int) {
 	if capacity <= 0 {
 		capacity = 32
 	}
 	if n <= 0 {
 		n = 1
 	}
-	q := &IssueQueue[T]{
-		slots: make([]iqSlot[T], capacity),
-		occ:   make([]int, n),
+	if len(q.slots) != capacity {
+		q.slots = make([]iqSlot[T], capacity)
 		// Every queued entry can be ready at once; full capacity up front
 		// keeps MarkReady append-free for the queue's lifetime.
-		ready: make([]readyEnt[T], 0, capacity),
-		head:  nilSlot,
-		tail:  nilSlot,
+		q.ready = make([]readyEnt[T], 0, capacity)
 	}
+	if len(q.occ) != n {
+		q.occ = make([]int, n)
+	}
+	clear(q.slots)
+	clear(q.occ)
+	clear(q.ready[:cap(q.ready)])
+	q.ready = q.ready[:0]
 	for i := range q.slots {
 		q.slots[i].next = int32(i + 1)
 	}
 	q.slots[capacity-1].next = nilSlot
-	q.freeHead = 0
-	return q
+	q.head, q.tail, q.freeHead = nilSlot, nilSlot, 0
+	q.n = 0
+	q.unsorted = false
 }
 
 // Capacity returns the total number of entries.

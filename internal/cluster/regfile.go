@@ -37,6 +37,16 @@ type RegFile[W comparable] struct {
 // physical registers, tracking usage for n threads. Non-positive counts
 // select UnboundedRegs.
 func NewRegFile[W comparable](intRegs, fpRegs, n int) *RegFile[W] {
+	rf := &RegFile[W]{}
+	rf.Reset(intRegs, fpRegs, n)
+	return rf
+}
+
+// Reset makes rf the register file NewRegFile(intRegs, fpRegs, n) returns,
+// in place: all registers free and not ready, no waiters, no usage. A kind
+// whose register count is unchanged keeps its arrays, its waiter lists'
+// backings included. OnWake is left as it is.
+func (rf *RegFile[W]) Reset(intRegs, fpRegs, n int) {
 	if intRegs <= 0 {
 		intRegs = UnboundedRegs
 	}
@@ -46,33 +56,42 @@ func NewRegFile[W comparable](intRegs, fpRegs, n int) *RegFile[W] {
 	if n <= 0 {
 		n = 1
 	}
-	rf := &RegFile[W]{}
 	counts := [isa.NumRegKinds]int{isa.IntReg: intRegs, isa.FpReg: fpRegs}
 	for k := 0; k < isa.NumRegKinds; k++ {
 		c := counts[k]
-		rf.total[k] = c
-		rf.free[k] = make([]int32, c)
+		if rf.total[k] != c {
+			rf.total[k] = c
+			rf.free[k] = make([]int32, c)
+			rf.ready[k] = make([]bool, c)
+			rf.waiters[k] = make([][]W, c)
+			if c <= waiterSlabMaxRegs {
+				// Carve every register's initial waiter capacity out of one
+				// slab so steady-state subscription never allocates; a
+				// register that outgrows its slice detaches via append and
+				// keeps the grown backing. Emulated-unbounded files
+				// (UnboundedRegs) stay lazy — the slab would cost megabytes
+				// and those registers rarely collect waiters.
+				slab := make([]W, c*waiterSlabCap)
+				for i := 0; i < c; i++ {
+					rf.waiters[k][i] = slab[i*waiterSlabCap : i*waiterSlabCap : (i+1)*waiterSlabCap]
+				}
+			}
+		}
+		rf.free[k] = rf.free[k][:c]
 		for i := range rf.free[k] {
 			// Pop from the end; keep low indices allocated first.
 			rf.free[k][i] = int32(c - 1 - i)
 		}
-		rf.ready[k] = make([]bool, c)
-		rf.inUse[k] = make([]int, n)
-		rf.waiters[k] = make([][]W, c)
-		if c <= waiterSlabMaxRegs {
-			// Carve every register's initial waiter capacity out of one
-			// slab so steady-state subscription never allocates; a register
-			// that outgrows its slice detaches via append and keeps the
-			// grown backing. Emulated-unbounded files (UnboundedRegs) stay
-			// lazy — the slab would cost megabytes and those registers
-			// rarely collect waiters.
-			slab := make([]W, c*waiterSlabCap)
-			for i := 0; i < c; i++ {
-				rf.waiters[k][i] = slab[i*waiterSlabCap : i*waiterSlabCap : (i+1)*waiterSlabCap]
-			}
+		clear(rf.ready[k])
+		for i, ws := range rf.waiters[k] {
+			clear(ws)
+			rf.waiters[k][i] = ws[:0]
 		}
+		if len(rf.inUse[k]) != n {
+			rf.inUse[k] = make([]int, n)
+		}
+		clear(rf.inUse[k])
 	}
-	return rf
 }
 
 // waiterSlabCap is the pre-carved waiter capacity per register;

@@ -7,7 +7,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
 
@@ -22,10 +21,10 @@ var updateLayoutGolden = flag.Bool("update-layout-golden", false,
 // layoutFingerprint runs scheme on w under cfg mutations and returns a
 // SHA-256 over the complete run statistics plus the memory-hierarchy
 // counters. Any behavioral drift in the IQ/ROB/MSHR/wheel storage layouts —
-// not just the headline numbers — changes the hash. built reports the
-// bytes NewScheme allocated; with release set, the processor's tag arrays
-// are released after the run.
-func layoutFingerprint(t *testing.T, lc layoutCase, n int, release bool) (sum string, built uint64) {
+// not just the headline numbers — changes the hash. The processor is
+// built on sp's spare storage and released to sp after the run; used is
+// the storage it ran on. A nil sp builds a fresh processor.
+func layoutFingerprint(t *testing.T, lc layoutCase, n int, sp *Spares) (sum string, used storage) {
 	t.Helper()
 	w, err := workload.Find(lc.workload)
 	if err != nil {
@@ -40,13 +39,10 @@ func layoutFingerprint(t *testing.T, lc layoutCase, n int, release bool) (sum st
 	if lc.mut != nil {
 		lc.mut(&cfg)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	p, err := NewScheme(cfg, lc.scheme, progs)
+	p, err := sp.NewScheme(cfg, lc.scheme, progs)
 	if err != nil {
 		t.Fatalf("NewScheme(%s): %v", lc.scheme, err)
 	}
-	runtime.ReadMemStats(&after)
 	st := p.Run()
 	blob, err := json.Marshal(struct {
 		Stats any
@@ -55,11 +51,10 @@ func layoutFingerprint(t *testing.T, lc layoutCase, n int, release bool) (sum st
 	if err != nil {
 		t.Fatal(err)
 	}
-	if release {
-		p.Release()
-	}
+	used = p.storage
+	p.Release()
 	h := sha256.Sum256(blob)
-	return hex.EncodeToString(h[:]), after.TotalAlloc - before.TotalAlloc
+	return hex.EncodeToString(h[:]), used
 }
 
 // layoutCase is one pinned run: a scheme on a workload, with an optional
@@ -73,7 +68,7 @@ type layoutCase struct {
 // workload at Table 1 defaults, plus shape variants that stress the
 // structures this PR re-laid out (bounded/unbounded ROB ring, tight MOB,
 // tiny MSHR table, grown wheel). Every case has the Table 1 cache
-// geometry, so consecutive cases can share recycled tag arrays.
+// geometry, so consecutive cases can share reused tag arrays.
 func layoutCases() []layoutCase {
 	var cases []layoutCase
 	names := policy.Names()
@@ -122,7 +117,7 @@ func TestLayoutGolden(t *testing.T) {
 
 	got := map[string]string{}
 	for _, lc := range layoutCases() {
-		got[lc.name], _ = layoutFingerprint(t, lc, layoutTraceLen, false)
+		got[lc.name], _ = layoutFingerprint(t, lc, layoutTraceLen, nil)
 	}
 
 	if *updateLayoutGolden {

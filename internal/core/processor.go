@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"clustersmt/internal/bpred"
 	"clustersmt/internal/cachesim"
@@ -93,16 +94,14 @@ type Processor struct {
 	rfPol policy.RFPolicy
 	st    steer.Steerer
 
-	pred *bpred.Predictor
-	mem  *cachesim.Hierarchy
-	mobq *mob.MOB
-	net  *interconnect.Network
+	// storage holds every structure a later processor can reuse; Release
+	// hands it to spares.
+	storage
+	spares *Spares
 
-	iqs   []*cluster.IssueQueue[*frontend.ROBEntry]
-	rfs   []*cluster.RegFile[*frontend.ROBEntry]
+	net *interconnect.Network
+
 	ports []cluster.Ports
-
-	threads []*threadState
 
 	now    int64
 	nextID uint64
@@ -110,10 +109,7 @@ type Processor struct {
 	rrCommit int
 	rrSelect int
 
-	wheel     []wheelBucket
 	wheelMask int64
-
-	pool []*frontend.ROBEntry
 
 	stats          *metrics.Stats
 	statsCycleBase int64
@@ -134,10 +130,115 @@ type Processor struct {
 	scratchLeftover [metrics.NumImbClasses][MaxClusters]bool
 }
 
+// storage is a processor's reusable machine: every structure whose size
+// depends only on the configuration. Release hands it to the processor's
+// Spares, and the next build resets it in place (see Spares).
+type storage struct {
+	pred *bpred.Predictor
+	mem  *cachesim.Hierarchy
+	mobq *mob.MOB
+
+	iqs     []*cluster.IssueQueue[*frontend.ROBEntry]
+	rfs     []*cluster.RegFile[*frontend.ROBEntry]
+	threads []*threadState
+
+	wheel []wheelBucket
+
+	// pool is the free ROB-entry list; slab backs the entries a build puts
+	// in it, and may be longer than this configuration needs.
+	pool []*frontend.ROBEntry
+	slab []frontend.ROBEntry
+}
+
+// Spares is a free list of released processors' storage. A processor built
+// from a Spares takes the most recently released storage, resets every
+// structure of a matching size in place and allocates only the rest;
+// Release gives the storage back. The list never holds more entries than
+// the number of its processors that were alive at once, and its storage
+// goes when the Spares does. The zero value is an empty list; it is safe
+// for concurrent use.
+type Spares struct {
+	mu   sync.Mutex
+	free []storage
+}
+
+// take pops the most recently released storage; a nil or empty s yields
+// none, so the build allocates everything.
+func (s *Spares) take() (st storage) {
+	if s == nil {
+		return st
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if n := len(s.free); n > 0 {
+		st, s.free[n-1] = s.free[n-1], storage{}
+		s.free = s.free[:n-1]
+	}
+	return st
+}
+
+func (s *Spares) put(st storage) {
+	s.mu.Lock()
+	s.free = append(s.free, st)
+	s.mu.Unlock()
+}
+
+// Len returns the number of spare machines s holds.
+func (s *Spares) Len() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.free)
+}
+
 // New builds a processor from cfg, the scheme components, the steering
 // function and one program per thread. A nil steerer selects the baseline
-// dependence/workload steering.
+// dependence/workload steering. It allocates the whole machine; see
+// Spares.NewScheme for a build on released storage.
 func New(cfg Config, sel policy.Selector, iqPol policy.IQPolicy, rfPol policy.RFPolicy, st steer.Steerer, progs []ThreadProgram) (*Processor, error) {
+	return (*Spares)(nil).build(cfg, sel, iqPol, rfPol, st, progs)
+}
+
+// NewScheme builds a processor running the given resource-assignment
+// scheme: a named paper scheme ("cdprf") or a composed component spec in
+// the policy grammar ("sel=stall,iq=cssp,rf=cdprf").
+func NewScheme(cfg Config, scheme string, progs []ThreadProgram) (*Processor, error) {
+	return (*Spares)(nil).NewScheme(cfg, scheme, progs)
+}
+
+// NewScheme is core.NewScheme on storage from s: the processor takes a
+// released machine when s holds one, and its Release returns the machine
+// to s. A nil s allocates, like core.NewScheme.
+func (s *Spares) NewScheme(cfg Config, scheme string, progs []ThreadProgram) (*Processor, error) {
+	sp, err := policy.ParseSpec(scheme)
+	if err != nil {
+		return nil, err
+	}
+	sel, iq, rf, err := sp.New(cfg.NumThreads)
+	if err != nil {
+		return nil, err
+	}
+	return s.build(cfg, sel, iq, rf, nil, progs)
+}
+
+// orNew returns x, or a new zero T for a Reset to size when x is nil.
+func orNew[T any](x *T) *T {
+	if x == nil {
+		return new(T)
+	}
+	return x
+}
+
+// fit returns s with length n, keeping its elements and any beyond its
+// length that its capacity still holds (storage a larger machine left).
+func fit[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
+}
+
+// build is New on storage taken from s.
+func (s *Spares) build(cfg Config, sel policy.Selector, iqPol policy.IQPolicy, rfPol policy.RFPolicy, st steer.Steerer, progs []ThreadProgram) (*Processor, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -149,43 +250,57 @@ func New(cfg Config, sel policy.Selector, iqPol policy.IQPolicy, rfPol policy.RF
 		st = steer.DependenceBalance{BalanceSlack: cfg.SteerSlack}
 	}
 	p := &Processor{
-		cfg:   cfg,
-		sel:   sel,
-		iqPol: iqPol,
-		rfPol: rfPol,
-		st:    st,
-		pred:  bpred.New(cfg.BPred),
-		mem:   cachesim.New(cfg.Cache),
-		mobq:  mob.New(cfg.MOBSize, cfg.NumThreads),
-		net:   interconnect.New(cfg.Net),
-		stats: metrics.NewStats(cfg.NumThreads, cfg.NumClusters),
+		cfg:     cfg,
+		sel:     sel,
+		iqPol:   iqPol,
+		rfPol:   rfPol,
+		st:      st,
+		storage: s.take(),
+		spares:  s,
+		net:     interconnect.New(cfg.Net),
+		stats:   metrics.NewStats(cfg.NumThreads, cfg.NumClusters),
 	}
+	p.pred = orNew(p.pred)
+	p.pred.Reset(cfg.BPred)
+	p.mem = orNew(p.mem)
+	p.mem.Reset(cfg.Cache)
+	p.mobq = orNew(p.mobq)
+	p.mobq.Reset(cfg.MOBSize, cfg.NumThreads)
 	wheelLen := wheelSizeFor(&cfg)
-	p.wheel = make([]wheelBucket, wheelLen)
+	if int64(len(p.wheel)) != wheelLen {
+		p.wheel = make([]wheelBucket, wheelLen)
+	}
+	clear(p.wheel)
 	p.wheelMask = wheelLen - 1
+	p.iqs = fit(p.iqs, cfg.NumClusters)
+	p.rfs = fit(p.rfs, cfg.NumClusters)
 	for c := 0; c < cfg.NumClusters; c++ {
-		p.iqs = append(p.iqs, cluster.NewIssueQueue[*frontend.ROBEntry](cfg.IQSize, cfg.NumThreads))
-		rf := cluster.NewRegFile[*frontend.ROBEntry](cfg.IntRegsPerCluster, cfg.FpRegsPerCluster, cfg.NumThreads)
-		rf.OnWake = p.wake
-		p.rfs = append(p.rfs, rf)
+		p.iqs[c] = orNew(p.iqs[c])
+		p.iqs[c].Reset(cfg.IQSize, cfg.NumThreads)
+		p.rfs[c] = orNew(p.rfs[c])
+		p.rfs[c].Reset(cfg.IntRegsPerCluster, cfg.FpRegsPerCluster, cfg.NumThreads)
+		p.rfs[c].OnWake = p.wake
 	}
 	p.ports = make([]cluster.Ports, cfg.NumClusters)
-	for t := 0; t < cfg.NumThreads; t++ {
-		ts := &threadState{
-			warmCycle: -1,
-			prog:      progs[t],
-			fq:        frontend.NewFetchQueue(cfg.FetchQueueCap),
-			rob:       frontend.NewROB(cfg.ROBPerThread),
-			wpGen:     trace.NewWrongPathGenerator(progs[t].Profile, progs[t].Seed+uint64(t)*0x9e37),
-		}
-		p.threads = append(p.threads, ts)
+	p.threads = fit(p.threads, cfg.NumThreads)
+	for t := range p.threads {
+		ts := orNew(p.threads[t])
+		*ts = threadState{warmCycle: -1, prog: progs[t], fq: orNew(ts.fq), rob: orNew(ts.rob), wpGen: orNew(ts.wpGen)}
+		ts.fq.Reset(cfg.FetchQueueCap)
+		ts.rob.Reset(cfg.ROBPerThread)
+		ts.wpGen.Reset(progs[t].Profile, progs[t].Seed+uint64(t)*0x9e37)
+		p.threads[t] = ts
 	}
 	p.scratchSrcCnt = make([]int, cfg.NumClusters)
 	p.scratchOcc = make([]int, cfg.NumClusters)
 	p.scratchReady = make([]*frontend.ROBEntry, 0, cfg.IQSize)
 	p.scratchOrder = make([]int, 0, cfg.NumThreads)
 	p.scratchIcount = make([]int, 0, cfg.NumThreads)
-	p.pool = make([]*frontend.ROBEntry, 0, entryPoolCap)
+	if p.pool == nil {
+		p.pool = make([]*frontend.ROBEntry, 0, entryPoolCap)
+	}
+	clear(p.pool[:cap(p.pool)])
+	p.pool = p.pool[:0]
 	if cfg.ROBPerThread > 0 {
 		// Pre-populate the entry pool to its bounded-configuration ceiling
 		// (every in-flight entry sits in a ROB section or, briefly, in the
@@ -195,27 +310,14 @@ func New(cfg Config, sel policy.Selector, iqPol policy.IQPolicy, rfPol policy.RF
 		if prefill > entryPoolCap {
 			prefill = entryPoolCap
 		}
-		entries := make([]frontend.ROBEntry, prefill)
-		for i := range entries {
-			p.pool = append(p.pool, &entries[i])
+		if len(p.slab) < prefill {
+			p.slab = make([]frontend.ROBEntry, prefill)
+		}
+		for i := range prefill {
+			p.pool = append(p.pool, &p.slab[i])
 		}
 	}
 	return p, nil
-}
-
-// NewScheme builds a processor running the given resource-assignment
-// scheme: a named paper scheme ("cdprf") or a composed component spec in
-// the policy grammar ("sel=stall,iq=cssp,rf=cdprf").
-func NewScheme(cfg Config, scheme string, progs []ThreadProgram) (*Processor, error) {
-	sp, err := policy.ParseSpec(scheme)
-	if err != nil {
-		return nil, err
-	}
-	sel, iq, rf, err := sp.New(cfg.NumThreads)
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg, sel, iq, rf, nil, progs)
 }
 
 // Config returns the configuration in use.
@@ -225,7 +327,7 @@ func (p *Processor) Config() Config { return p.cfg }
 func (p *Processor) Stats() *metrics.Stats { return p.stats }
 
 // Mem exposes the memory hierarchy (for stats and tests). It panics after
-// Release: the hierarchy's arrays may then belong to another simulation.
+// Release: the hierarchy may then belong to another simulation.
 func (p *Processor) Mem() *cachesim.Hierarchy {
 	if p.mem == nil {
 		panic("core: Mem called after Release")
@@ -233,14 +335,27 @@ func (p *Processor) Mem() *cachesim.Hierarchy {
 	return p.mem
 }
 
-// Release hands the memory hierarchy's tag arrays back for reuse by the
-// next processor built. Call it once the run is over and its statistics
-// are read; the processor must not be stepped again, and Mem panics.
+// Release hands the processor's machine storage back to the Spares it was
+// built from, for the next processor built there to reuse. Call it once
+// the run is over and its statistics are read; the processor must not be
+// stepped again, and Mem panics. A processor built without a Spares just
+// drops its storage. Releasing twice is a no-op.
 func (p *Processor) Release() {
-	if p.mem != nil {
-		p.mem.Release()
-		p.mem = nil
+	if p.mem == nil {
+		return
 	}
+	st := p.storage
+	p.storage = storage{}
+	if p.spares == nil {
+		return
+	}
+	for _, ts := range st.threads {
+		ts.prog = ThreadProgram{} // the trace is not the spare's to keep
+	}
+	for _, rf := range st.rfs {
+		rf.OnWake = nil
+	}
+	p.spares.put(st)
 }
 
 // entry pool --------------------------------------------------------------

@@ -2,43 +2,41 @@ package core
 
 import (
 	"path/filepath"
-	"runtime/debug"
 	"testing"
+	"unsafe"
 )
 
 // TestRecycledLayoutsMatchGolden runs every pinned layout twice in one
-// process, releasing each processor after its run, and checks that both
-// passes reproduce the golden fingerprints. With the GC off the pool keeps
-// every released array, so the second pass builds each layout from tag
-// arrays the previous, different layout of the same geometry left dirty
-// (the 400-cycle-memory layout after the 512-entry-ROB one, for
-// instance). A build that allocates less than the L2 tag array alone was
-// recycled; the unbounded-ROB layout allocates more than that either way.
+// process on one Spares, releasing each processor after its run, and
+// checks that both passes reproduce the golden fingerprints. Each build
+// takes the storage the previous, different layout released (the
+// 400-cycle-memory layout after the 512-entry-ROB one, for instance), so
+// every structure the two share starts dirty. By the second pass every
+// shape has been seen, so no build may allocate a tag array or a
+// ROB-entry slab: each takes over its predecessor's hierarchy and slab.
 func TestRecycledLayoutsMatchGolden(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	cache := DefaultConfig(2).Cache.WithDefaults()
-	l2Bytes := uint64(cache.L2Size/cache.LineSize) * (8 + 1 + 8) // tags, valid, lastUse
-
-	cases := layoutCases()
-	recycled := 0
+	var sp Spares
 	for pass := 0; pass < 2; pass++ {
 		got := map[string]string{}
-		for _, lc := range cases {
-			var built uint64
-			got[lc.name], built = layoutFingerprint(t, lc, layoutTraceLen, true)
-			if pass == 1 && built < l2Bytes {
-				recycled++
+		for _, lc := range layoutCases() {
+			var spare, used storage
+			if n := len(sp.free); n > 0 {
+				spare = sp.free[n-1]
+			}
+			got[lc.name], used = layoutFingerprint(t, lc, layoutTraceLen, &sp)
+			if pass == 1 && used.mem != spare.mem {
+				t.Errorf("%s: second-pass build allocated its tag arrays", lc.name)
+			}
+			if pass == 1 && unsafe.SliceData(used.slab) != unsafe.SliceData(spare.slab) {
+				t.Errorf("%s: second-pass build allocated a ROB-entry slab", lc.name)
 			}
 		}
 		checkLayoutGolden(t, filepath.Join("testdata", "layout_golden.json"), got)
 	}
-	// A build misses the pool when its goroutine moved to another P since
-	// the release, and under the race detector sync.Pool also drops a
-	// random share of Puts; both passes must match the golden either way.
-	if recycled == 0 {
-		t.Fatalf("no second-pass layout was built from recycled tag arrays")
+	// One build at a time never needs a second machine.
+	if n := sp.Len(); n != 1 {
+		t.Errorf("%d spare machines after one-at-a-time builds, want 1", n)
 	}
-	t.Logf("%d of %d second-pass layouts built below the L2 array's %d bytes", recycled, len(cases), l2Bytes)
 }
 
 // TestMemAfterReleasePanics: a released processor never hands out its

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"clustersmt/internal/workload"
@@ -47,9 +46,9 @@ func table4Spec(w workload.Workload, scheme string) Spec {
 }
 
 // TestRecycledAfterCancelMatchesFresh cancels a run mid-simulation, so the
-// tag arrays it releases hold a half-run's lines, and checks that the next
-// run of the same spec, built on those arrays, matches a fresh runner's
-// statistics exactly.
+// machine it releases holds a half-run's cache lines, predictor state and
+// in-flight entries, and checks that the next run of the same spec, built
+// on that machine, matches a fresh runner's statistics exactly.
 func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 	const traceLen = 20000
 	w, err := workload.Find("server.mem.2.1")
@@ -58,12 +57,6 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 	}
 	s := table4Spec(w, "cdprf")
 
-	// Two collections empty every sync.Pool, so the reference run below
-	// builds on freshly allocated arrays; with the GC off from then on,
-	// the pool keeps what each later run releases.
-	runtime.GC()
-	runtime.GC()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	want, err := runOne(NewRunner(traceLen), s)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +65,9 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 	r := NewRunner(traceLen)
 	if _, _, executed, _, err := r.Do(newPollCancelCtx(1), s, nil); !errors.Is(err, context.Canceled) || executed {
 		t.Fatalf("cancelled run: executed=%v, err = %v; want context.Canceled, not executed", executed, err)
+	}
+	if n := r.spares.Len(); n != 1 {
+		t.Fatalf("cancelled run left %d spare machines, want 1", n)
 	}
 	got, err := runOneCtx(context.Background(), r, s)
 	if err != nil {
@@ -84,13 +80,17 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 
 // TestSimulationAllocBudget bounds the bytes one executed simulation
 // allocates once its traces are memoized: 24 Table 4 specs at 2k uops (12
-// pool workloads under icount and cdprf), the first of which only primes
-// the tag-array pool. Recycled tag arrays keep a simulation well under the
-// 400 KB budget; a fresh Table 1 hierarchy alone is 1.1 MB.
+// pool workloads under icount and cdprf), the first of which only leaves
+// its machine on the runner's free list. Every later simulation builds on
+// that machine, so what it allocates is its statistics, its policies and a
+// few per-run buffers: 5.6 KB per simulation (7.3 KB under the race
+// detector), against 257 KB when only the tag arrays were reused and
+// 1.4 MB for a fresh machine (the Table 1 L2 tag array alone is 1.1 MB).
+// The budget is twice the measured figure.
 func TestSimulationAllocBudget(t *testing.T) {
 	const (
 		traceLen = 2000
-		budget   = 400 << 10
+		budget   = 11 << 10
 	)
 	pool := workload.Pool()[:12]
 	var specs []Spec
@@ -104,7 +104,6 @@ func TestSimulationAllocBudget(t *testing.T) {
 		r.programs(s) // fill the trace memo
 	}
 
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	for i, s := range specs {
 		if i == 1 {
@@ -117,12 +116,10 @@ func TestSimulationAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perSim := (after.TotalAlloc - before.TotalAlloc) / uint64(len(specs)-1)
 	t.Logf("%d bytes allocated per executed simulation", perSim)
-	if raceEnabled {
-		// sync.Pool drops a random share of Puts under the race detector,
-		// so a quarter of the builds allocate fresh arrays.
-		return
-	}
 	if perSim > budget {
 		t.Errorf("%d bytes allocated per executed simulation, budget %d", perSim, budget)
+	}
+	if n := r.spares.Len(); n != 1 {
+		t.Errorf("%d spare machines after one-at-a-time simulations, want 1", n)
 	}
 }

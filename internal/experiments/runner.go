@@ -136,7 +136,10 @@ func workloadDigest(w workload.Workload) uint64 {
 // baseline) or inside the SMT pair, so generation cost is paid once per
 // workload thread rather than once per spec. Traces are read-only to the
 // core, which is what makes the sharing safe. A trace stays memoized until
-// DropTraces forgets its workload or the runner itself goes.
+// DropTraces forgets its workload or the runner itself goes. Each finished
+// simulation also leaves its machine (tag arrays, predictor, ROB-entry
+// slab, queues) on the runner's free list, and the next simulation resets
+// it in place instead of allocating its own (core.Spares).
 type Runner struct {
 	// TraceLen is the per-thread trace length in uops; it also sets each
 	// simulation's warm-up and cycle bound (see Machine).
@@ -183,6 +186,10 @@ type Runner struct {
 
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
+
+	// spares holds the machines of finished simulations for the next ones
+	// to reuse: never more than the runner has had simulating at once.
+	spares core.Spares
 }
 
 // keyEntry is what a runner remembers about one spec key.
@@ -541,12 +548,13 @@ func encodeOnce[K comparable](m map[K][]byte, k K, what string, enc func(K) ([]b
 // execute runs one spec to completion (uncached) on the local simulator. A
 // context cancellation mid-simulation, or a run stopped at its cycle bound
 // (ErrCycleBound), discards the partial run: it is not counted as executed
-// and never reaches the store. On every path the processor's cache tag
-// arrays are released for the next simulation to reuse. A non-nil onSample
-// attaches a time-series sampler for the duration of the run (see
+// and never reaches the store. The processor is built on a machine an
+// earlier simulation released when the runner holds one, and on every path
+// its machine is released for the next simulation to reuse. A non-nil
+// onSample attaches a time-series sampler for the duration of the run (see
 // SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
-	p, err := core.NewScheme(Machine(s, r.TraceLen), s.Scheme, r.programs(s))
+	p, err := r.spares.NewScheme(Machine(s, r.TraceLen), s.Scheme, r.programs(s))
 	if err != nil {
 		return nil, err
 	}

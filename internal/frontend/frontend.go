@@ -182,11 +182,23 @@ type ROB struct {
 
 // NewROB returns a ROB section with the given capacity (0 = unbounded).
 func NewROB(capacity int) *ROB {
+	r := &ROB{}
+	r.Reset(capacity)
+	return r
+}
+
+// Reset makes r the empty section NewROB(capacity) returns, in place,
+// keeping its ring when the ring's size is unchanged.
+func (r *ROB) Reset(capacity int) {
 	size := capacity
 	if capacity <= 0 {
 		size = 64 // unbounded: start small, grow by doubling
 	}
-	return &ROB{capacity: capacity, buf: make([]*ROBEntry, size)}
+	if len(r.buf) != size {
+		r.buf = make([]*ROBEntry, size)
+	}
+	clear(r.buf)
+	r.capacity, r.head, r.n = capacity, 0, 0
 }
 
 // Capacity returns the configured capacity (0 = unbounded).
@@ -320,10 +332,21 @@ type FetchQueue struct {
 
 // NewFetchQueue returns a queue with the given capacity.
 func NewFetchQueue(capacity int) *FetchQueue {
+	q := &FetchQueue{}
+	q.Reset(capacity)
+	return q
+}
+
+// Reset makes q the empty queue NewFetchQueue(capacity) returns, in place,
+// keeping its ring when the capacity is unchanged.
+func (q *FetchQueue) Reset(capacity int) {
 	if capacity <= 0 {
 		capacity = 32
 	}
-	return &FetchQueue{buf: make([]FetchedUop, capacity)}
+	if len(q.buf) != capacity {
+		q.buf = make([]FetchedUop, capacity)
+	}
+	q.head, q.n = 0, 0
 }
 
 // Len returns the number of queued uops.

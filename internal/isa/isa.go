@@ -181,14 +181,12 @@ func Latency(c Class) int {
 
 // Uop is one micro-operation as it appears in a trace or in flight.
 // The zero value is a Nop with no operands. The fields are ordered widest
-// first so a Uop packs into 32 bytes (DESIGN.md §7).
+// first so a Uop packs into 24 bytes (DESIGN.md §7).
 type Uop struct {
 	// PC is the synthetic program counter of the parent instruction.
 	PC uint64
 	// Addr is the effective address for Load/Store uops.
 	Addr uint64
-	// Target is the branch target PC for taken branches.
-	Target uint64
 	// Src1, Src2 are logical source registers, RegNone if absent.
 	Src1, Src2 int16
 	// Dst is the logical destination register, RegNone if absent.

@@ -8,13 +8,13 @@ import (
 	"unsafe"
 )
 
-// TestUopSize pins Uop's packed layout: widest fields first, 32 bytes
-// (DESIGN.md §7, "32-byte uops"). Every memoized trace, fetch-queue slot and
+// TestUopSize pins Uop's packed layout: widest fields first, 24 bytes
+// (DESIGN.md §7, "24-byte uops"). Every memoized trace, fetch-queue slot and
 // ROB entry holds one, so a field added or reordered carelessly grows all
 // of them.
 func TestUopSize(t *testing.T) {
-	if got := unsafe.Sizeof(Uop{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(Uop{}) = %d, want 32", got)
+	if got := unsafe.Sizeof(Uop{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(Uop{}) = %d, want 24", got)
 	}
 }
 

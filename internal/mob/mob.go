@@ -46,30 +46,44 @@ type MOB struct {
 
 // New returns a MOB with the given total capacity shared by n threads.
 func New(capacity, n int) *MOB {
+	m := &MOB{}
+	m.Reset(capacity, n)
+	return m
+}
+
+// Reset makes m the empty MOB New(capacity, n) returns, in place, keeping
+// its arena and index lists when capacity and n are unchanged.
+func (m *MOB) Reset(capacity, n int) {
 	if capacity <= 0 {
 		capacity = 128
 	}
 	if n <= 0 {
 		n = 1
 	}
-	m := &MOB{
-		capacity: capacity,
-		arena:    make([]Entry, capacity),
-		freeList: make([]int32, capacity),
-		stores:   make([][]int32, n),
-		loads:    make([][]int32, n),
+	if len(m.arena) != capacity || len(m.stores) != n {
+		*m = MOB{
+			arena:    make([]Entry, capacity),
+			freeList: make([]int32, capacity),
+			stores:   make([][]int32, n),
+			loads:    make([][]int32, n),
+		}
+		for t := 0; t < n; t++ {
+			// Any one thread may hold up to the full shared capacity; sizing
+			// the index lists up front keeps Alloc append-free for good.
+			m.stores[t] = make([]int32, 0, capacity)
+			m.loads[t] = make([]int32, 0, capacity)
+		}
 	}
+	m.capacity, m.used, m.forwards = capacity, 0, 0
+	m.freeList = m.freeList[:capacity]
 	for i := range m.freeList {
 		// Pop from the end; keep low indices allocated first.
 		m.freeList[i] = int32(capacity - 1 - i)
 	}
 	for t := 0; t < n; t++ {
-		// Any one thread may hold up to the full shared capacity; sizing the
-		// index lists up front keeps Alloc append-free for good.
-		m.stores[t] = make([]int32, 0, capacity)
-		m.loads[t] = make([]int32, 0, capacity)
+		m.stores[t] = m.stores[t][:0]
+		m.loads[t] = m.loads[t][:0]
 	}
-	return m
 }
 
 // Capacity returns the total number of entries.

@@ -14,32 +14,28 @@ import (
 // drawn per static site with the configured bias.
 type Generator struct {
 	prof Profile
-	rng  *xrand.Rand
+	rng  xrand.Rand
 
 	// weights for class selection, indexed by generated class order;
 	// weightSum is their fixed left-to-right float64 sum, precomputed so
 	// each class draw skips re-summing.
-	weights   []float64
+	weights   [6]float64
 	weightSum float64
 
 	// recent[k] is a circular buffer of recently written logical registers
 	// of kind k, used to realize dependency distances. recentHead[k] is the
 	// index of the most recent producer, recentLen[k] the filled length.
-	recent     [isa.NumRegKinds][]int16
+	recent     [isa.NumRegKinds][16]int16
 	recentHead [isa.NumRegKinds]int
 	recentLen  [isa.NumRegKinds]int
 
-	// branch site state: each site behaves like a loop branch with a fixed
-	// period (dominant outcome period-1 times, then the exit outcome) plus
-	// per-outcome noise. takenBiased selects the dominant direction.
-	branchPCs    []uint64
-	branchPeriod []int
-	branchCount  []int
-	takenBiased  []bool
+	// sites holds one state per static branch, each a loop branch plus
+	// per-outcome noise; site i's PC is branchBase + 16*i.
+	sites []branchSite
 
-	// codePCs lays out synthetic instruction PCs.
-	codePCs []uint64
-	pcIdx   int
+	// pcIdx is the next non-branch PC's slot in the code footprint: PCs
+	// run codeBase, codeBase+4, ... and wrap after CodeFootprint slots.
+	pcIdx int
 
 	// memory address state
 	nextStride uint64
@@ -54,6 +50,21 @@ type Generator struct {
 	dstCursor [isa.NumRegKinds]int
 }
 
+// branchSite is one static branch's loop pattern: the dominant outcome
+// period-1 times, then the exit outcome. takenBiased selects the dominant
+// direction; count is the site's running execution count.
+type branchSite struct {
+	period, count int
+	takenBiased   bool
+}
+
+// Synthetic PC layout: branch sites from branchBase, 16 bytes apart;
+// other uops from codeBase, 4 bytes apart.
+const (
+	branchBase = 0x400000
+	codeBase   = 0x500000
+)
+
 // genClasses is the class order matching Generator.weights.
 var genClasses = []isa.Class{isa.Int, isa.IntMul, isa.Fp, isa.Load, isa.Store, isa.Branch}
 
@@ -61,13 +72,22 @@ var genClasses = []isa.Class{isa.Int, isa.IntMul, isa.Fp, isa.Load, isa.Store, i
 // It panics if the profile fails validation; callers construct profiles from
 // the workload tables, which are validated by tests.
 func NewGenerator(prof Profile, seed uint64) *Generator {
+	g := &Generator{}
+	g.reset(prof, seed)
+	return g
+}
+
+// reset makes g the generator NewGenerator(prof, seed) returns, reusing
+// its branch-site array when that is large enough.
+func (g *Generator) reset(prof Profile, seed uint64) {
 	if err := prof.Validate(); err != nil {
 		panic(err)
 	}
-	g := &Generator{
+	sites := g.sites
+	*g = Generator{
 		prof: prof,
-		rng:  xrand.New(seed),
-		weights: []float64{
+		rng:  *xrand.New(seed),
+		weights: [6]float64{
 			prof.MixInt, prof.MixIntMul, prof.MixFp,
 			prof.MixLoad, prof.MixStore, prof.MixBranch,
 		},
@@ -76,10 +96,10 @@ func NewGenerator(prof Profile, seed uint64) *Generator {
 		g.weightSum += w
 	}
 	sm := seed ^ 0xc0dec0dec0dec0de
-	g.branchPCs = make([]uint64, prof.NumBranchSites)
-	g.branchPeriod = make([]int, prof.NumBranchSites)
-	g.branchCount = make([]int, prof.NumBranchSites)
-	g.takenBiased = make([]bool, prof.NumBranchSites)
+	if cap(sites) < prof.NumBranchSites {
+		sites = make([]branchSite, prof.NumBranchSites)
+	}
+	g.sites = sites[:prof.NumBranchSites]
 	biasRng := xrand.New(xrand.SplitMix64(&sm))
 	basePeriod := int(1/(1-prof.BranchBias) + 0.5)
 	if prof.BranchBias >= 1 {
@@ -88,26 +108,17 @@ func NewGenerator(prof Profile, seed uint64) *Generator {
 	if basePeriod < 2 {
 		basePeriod = 2
 	}
-	for i := range g.branchPCs {
-		g.branchPCs[i] = 0x400000 + uint64(i)*16
+	for i := range g.sites {
 		// Jitter the loop period per site and start each site at a random
 		// phase; half the sites are taken-biased loops, half mirrored.
 		p := basePeriod + biasRng.Intn(basePeriod/2+1)
-		g.branchPeriod[i] = p
-		g.branchCount[i] = biasRng.Intn(p)
-		g.takenBiased[i] = biasRng.Bool(0.5)
-	}
-	g.codePCs = make([]uint64, prof.CodeFootprint)
-	for i := range g.codePCs {
-		g.codePCs[i] = 0x500000 + uint64(i)*4
+		g.sites[i] = branchSite{period: p, count: biasRng.Intn(p), takenBiased: biasRng.Bool(0.5)}
 	}
 	for k := 0; k < isa.NumRegKinds; k++ {
-		g.recent[k] = make([]int16, 16)
 		g.recentHead[k] = -1
 	}
 	g.nextStride = uint64(g.rng.Intn(int(prof.WorkingSet/64))) * 64
 	g.lastColdDest = -1
-	return g
 }
 
 // Profile returns the profile the generator was built from.
@@ -118,7 +129,7 @@ func (g *Generator) Profile() Profile { return g.prof }
 //
 //smtlint:noalloc
 func (g *Generator) noteProducer(k isa.RegKind, r int16) {
-	ring := g.recent[k]
+	ring := &g.recent[k]
 	h := g.recentHead[k] + 1
 	if h == len(ring) {
 		h = 0
@@ -144,7 +155,7 @@ func (g *Generator) pickSource(k isa.RegKind) int16 {
 	if d >= n {
 		d = n - 1
 	}
-	ring := g.recent[k]
+	ring := &g.recent[k]
 	i := g.recentHead[k] - d
 	if i < 0 {
 		i += len(ring)
@@ -204,8 +215,10 @@ func (g *Generator) nextAddr() uint64 {
 //
 //smtlint:noalloc
 func (g *Generator) nextPC() uint64 {
-	pc := g.codePCs[g.pcIdx%len(g.codePCs)]
-	g.pcIdx++
+	pc := codeBase + 4*uint64(g.pcIdx)
+	if g.pcIdx++; g.pcIdx == g.prof.CodeFootprint {
+		g.pcIdx = 0
+	}
 	return pc
 }
 
@@ -213,7 +226,7 @@ func (g *Generator) nextPC() uint64 {
 //
 //smtlint:noalloc
 func (g *Generator) Next() isa.Uop {
-	c := genClasses[g.rng.PickTotal(g.weights, g.weightSum)]
+	c := genClasses[g.rng.PickTotal(g.weights[:], g.weightSum)]
 	var u isa.Uop
 	u.Class = c
 	u.Src1, u.Src2, u.Dst = isa.RegNone, isa.RegNone, isa.RegNone
@@ -277,24 +290,24 @@ func (g *Generator) Next() isa.Uop {
 		// and defeat gshare in a way real codes do not.
 		var site int
 		if g.rng.Bool(0.9) {
-			site = g.siteCursor % len(g.branchPCs)
+			site = g.siteCursor % len(g.sites)
 			g.siteCursor++
 		} else {
-			site = g.rng.Intn(len(g.branchPCs))
+			site = g.rng.Intn(len(g.sites))
 			g.siteCursor = site + 1
 		}
-		u.PC = g.branchPCs[site]
+		u.PC = branchBase + 16*uint64(site)
 		u.Src1 = g.pickSource(isa.IntReg) // condition input
-		g.branchCount[site]++
-		dominant := g.branchCount[site]%g.branchPeriod[site] != 0
-		if !g.takenBiased[site] {
+		bs := &g.sites[site]
+		bs.count++
+		dominant := bs.count%bs.period != 0
+		if !bs.takenBiased {
 			dominant = !dominant
 		}
 		u.Taken = dominant
 		if g.rng.Bool(g.prof.BranchNoise) {
 			u.Taken = !u.Taken // data-dependent deviation
 		}
-		u.Target = u.PC + 64
 	}
 	return u
 }
@@ -313,7 +326,7 @@ func (g *Generator) Generate(n int) []isa.Uop {
 // code is still the same program) but is drawn from an independent RNG so
 // it never correlates with the correct path.
 type WrongPathGenerator struct {
-	g *Generator
+	g Generator
 }
 
 // NewWrongPathGenerator builds a wrong-path stream for prof. Wrong-path
@@ -321,8 +334,16 @@ type WrongPathGenerator struct {
 // reference mostly-cached state (stack, recently touched data) and are cut
 // short by the redirect before deep pointer chains dereference cold memory.
 func NewWrongPathGenerator(prof Profile, seed uint64) *WrongPathGenerator {
+	w := &WrongPathGenerator{}
+	w.Reset(prof, seed)
+	return w
+}
+
+// Reset restarts w as the stream NewWrongPathGenerator(prof, seed) returns,
+// reusing w's storage. The zero WrongPathGenerator is ready for Reset.
+func (w *WrongPathGenerator) Reset(prof Profile, seed uint64) {
 	prof.ColdFrac *= 0.25
-	return &WrongPathGenerator{g: NewGenerator(prof, seed^0xdeadfa11deadfa11)}
+	w.g.reset(prof, seed^0xdeadfa11deadfa11)
 }
 
 // Next returns the next wrong-path uop. Branches on the wrong path are
