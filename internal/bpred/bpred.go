@@ -1,8 +1,7 @@
 // Package bpred implements the front-end branch prediction of the paper's
 // baseline machine (Table 1): a gshare conditional predictor with 32 K
 // two-bit counters and a per-thread global history register (the history is
-// the only front-end structure private per thread, §3), plus an indirect
-// target buffer.
+// the only front-end structure private per thread, §3).
 //
 // The predictor is consulted at fetch and trained at branch resolution.
 // History is updated speculatively at fetch with the prediction; on a
@@ -16,7 +15,10 @@ type Config struct {
 	GshareEntries int
 	// HistoryBits is the global-history length per thread.
 	HistoryBits int
-	// IndirectEntries is the number of indirect-target slots (power of two).
+	// IndirectEntries sizes nothing: the core predicts branch outcomes
+	// only, so the predictor has no indirect-target buffer. The field stays
+	// for key stability: content keys hash the machine configuration, and
+	// dropping it would change every stored result's key.
 	IndirectEntries int
 	// NumThreads is the number of hardware threads (one history each).
 	NumThreads int
@@ -45,10 +47,8 @@ type Predictor struct {
 	cfg      Config
 	counters []uint8 // 2-bit saturating counters
 	history  []uint64
-	indirect []uint64
 	mask     uint64
 	histMask uint64
-	indMask  uint64
 
 	lookups    uint64
 	mispredict uint64
@@ -68,9 +68,6 @@ func (p *Predictor) Reset(cfg Config) {
 	if cfg.GshareEntries <= 0 {
 		cfg.GshareEntries = 1
 	}
-	if cfg.IndirectEntries <= 0 {
-		cfg.IndirectEntries = 1
-	}
 	if cfg.NumThreads <= 0 {
 		cfg.NumThreads = 1
 	}
@@ -81,30 +78,23 @@ func (p *Predictor) Reset(cfg Config) {
 		cfg.HistoryBits = 63
 	}
 	ge := ceilPow2(cfg.GshareEntries)
-	ie := ceilPow2(cfg.IndirectEntries)
 	if len(p.counters) != ge {
 		p.counters = make([]uint8, ge)
 	}
 	if len(p.history) != cfg.NumThreads {
 		p.history = make([]uint64, cfg.NumThreads)
 	}
-	if len(p.indirect) != ie {
-		p.indirect = make([]uint64, ie)
-	}
 	*p = Predictor{
 		cfg:      cfg,
 		counters: p.counters,
 		history:  p.history,
-		indirect: p.indirect,
 		mask:     uint64(ge - 1),
 		histMask: (1 << uint(cfg.HistoryBits)) - 1,
-		indMask:  uint64(ie - 1),
 	}
 	for i := range p.counters {
 		p.counters[i] = 2 // weakly taken
 	}
 	clear(p.history)
-	clear(p.indirect)
 }
 
 func ceilPow2(n int) int {
@@ -174,17 +164,6 @@ func (p *Predictor) Resolve(thread int, pc uint64, checkpoint uint64, taken, mis
 //smtlint:noalloc
 func (p *Predictor) RestoreHistory(thread int, checkpoint uint64) {
 	p.history[thread] = checkpoint & p.histMask
-}
-
-// PredictIndirect returns the predicted target for the indirect branch at
-// pc, or 0 if no target has been observed.
-func (p *Predictor) PredictIndirect(pc uint64) uint64 {
-	return p.indirect[(pc>>2)&p.indMask]
-}
-
-// UpdateIndirect records target for the indirect branch at pc.
-func (p *Predictor) UpdateIndirect(pc uint64, target uint64) {
-	p.indirect[(pc>>2)&p.indMask] = target
 }
 
 // Stats returns the number of lookups and mispredictions so far.

@@ -79,17 +79,6 @@ func TestPerThreadHistoriesIndependent(t *testing.T) {
 	}
 }
 
-func TestIndirect(t *testing.T) {
-	p := newTest(2)
-	if p.PredictIndirect(0x5000) != 0 {
-		t.Error("unseen indirect target should be 0")
-	}
-	p.UpdateIndirect(0x5000, 0xbeef)
-	if p.PredictIndirect(0x5000) != 0xbeef {
-		t.Error("indirect target not recorded")
-	}
-}
-
 func TestStatsCounting(t *testing.T) {
 	p := newTest(2)
 	for i := 0; i < 10; i++ {

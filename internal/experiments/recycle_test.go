@@ -101,7 +101,8 @@ func TestSimulationAllocBudget(t *testing.T) {
 	}
 	r := NewRunner(traceLen)
 	for _, s := range specs {
-		r.programs(s) // fill the trace memo
+		_, held := r.programs(s) // fill the trace memo
+		r.release(held)
 	}
 
 	var before, after runtime.MemStats
@@ -121,5 +122,46 @@ func TestSimulationAllocBudget(t *testing.T) {
 	}
 	if n := r.spares.Len(); n != 1 {
 		t.Errorf("%d spare machines after one-at-a-time simulations, want 1", n)
+	}
+}
+
+// TestRegeneratedTraceAllocBudget bounds the bytes one executed simulation
+// allocates on a warm runner when its workload's traces must be generated
+// again: the cold-sweep shape, where each workload's traces are dropped
+// once its items are done. A first pass over 12 pool workloads at 2k uops
+// leaves one machine and two trace buffers on the runner's free lists; in
+// the second pass, under another scheme, every workload's traces are
+// regenerated into those buffers, so a simulation allocates no trace
+// storage: 8.1 KB per simulation (8.7 KB under the race detector), against
+// 104 KB when each regeneration allocates its two 48 KB traces. The budget
+// is twice the measured figure.
+func TestRegeneratedTraceAllocBudget(t *testing.T) {
+	const (
+		traceLen = 2000
+		budget   = 16 << 10
+	)
+	pool := workload.Pool()[:12]
+	r := NewRunner(traceLen)
+	pass := func(scheme string) {
+		for _, w := range pool {
+			s := table4Spec(w, scheme)
+			if _, _, executed, _, err := r.Do(context.Background(), s, nil); err != nil || !executed {
+				t.Fatalf("%s: executed=%v, err=%v; want a fresh simulation", s.key(), executed, err)
+			}
+			r.DropTraces(w)
+		}
+	}
+	pass("icount")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pass("cdprf")
+	runtime.ReadMemStats(&after)
+	perSim := (after.TotalAlloc - before.TotalAlloc) / uint64(len(pool))
+	t.Logf("%d bytes allocated per executed simulation with regenerated traces", perSim)
+	if perSim > budget {
+		t.Errorf("%d bytes allocated per executed simulation with regenerated traces, budget %d", perSim, budget)
+	}
+	if n := len(freeBufs(r)); n != 2 {
+		t.Errorf("%d free trace buffers after one-workload-at-a-time simulations, want 2", n)
 	}
 }

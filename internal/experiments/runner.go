@@ -136,10 +136,13 @@ func workloadDigest(w workload.Workload) uint64 {
 // baseline) or inside the SMT pair, so generation cost is paid once per
 // workload thread rather than once per spec. Traces are read-only to the
 // core, which is what makes the sharing safe. A trace stays memoized until
-// DropTraces forgets its workload or the runner itself goes. Each finished
-// simulation also leaves its machine (tag arrays, predictor, ROB-entry
-// slab, queues) on the runner's free list, and the next simulation resets
-// it in place instead of allocating its own (core.Spares).
+// DropTraces forgets its workload or the runner itself goes; once no
+// simulation reads a forgotten trace, its buffer goes on the runner's free
+// list, and the next trace the runner generates overwrites it instead of
+// allocating its own. Each finished simulation likewise leaves its machine
+// (tag arrays, predictor, ROB-entry slab, queues) on the runner's free
+// list of machines, and the next simulation resets it in place
+// (core.Spares).
 type Runner struct {
 	// TraceLen is the per-thread trace length in uops; it also sets each
 	// simulation's warm-up and cycle bound (see Machine).
@@ -186,6 +189,10 @@ type Runner struct {
 
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
+	// freeTraces holds the buffers of forgotten traces that no simulation
+	// reads any more, for new traces to be generated into: never more than
+	// the runner has had live at once.
+	freeTraces [][]isa.Uop
 
 	// spares holds the machines of finished simulations for the next ones
 	// to reuse: never more than the runner has had simulating at once.
@@ -265,9 +272,16 @@ func appendProfile(b []byte, p trace.Profile) []byte {
 	return b
 }
 
+// traceEntry is one memoized trace. holds and dropped are guarded by the
+// runner's traceMu; uops is written once, under once.
 type traceEntry struct {
 	once sync.Once
 	uops []isa.Uop
+	// holds counts the simulations whose programs read uops.
+	holds int
+	// dropped marks an entry DropTraces has forgotten while it was held:
+	// its last holder frees the buffer.
+	dropped bool
 }
 
 // NewRunner returns a runner with the given per-thread trace length and a
@@ -291,37 +305,71 @@ func (r *Runner) traceKey(w workload.Workload, i int) traceKey {
 	return traceKey{seed: w.Seeds[i], length: r.TraceLen, profile: profileFingerprint(w.Threads[i])}
 }
 
-// traceFor returns thread i's materialized trace for w, generating it at
-// most once per (profile, seed, length) until DropTraces forgets it. The
-// returned slice is shared; callers must treat it as immutable.
-func (r *Runner) traceFor(w workload.Workload, i int) []isa.Uop {
+// traceFor returns the entry of thread i's materialized trace for w, with
+// one hold on it that the caller returns with release. The trace is
+// generated at most once per (profile, seed, length) until DropTraces
+// forgets it, into a free buffer when the runner has one. Its uops are
+// shared; callers must treat them as immutable.
+func (r *Runner) traceFor(w workload.Workload, i int) *traceEntry {
 	k := r.traceKey(w, i)
 	r.traceMu.Lock()
 	e := r.traces[k]
 	if e == nil {
 		e = &traceEntry{}
+		if n := len(r.freeTraces); n > 0 {
+			e.uops = r.freeTraces[n-1]
+			r.freeTraces[n-1] = nil
+			r.freeTraces = r.freeTraces[:n-1]
+		}
 		r.traces[k] = e
 		if debugTraceMemo != nil {
 			debugTraceMemo(r, k.seed, r.traces)
 		}
 	}
+	e.holds++
 	r.traceMu.Unlock()
 	e.once.Do(func() {
-		g := trace.NewGenerator(w.Threads[i], w.Seeds[i])
-		e.uops = g.Generate(r.TraceLen)
+		if cap(e.uops) < r.TraceLen {
+			e.uops = make([]isa.Uop, r.TraceLen)
+		}
+		e.uops = e.uops[:r.TraceLen]
+		trace.NewGenerator(w.Threads[i], w.Seeds[i]).Fill(e.uops)
 	})
-	return e.uops
+	return e
 }
 
-// DropTraces forgets w's memoized traces at the runner's trace length, so
-// the memory they hold goes once no running simulation reads them. A later
+// release returns one hold on each of held. A forgotten trace's last
+// holder puts its buffer on the free list.
+func (r *Runner) release(held []*traceEntry) {
+	r.traceMu.Lock()
+	defer r.traceMu.Unlock()
+	for _, e := range held {
+		if e.holds--; e.holds == 0 && e.dropped {
+			r.freeTraces = append(r.freeTraces, e.uops)
+		}
+	}
+}
+
+// DropTraces forgets w's memoized traces at the runner's trace length. A
+// trace no simulation reads hands its buffer to the runner's free list at
+// once; a held one hands it on when its last simulation finishes. A later
 // spec of w generates them again. The campaign engine calls it when no
 // pending item of any plan it runs needs w on this runner any more.
 func (r *Runner) DropTraces(w workload.Workload) {
 	r.traceMu.Lock()
 	defer r.traceMu.Unlock()
 	for i := range w.Threads {
-		delete(r.traces, r.traceKey(w, i))
+		k := r.traceKey(w, i)
+		e := r.traces[k]
+		if e == nil {
+			continue
+		}
+		delete(r.traces, k)
+		if e.holds == 0 {
+			r.freeTraces = append(r.freeTraces, e.uops)
+		} else {
+			e.dropped = true
+		}
 	}
 }
 
@@ -415,9 +463,15 @@ func Simulate(ctx context.Context, p *core.Processor) (*metrics.Stats, error) {
 	return st, nil
 }
 
-// programs is Programs over the runner's memoized traces.
-func (r *Runner) programs(s Spec) []core.ThreadProgram {
-	return buildPrograms(s, func(i int) []isa.Uop { return r.traceFor(s.Workload, i) })
+// programs is Programs over the runner's memoized traces. It returns the
+// entries it holds, for release once no simulation reads the programs.
+func (r *Runner) programs(s Spec) (progs []core.ThreadProgram, held []*traceEntry) {
+	progs = buildPrograms(s, func(i int) []isa.Uop {
+		e := r.traceFor(s.Workload, i)
+		held = append(held, e)
+		return e.uops
+	})
+	return progs, held
 }
 
 // CacheKey returns the content-addressed result key for s under this
@@ -550,11 +604,13 @@ func encodeOnce[K comparable](m map[K][]byte, k K, what string, enc func(K) ([]b
 // (ErrCycleBound), discards the partial run: it is not counted as executed
 // and never reaches the store. The processor is built on a machine an
 // earlier simulation released when the runner holds one, and on every path
-// its machine is released for the next simulation to reuse. A non-nil
-// onSample attaches a time-series sampler for the duration of the run (see
-// SampleInterval).
+// its machine is released for the next simulation to reuse, and then its
+// holds on its traces. A non-nil onSample attaches a time-series sampler
+// for the duration of the run (see SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
-	p, err := r.spares.NewScheme(Machine(s, r.TraceLen), s.Scheme, r.programs(s))
+	progs, held := r.programs(s)
+	defer r.release(held)
+	p, err := r.spares.NewScheme(Machine(s, r.TraceLen), s.Scheme, progs)
 	if err != nil {
 		return nil, err
 	}

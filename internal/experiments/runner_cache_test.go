@@ -58,25 +58,28 @@ func TestRunnerTraceMemoized(t *testing.T) {
 	r := NewRunner(1500)
 	w := workload.ByCategory("ispec00")[0]
 
-	a := r.traceFor(w, 0)
-	b := r.traceFor(w, 0)
+	a := r.traceFor(w, 0).uops
+	b := r.traceFor(w, 0).uops
 	if &a[0] != &b[0] {
 		t.Error("same (workload, thread, length) regenerated its trace")
 	}
-	c := r.traceFor(w, 1)
+	c := r.traceFor(w, 1).uops
 	if &a[0] == &c[0] {
 		t.Error("distinct threads share one trace entry")
 	}
 
 	// The SMT run and the single-thread fairness baseline see one slice.
-	smt := r.programs(Spec{Workload: w, SingleThread: -1})
-	solo := r.programs(Spec{Workload: w, SingleThread: 1})
+	smt, held := r.programs(Spec{Workload: w, SingleThread: -1})
+	solo, soloHeld := r.programs(Spec{Workload: w, SingleThread: 1})
 	if &smt[1].Trace[0] != &solo[0].Trace[0] {
 		t.Error("single-thread run regenerated the SMT thread's trace")
 	}
+	if len(held) != 2 || len(soloHeld) != 1 || soloHeld[0] != held[1] {
+		t.Errorf("programs held %d and %d entries, want the SMT run's 2 and its second for the baseline", len(held), len(soloHeld))
+	}
 
 	r2 := NewRunner(2000)
-	d := r2.traceFor(w, 0)
+	d := r2.traceFor(w, 0).uops
 	if len(d) != 2000 || len(a) != 1500 {
 		t.Fatalf("trace lengths %d/%d, want 2000/1500", len(d), len(a))
 	}
@@ -88,18 +91,18 @@ func TestRunnerTraceMemoized(t *testing.T) {
 func TestRunnerTraceKeyedBySeedAndProfile(t *testing.T) {
 	r := NewRunner(1500)
 	w := workload.ByCategory("ispec00")[0]
-	orig := r.traceFor(w, 0)
+	orig := r.traceFor(w, 0).uops
 
 	reseeded := w
 	reseeded.Seeds = []uint64{w.Seeds[0] + 1, w.Seeds[1]}
-	if got := r.traceFor(reseeded, 0); &got[0] == &orig[0] {
+	if got := r.traceFor(reseeded, 0).uops; &got[0] == &orig[0] {
 		t.Error("same name with a different seed was handed the cached trace")
 	}
 
 	reprofiled := w
 	reprofiled.Threads = append([]trace.Profile{}, w.Threads...)
 	reprofiled.Threads[0].DepP = w.Threads[0].DepP / 2
-	if got := r.traceFor(reprofiled, 0); &got[0] == &orig[0] {
+	if got := r.traceFor(reprofiled, 0).uops; &got[0] == &orig[0] {
 		t.Error("same name with a different profile was handed the cached trace")
 	}
 
@@ -107,7 +110,7 @@ func TestRunnerTraceKeyedBySeedAndProfile(t *testing.T) {
 	// name still shares — the cache keys content, not names.
 	renamed := w
 	renamed.Name = w.Name + "-alias"
-	if got := r.traceFor(renamed, 0); &got[0] != &orig[0] {
+	if got := r.traceFor(renamed, 0).uops; &got[0] != &orig[0] {
 		t.Error("identical seed/profile under a new name regenerated the trace")
 	}
 }

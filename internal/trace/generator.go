@@ -315,10 +315,16 @@ func (g *Generator) Next() isa.Uop {
 // Generate materializes n uops into a new slice.
 func (g *Generator) Generate(n int) []isa.Uop {
 	out := make([]isa.Uop, n)
+	g.Fill(out)
+	return out
+}
+
+// Fill overwrites out with the stream's next len(out) uops, whatever out
+// held before, so a reused buffer carries the same trace as a fresh one.
+func (g *Generator) Fill(out []isa.Uop) {
 	for i := range out {
 		out[i] = g.Next()
 	}
-	return out
 }
 
 // WrongPathGenerator yields uops fetched down a mispredicted path. The
