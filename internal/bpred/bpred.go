@@ -44,7 +44,6 @@ func DefaultConfig(n int) Config {
 // Predictor is a gshare predictor with per-thread histories.
 // It is not safe for concurrent use.
 type Predictor struct {
-	cfg      Config
 	counters []uint8 // 2-bit saturating counters
 	history  []uint64
 	mask     uint64
@@ -85,7 +84,6 @@ func (p *Predictor) Reset(cfg Config) {
 		p.history = make([]uint64, cfg.NumThreads)
 	}
 	*p = Predictor{
-		cfg:      cfg,
 		counters: p.counters,
 		history:  p.history,
 		mask:     uint64(ge - 1),

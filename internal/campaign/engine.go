@@ -13,7 +13,6 @@ import (
 	"clustersmt/internal/core"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/metrics"
-	"clustersmt/internal/workload"
 )
 
 // Engine executes expanded campaigns: one pool of workers answers every
@@ -28,8 +27,10 @@ import (
 // configuration — deduplicate overlapping specs exactly once even while
 // both are in flight. Local simulations of every campaign share one gate of
 // Workers slots. A workload's memoized traces live only while a pending
-// item of some running plan needs them (see pin); those Simulate generates
-// live until Recycle.
+// item of some running plan or batch needs them (see Batch). The engine
+// owns the storage its simulations reuse: every runner, whatever its trace
+// length, builds on the machines and generates into the trace buffers of
+// the engine's one experiments.Storage, and Recycle keeps it.
 type Engine struct {
 	// Store is the persistent result layer (typically *store.Store). Nil
 	// runs the campaign memory-only.
@@ -58,23 +59,24 @@ type Engine struct {
 	mu      sync.Mutex
 	gate    chan struct{} // Workers slots, shared by every runner
 	mem     *experiments.MemStore
+	storage *experiments.Storage // shared by every runner, kept by Recycle
 	runners map[int]*experiments.Runner
 	putErrs atomic.Int64 // fresh results the store refused
 
 	pinMu sync.Mutex
-	pins  map[pinKey]*tracePin // pending items per runner and workload, across running plans
+	pins  map[pinKey]*tracePin // pending items per runner and workload, across running plans and batches
 }
 
 // pinKey names the traces one workload needs on one runner. A plan's
-// workloads are pool workloads and their repetitions, whose names identify
-// their content.
+// workloads, and so a fleet worker's tasks, are pool workloads and their
+// repetitions, whose names identify their content.
 type pinKey struct {
 	r        *experiments.Runner
 	workload string
 }
 
-// tracePin counts the pending items, over every plan the engine is running,
-// that need one workload's traces on one runner.
+// tracePin counts the pending items, over every plan and batch the engine
+// is running, that need one workload's traces on one runner.
 type tracePin struct {
 	key pinKey
 	n   int
@@ -154,15 +156,16 @@ type ResultSet struct {
 
 // runnerFor returns the engine's shared runner for trace length tl,
 // creating it on first use: a fresh-layer MemStore in front of the
-// persistent store, sharing the engine's gate and Exec. With Resume
-// disabled the persistent layer is write-only, so results stored before
-// the engine started are ignored and re-executed while fresh ones still
-// land on disk.
+// persistent store, sharing the engine's gate, Storage and Exec. With
+// Resume disabled the persistent layer is write-only, so results stored
+// before the engine started are ignored and re-executed while fresh ones
+// still land on disk.
 func (e *Engine) runnerFor(tl int) *experiments.Runner {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.gate == nil {
 		e.gate = make(chan struct{}, e.slots())
+		e.storage = &experiments.Storage{}
 	}
 	r, ok := e.runners[tl]
 	if !ok {
@@ -172,6 +175,7 @@ func (e *Engine) runnerFor(tl int) *experiments.Runner {
 		r = experiments.NewRunner(tl)
 		r.Verbose = e.Verbose
 		r.Gate = e.gate
+		r.Storage = e.storage
 		r.Exec = e.Exec
 		r.SampleInterval = e.SampleInterval
 		layers := []experiments.ResultStore{e.mem}
@@ -197,24 +201,62 @@ func (e *Engine) slots() int {
 	return runtime.NumCPU()
 }
 
-// Simulate answers one spec at trace length traceLen the way RunPlan
-// answers a campaign item, on the engine's runner for that length: from
-// the engine's result layers, or by simulating under its gate. It reports
-// whether this call simulated. Fleet workers run their leased tasks
-// through it; its signature is Exec's.
-func (e *Engine) Simulate(ctx context.Context, traceLen int, s experiments.Spec) (*metrics.Stats, bool, error) {
-	st, _, executed, err := e.do(ctx, e.runnerFor(traceLen), s, nil)
+// Batch is a set of items the engine answers together: a plan's (RunPlan
+// runs every plan as one) or a fleet worker's leased tasks. Items may be
+// answered concurrently, each at most once; an item's pin is counted off
+// when it is answered or when the batch is closed.
+type Batch struct {
+	e       *Engine
+	items   []Item
+	runners map[int]*experiments.Runner // by trace length, resolved when the batch was made
+	pins    []*tracePin                 // by item; nil once counted off, under e.pinMu
+}
+
+// Batch pins items on the engine and returns them as a batch. A workload's
+// traces on the runner for a trace length stay memoized while an item
+// needing them is pending, over every batch and plan the engine runs, and
+// the last one to be counted off drops them, handing their buffers to the
+// engine's Storage. The batch resolves its runners now and keeps them to
+// the end, even across a Recycle. Answer items with Simulate; Close counts
+// off the ones never answered.
+func (e *Engine) Batch(items []Item) *Batch {
+	b := &Batch{e: e, items: items, runners: map[int]*experiments.Runner{}}
+	for _, it := range items {
+		if b.runners[it.TraceLen] == nil {
+			b.runners[it.TraceLen] = e.runnerFor(it.TraceLen)
+		}
+	}
+	b.pins = e.pin(items, b.runners)
+	return b
+}
+
+// Simulate answers item i the way RunPlan answers a plan item and counts
+// it off. It reports whether this call simulated.
+func (b *Batch) Simulate(ctx context.Context, i int) (*metrics.Stats, bool, error) {
+	st, _, executed, err := b.do(ctx, i, nil)
 	return st, executed, err
 }
 
-// do answers s on r (see experiments.Runner.Do) and counts a fresh result
-// the store refused.
-func (e *Engine) do(ctx context.Context, r *experiments.Runner, s experiments.Spec, onSample func(metrics.Sample)) (st *metrics.Stats, key string, executed bool, err error) {
-	st, key, executed, putErr, err := r.Do(ctx, s, onSample)
+// do answers item i on the runner for its trace length (see
+// experiments.Runner.Do), counts a fresh result the store refused and
+// counts the item off.
+func (b *Batch) do(ctx context.Context, i int, onSample func(metrics.Sample)) (st *metrics.Stats, key string, executed bool, err error) {
+	it := b.items[i]
+	st, key, executed, putErr, err := b.runners[it.TraceLen].Do(ctx, it.Spec, onSample)
 	if putErr != nil {
-		e.putErrs.Add(1)
+		b.e.putErrs.Add(1)
 	}
+	b.unpin(i)
 	return st, key, executed, err
+}
+
+// Close counts off every item of b not answered yet. Call it once no
+// Simulate on b is running; a worker closes each leased batch, so a task
+// that never reached the engine pins nothing.
+func (b *Batch) Close() {
+	for i := range b.items {
+		b.unpin(i)
+	}
 }
 
 // Inflight returns how many local simulations hold a slot of the engine's
@@ -232,14 +274,17 @@ func (e *Engine) StorePutErrors() int64 { return e.putErrs.Load() }
 
 // Recycle drops the engine's cached runners, except those for the trace
 // lengths in keep, and its shared in-memory result layer (kept runners
-// keep theirs), releasing the key encodings, Stats and Simulate's trace
-// memos they hold (RunPlan's traces are gone when no item needs them). Live
-// campaigns are unaffected — each resolved its runners when it started and
-// keeps them to the end; only future sharing starts cold. The service
-// daemon calls Recycle() whenever it goes idle, and a fleet worker calls
-// it with each batch's trace lengths, so memory is bounded by one busy
-// period or one batch: with a persistent store underneath, the only cost
-// is a store read per recalled key.
+// keep theirs), releasing the key encodings and Stats they hold (a
+// workload's traces are gone once no pending item needs them). It keeps
+// the engine's Storage: the spare machines and free trace buffers serve
+// runners of any trace length, and they never outnumber the machines and
+// traces the engine has had in use at once. Live campaigns and batches are
+// unaffected — each resolved its runners when it started and keeps them
+// to the end; only future sharing starts cold. The service daemon calls
+// Recycle() whenever it goes idle, and a fleet worker calls it with each
+// batch's trace lengths, so memory is bounded by one busy period or one
+// batch: with a persistent store underneath, the only cost is a store read
+// per recalled key.
 func (e *Engine) Recycle(keep ...int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -269,13 +314,7 @@ func (e *Engine) RunCtx(ctx context.Context, m *Manifest, progress func(ItemEven
 // invoked from worker goroutines and must be safe for concurrent use.
 func (e *Engine) RunPlan(ctx context.Context, plan *Plan, progress func(ItemEvent)) *ResultSet {
 	rs := plan.NewResultSet(core.SimVersion)
-	c := &campaignRun{e: e, plan: plan, rs: rs, runners: map[int]*experiments.Runner{}, progress: progress}
-	for _, it := range plan.Items {
-		if c.runners[it.TraceLen] == nil {
-			c.runners[it.TraceLen] = e.runnerFor(it.TraceLen)
-		}
-	}
-	c.pins = e.pin(plan.Items, c.runners)
+	c := &campaignRun{e: e, plan: plan, rs: rs, batch: e.Batch(plan.Items), progress: progress}
 
 	// One pool over every item, whatever its trace length. The engine
 	// shares runners (and their in-memory layer) across campaigns, so
@@ -338,14 +377,21 @@ func (e *Engine) pin(items []Item, runners map[int]*experiments.Runner) []*trace
 	return pins
 }
 
-// unpin counts one finished item of workload w off p. The last pending item
-// of w on p's runner, over every running plan, drops w's traces there.
-func (e *Engine) unpin(p *tracePin, w workload.Workload) {
+// unpin counts item i off its pin unless it already is. The last pending
+// item of a workload on a runner, over every running plan and batch, drops
+// the workload's traces there.
+func (b *Batch) unpin(i int) {
+	e := b.e
 	e.pinMu.Lock()
 	defer e.pinMu.Unlock()
+	p := b.pins[i]
+	if p == nil {
+		return
+	}
+	b.pins[i] = nil
 	if p.n--; p.n == 0 {
 		delete(e.pins, p.key)
-		p.key.r.DropTraces(w)
+		p.key.r.DropTraces(b.items[i].Spec.Workload)
 	}
 }
 
@@ -354,8 +400,7 @@ type campaignRun struct {
 	e        *Engine
 	plan     *Plan
 	rs       *ResultSet
-	runners  map[int]*experiments.Runner // by trace length, resolved at start
-	pins     []*tracePin                 // by item
+	batch    *Batch // the plan's items
 	progress func(ItemEvent)
 }
 
@@ -376,9 +421,7 @@ func (c *campaignRun) item(ctx context.Context, i int) {
 			}
 		}
 	}
-	it := c.plan.Items[i]
-	st, key, executed, err := c.e.do(ctx, c.runners[it.TraceLen], it.Spec, onSample)
-	c.e.unpin(c.pins[i], it.Spec.Workload)
+	st, key, executed, err := c.batch.do(ctx, i, onSample)
 	res := c.plan.Result(i, key, st, executed, err)
 	if executed {
 		res.Samples = samples

@@ -35,13 +35,15 @@ type WorkerConfig struct {
 }
 
 // Worker is the fleet's data plane: it registers with a coordinator,
-// heartbeats in the background, pulls task batches, simulates each task
-// through a local campaign.Engine (Engine.Simulate, on its in-memory
+// heartbeats in the background, pulls task batches, simulates each batch
+// through a local campaign.Engine (Engine.Batch, on its in-memory
 // runners) and reports the stats. It never reads or writes the shared
 // store: the coordinator's engine answers store hits before a task is
 // queued and puts every result it accepts.
-// The worker keeps only the runners, and their trace memos, for the trace
-// lengths of the batch at hand.
+// The worker keeps only the runners for the trace lengths of the batch at
+// hand, and a batch's traces only until its last task needing them is
+// done; its engine keeps the machines and trace buffers for the next
+// batch, whatever its lengths.
 type Worker struct {
 	cfg    WorkerConfig
 	client *http.Client
@@ -234,23 +236,30 @@ func (w *Worker) lease(ctx context.Context) ([]Task, error) {
 	return resp.Tasks, nil
 }
 
-// execute simulates a leased batch, one goroutine per task (the engine's
-// gate of Parallel slots bounds the simulations), and reports completions.
-// It returns once every task is done.
+// execute simulates a leased batch as one engine batch, one goroutine per
+// task (the engine's gate of Parallel slots bounds the simulations), and
+// reports completions. It returns once every task is done.
 func (w *Worker) execute(ctx context.Context, tasks []Task) {
 	lens := make([]int, len(tasks))
+	items := make([]campaign.Item, len(tasks))
 	for i, t := range tasks {
 		lens[i] = t.TraceLen
+		items[i] = campaign.Item{Spec: t.Spec, TraceLen: t.TraceLen}
 	}
 	// Each campaign may bring new trace lengths: keep only the runners
-	// this batch uses, so memory does not grow with every length seen.
+	// this batch uses, so memory does not grow with every length seen. The
+	// engine keeps its spare machines and free trace buffers, which serve
+	// any length, and each workload's traces go back to them when the
+	// batch's last task needing them is done.
 	w.eng.Recycle(lens...)
+	b := w.eng.Batch(items)
+	defer b.Close()
 	var wg sync.WaitGroup
-	for _, t := range tasks {
+	for i, t := range tasks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w.runTask(ctx, t)
+			w.runTask(ctx, b, i, t)
 		}()
 	}
 	wg.Wait()
@@ -260,8 +269,8 @@ func (w *Worker) execute(ctx context.Context, tasks []Task) {
 // whose execution was cut off by ctx cancellation is deliberately NOT
 // reported: a dying worker stays silent, the coordinator reaps it and
 // requeues its leases — reporting a cancellation as failure would burn an
-// attempt on a healthy item.
-func (w *Worker) runTask(ctx context.Context, t Task) {
+// attempt on a healthy item. t is item i of b.
+func (w *Worker) runTask(ctx context.Context, b *campaign.Batch, i int, t Task) {
 	if w.testOnTaskStart != nil {
 		w.testOnTaskStart(t)
 	}
@@ -271,7 +280,7 @@ func (w *Worker) runTask(ctx context.Context, t Task) {
 			return
 		}
 	}
-	st, executed, err := w.eng.Simulate(ctx, t.TraceLen, t.Spec)
+	st, executed, err := b.Simulate(ctx, i)
 	if err != nil && isCtxErr(err) {
 		return // dying quietly; the reap requeues the item
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"clustersmt/internal/campaign"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/workload"
 )
@@ -34,7 +35,7 @@ func TestWorkerKeepsOnlyBatchRunners(t *testing.T) {
 	// simulated reports whether the worker's engine simulates spec at tl
 	// afresh rather than answering it from a kept runner's memory.
 	simulated := func(tl int) bool {
-		_, executed, err := w.eng.Simulate(context.Background(), tl, spec)
+		_, executed, err := w.eng.Batch([]campaign.Item{{Spec: spec, TraceLen: tl}}).Simulate(context.Background(), 0)
 		if err != nil {
 			t.Fatalf("Simulate at trace length %d: %v", tl, err)
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -228,6 +229,37 @@ func TestRegFileUnbounded(t *testing.T) {
 		if _, ok := rf.Alloc(isa.IntReg, 0); !ok {
 			t.Fatal("unbounded file exhausted early")
 		}
+	}
+}
+
+// TestRegFileResetShrinksInPlace: a Table 4 file (64 registers per kind)
+// reset to an emulated-unbounded one, used, and reset back — the reuse
+// figure mode makes of one machine across the IQ study and the sized
+// sweeps — becomes exactly the fresh 64-register file and allocates
+// nothing.
+func TestRegFileResetShrinksInPlace(t *testing.T) {
+	const regs, threads = 64, 2
+	rf := NewRegFile[*int](regs, regs, threads)
+	var w int
+	cycle := func() {
+		rf.Reset(0, 0, threads)
+		for _, k := range []isa.RegKind{isa.IntReg, isa.FpReg} {
+			for i := 0; i < 3*regs; i++ {
+				idx, _ := rf.Alloc(k, i%threads)
+				if i%2 == 0 {
+					rf.AddWaiter(k, idx, &w)
+				} else {
+					rf.SetReady(k, idx)
+				}
+			}
+		}
+		rf.Reset(regs, regs, threads)
+	}
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Errorf("unbounded-and-back Reset allocates %v times, want 0", n)
+	}
+	if fresh := NewRegFile[*int](regs, regs, threads); !reflect.DeepEqual(rf, fresh) {
+		t.Errorf("file reset from an unbounded one differs from a fresh one")
 	}
 }
 

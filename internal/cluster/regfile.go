@@ -26,6 +26,9 @@ type RegFile[W comparable] struct {
 	ready   [isa.NumRegKinds][]bool
 	inUse   [isa.NumRegKinds][]int // per thread
 	waiters [isa.NumRegKinds][][]W
+	// slabs backs the waiter lists of files of at most waiterSlabMaxRegs
+	// registers: waiterSlabCap entries per register, carved in order.
+	slabs [isa.NumRegKinds][]W
 
 	// OnWake, when non-nil, receives every waiter subscribed to a register
 	// at the moment SetReady makes it ready. Callbacks must not re-subscribe
@@ -44,8 +47,10 @@ func NewRegFile[W comparable](intRegs, fpRegs, n int) *RegFile[W] {
 
 // Reset makes rf the register file NewRegFile(intRegs, fpRegs, n) returns,
 // in place: all registers free and not ready, no waiters, no usage. A kind
-// whose register count is unchanged keeps its arrays, its waiter lists'
-// backings included. OnWake is left as it is.
+// keeps its arrays whenever their capacity covers its new register count,
+// so a file shrunk from an emulated-unbounded one allocates nothing; a
+// kind whose count is unchanged keeps its waiter lists' backings too.
+// OnWake is left as it is.
 func (rf *RegFile[W]) Reset(intRegs, fpRegs, n int) {
 	if intRegs <= 0 {
 		intRegs = UnboundedRegs
@@ -61,9 +66,9 @@ func (rf *RegFile[W]) Reset(intRegs, fpRegs, n int) {
 		c := counts[k]
 		if rf.total[k] != c {
 			rf.total[k] = c
-			rf.free[k] = make([]int32, c)
-			rf.ready[k] = make([]bool, c)
-			rf.waiters[k] = make([][]W, c)
+			rf.free[k] = fit(rf.free[k], c)
+			rf.ready[k] = fit(rf.ready[k], c)
+			rf.waiters[k] = fit(rf.waiters[k], c)
 			if c <= waiterSlabMaxRegs {
 				// Carve every register's initial waiter capacity out of one
 				// slab so steady-state subscription never allocates; a
@@ -71,9 +76,10 @@ func (rf *RegFile[W]) Reset(intRegs, fpRegs, n int) {
 				// keeps the grown backing. Emulated-unbounded files
 				// (UnboundedRegs) stay lazy — the slab would cost megabytes
 				// and those registers rarely collect waiters.
-				slab := make([]W, c*waiterSlabCap)
+				rf.slabs[k] = fit(rf.slabs[k], c*waiterSlabCap)
+				clear(rf.slabs[k])
 				for i := 0; i < c; i++ {
-					rf.waiters[k][i] = slab[i*waiterSlabCap : i*waiterSlabCap : (i+1)*waiterSlabCap]
+					rf.waiters[k][i] = rf.slabs[k][i*waiterSlabCap : i*waiterSlabCap : (i+1)*waiterSlabCap]
 				}
 			}
 		}
@@ -87,11 +93,19 @@ func (rf *RegFile[W]) Reset(intRegs, fpRegs, n int) {
 			clear(ws)
 			rf.waiters[k][i] = ws[:0]
 		}
-		if len(rf.inUse[k]) != n {
-			rf.inUse[k] = make([]int, n)
-		}
+		rf.inUse[k] = fit(rf.inUse[k], n)
 		clear(rf.inUse[k])
 	}
+}
+
+// fit returns s resliced to length n when its capacity covers n, and a new
+// slice of length n otherwise. Elements a reslice exposes keep their old
+// values; callers overwrite or clear them.
+func fit[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // waiterSlabCap is the pre-carved waiter capacity per register;

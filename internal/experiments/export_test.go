@@ -1,10 +1,13 @@
 package experiments
 
+import "clustersmt/internal/isa"
+
 // Hooks for the external test package, which may import the campaign
 // package (an import cycle for this package's own tests).
 var (
 	SessionKey     = Spec.key
 	WorkloadDigest = workloadDigest
+	SameBufs       = sameBufs
 )
 
 // SetTraceMemoHook makes every runner call f, under its trace lock, each
@@ -30,4 +33,19 @@ func TraceCount(r *Runner) int {
 	r.traceMu.Lock()
 	defer r.traceMu.Unlock()
 	return len(r.traces)
+}
+
+// SpareMachines returns how many released machines s holds.
+func SpareMachines(s *Storage) int { return s.machines.Len() }
+
+// FreeTraceBuffers returns the first uop's address of each free trace
+// buffer in s: a buffer's identity.
+func FreeTraceBuffers(s *Storage) map[*isa.Uop]bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bufs := map[*isa.Uop]bool{}
+	for _, b := range s.traces {
+		bufs[&b[0]] = true
+	}
+	return bufs
 }

@@ -66,7 +66,7 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 	if _, _, executed, _, err := r.Do(newPollCancelCtx(1), s, nil); !errors.Is(err, context.Canceled) || executed {
 		t.Fatalf("cancelled run: executed=%v, err = %v; want context.Canceled, not executed", executed, err)
 	}
-	if n := r.spares.Len(); n != 1 {
+	if n := r.Storage.machines.Len(); n != 1 {
 		t.Fatalf("cancelled run left %d spare machines, want 1", n)
 	}
 	got, err := runOneCtx(context.Background(), r, s)
@@ -81,7 +81,7 @@ func TestRecycledAfterCancelMatchesFresh(t *testing.T) {
 // TestSimulationAllocBudget bounds the bytes one executed simulation
 // allocates once its traces are memoized: 24 Table 4 specs at 2k uops (12
 // pool workloads under icount and cdprf), the first of which only leaves
-// its machine on the runner's free list. Every later simulation builds on
+// its machine in the runner's Storage. Every later simulation builds on
 // that machine, so what it allocates is its statistics, its policies and a
 // few per-run buffers: 5.6 KB per simulation (7.3 KB under the race
 // detector), against 257 KB when only the tag arrays were reused and
@@ -120,7 +120,7 @@ func TestSimulationAllocBudget(t *testing.T) {
 	if perSim > budget {
 		t.Errorf("%d bytes allocated per executed simulation, budget %d", perSim, budget)
 	}
-	if n := r.spares.Len(); n != 1 {
+	if n := r.Storage.machines.Len(); n != 1 {
 		t.Errorf("%d spare machines after one-at-a-time simulations, want 1", n)
 	}
 }
@@ -129,7 +129,7 @@ func TestSimulationAllocBudget(t *testing.T) {
 // allocates on a warm runner when its workload's traces must be generated
 // again: the cold-sweep shape, where each workload's traces are dropped
 // once its items are done. A first pass over 12 pool workloads at 2k uops
-// leaves one machine and two trace buffers on the runner's free lists; in
+// leaves one machine and two trace buffers in the runner's Storage; in
 // the second pass, under another scheme, every workload's traces are
 // regenerated into those buffers, so a simulation allocates no trace
 // storage: 8.1 KB per simulation (8.7 KB under the race detector), against

@@ -137,12 +137,13 @@ func workloadDigest(w workload.Workload) uint64 {
 // workload thread rather than once per spec. Traces are read-only to the
 // core, which is what makes the sharing safe. A trace stays memoized until
 // DropTraces forgets its workload or the runner itself goes; once no
-// simulation reads a forgotten trace, its buffer goes on the runner's free
-// list, and the next trace the runner generates overwrites it instead of
-// allocating its own. Each finished simulation likewise leaves its machine
-// (tag arrays, predictor, ROB-entry slab, queues) on the runner's free
-// list of machines, and the next simulation resets it in place
-// (core.Spares).
+// simulation reads a forgotten trace, its buffer goes on the free list of
+// the runner's Storage, and the next trace generated there overwrites it
+// instead of allocating its own. Each finished simulation likewise leaves
+// its machine (tag arrays, predictor, ROB-entry slab, queues) in the
+// Storage, and the next simulation resets it in place (core.Spares). The
+// Storage may be shared with runners of other trace lengths (the campaign
+// engine shares one across all of its runners).
 type Runner struct {
 	// TraceLen is the per-thread trace length in uops; it also sets each
 	// simulation's warm-up and cycle bound (see Machine).
@@ -160,6 +161,12 @@ type Runner struct {
 	// each bringing its own pool. Nil leaves simulation concurrency to the
 	// callers of Do.
 	Gate chan struct{}
+	// Storage holds the machines and trace buffers the runner's
+	// simulations reuse. NewRunner sets a private one; sharing one between
+	// runners lets each build on what the others released, whatever their
+	// trace lengths. Replace it before the first Do call; it must not
+	// change afterwards.
+	Storage *Storage
 	// Exec, when non-nil, simulates every store miss in place of the local
 	// simulator, under the spec's singleflight; the runner stores and
 	// counts what it returns (executed = false: a store hit on Exec's
@@ -189,14 +196,6 @@ type Runner struct {
 
 	traceMu sync.Mutex
 	traces  map[traceKey]*traceEntry
-	// freeTraces holds the buffers of forgotten traces that no simulation
-	// reads any more, for new traces to be generated into: never more than
-	// the runner has had live at once.
-	freeTraces [][]isa.Uop
-
-	// spares holds the machines of finished simulations for the next ones
-	// to reuse: never more than the runner has had simulating at once.
-	spares core.Spares
 }
 
 // keyEntry is what a runner remembers about one spec key.
@@ -284,13 +283,14 @@ type traceEntry struct {
 	dropped bool
 }
 
-// NewRunner returns a runner with the given per-thread trace length and a
-// private in-memory store. It is the only constructor: a Runner built as a
-// struct literal has no session maps.
+// NewRunner returns a runner with the given per-thread trace length, a
+// private in-memory store and a private Storage. It is the only
+// constructor: a Runner built as a struct literal has no session maps.
 func NewRunner(traceLen int) *Runner {
 	return &Runner{
 		TraceLen:  traceLen,
 		Store:     NewMemStore(),
+		Storage:   &Storage{},
 		inflight:  make(map[string]*flight),
 		keys:      make(map[string]keyEntry),
 		traces:    make(map[traceKey]*traceEntry),
@@ -308,19 +308,14 @@ func (r *Runner) traceKey(w workload.Workload, i int) traceKey {
 // traceFor returns the entry of thread i's materialized trace for w, with
 // one hold on it that the caller returns with release. The trace is
 // generated at most once per (profile, seed, length) until DropTraces
-// forgets it, into a free buffer when the runner has one. Its uops are
-// shared; callers must treat them as immutable.
+// forgets it, into a free buffer of the runner's Storage when one covers
+// it. Its uops are shared; callers must treat them as immutable.
 func (r *Runner) traceFor(w workload.Workload, i int) *traceEntry {
 	k := r.traceKey(w, i)
 	r.traceMu.Lock()
 	e := r.traces[k]
 	if e == nil {
 		e = &traceEntry{}
-		if n := len(r.freeTraces); n > 0 {
-			e.uops = r.freeTraces[n-1]
-			r.freeTraces[n-1] = nil
-			r.freeTraces = r.freeTraces[:n-1]
-		}
 		r.traces[k] = e
 		if debugTraceMemo != nil {
 			debugTraceMemo(r, k.seed, r.traces)
@@ -329,32 +324,30 @@ func (r *Runner) traceFor(w workload.Workload, i int) *traceEntry {
 	e.holds++
 	r.traceMu.Unlock()
 	e.once.Do(func() {
-		if cap(e.uops) < r.TraceLen {
-			e.uops = make([]isa.Uop, r.TraceLen)
-		}
-		e.uops = e.uops[:r.TraceLen]
+		e.uops = r.Storage.takeTrace(r.TraceLen)
 		trace.NewGenerator(w.Threads[i], w.Seeds[i]).Fill(e.uops)
 	})
 	return e
 }
 
 // release returns one hold on each of held. A forgotten trace's last
-// holder puts its buffer on the free list.
+// holder puts its buffer in the runner's Storage.
 func (r *Runner) release(held []*traceEntry) {
 	r.traceMu.Lock()
 	defer r.traceMu.Unlock()
 	for _, e := range held {
 		if e.holds--; e.holds == 0 && e.dropped {
-			r.freeTraces = append(r.freeTraces, e.uops)
+			r.Storage.putTrace(e.uops)
 		}
 	}
 }
 
 // DropTraces forgets w's memoized traces at the runner's trace length. A
-// trace no simulation reads hands its buffer to the runner's free list at
+// trace no simulation reads hands its buffer to the runner's Storage at
 // once; a held one hands it on when its last simulation finishes. A later
 // spec of w generates them again. The campaign engine calls it when no
-// pending item of any plan it runs needs w on this runner any more.
+// pending item of any plan or batch it runs needs w on this runner any
+// more.
 func (r *Runner) DropTraces(w workload.Workload) {
 	r.traceMu.Lock()
 	defer r.traceMu.Unlock()
@@ -366,7 +359,7 @@ func (r *Runner) DropTraces(w workload.Workload) {
 		}
 		delete(r.traces, k)
 		if e.holds == 0 {
-			r.freeTraces = append(r.freeTraces, e.uops)
+			r.Storage.putTrace(e.uops)
 		} else {
 			e.dropped = true
 		}
@@ -603,14 +596,14 @@ func encodeOnce[K comparable](m map[K][]byte, k K, what string, enc func(K) ([]b
 // context cancellation mid-simulation, or a run stopped at its cycle bound
 // (ErrCycleBound), discards the partial run: it is not counted as executed
 // and never reaches the store. The processor is built on a machine an
-// earlier simulation released when the runner holds one, and on every path
-// its machine is released for the next simulation to reuse, and then its
-// holds on its traces. A non-nil onSample attaches a time-series sampler
+// earlier simulation released when the runner's Storage holds one, and on
+// every path its machine is released for the next simulation to reuse, and
+// then its holds on its traces. A non-nil onSample attaches a time-series sampler
 // for the duration of the run (see SampleInterval).
 func (r *Runner) execute(ctx context.Context, s Spec, onSample func(metrics.Sample)) (*metrics.Stats, error) {
 	progs, held := r.programs(s)
 	defer r.release(held)
-	p, err := r.spares.NewScheme(Machine(s, r.TraceLen), s.Scheme, progs)
+	p, err := r.Storage.machines.NewScheme(Machine(s, r.TraceLen), s.Scheme, progs)
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"clustersmt/internal/campaign"
 	"clustersmt/internal/experiments"
 	"clustersmt/internal/figures"
+	"clustersmt/internal/workload"
 )
 
 // memoWatch observes every runner's trace memo through the test hook:
@@ -280,5 +281,34 @@ func TestFigureRunGeneratesEachTraceOnce(t *testing.T) {
 		if alone := runFigure[any](t, f); !reflect.DeepEqual(res[i].Value, alone) {
 			t.Errorf("%s: value %+v run with the others, %+v alone", f.Name, res[i].Value, alone)
 		}
+	}
+}
+
+// TestTraceLifetimeBatchClose: an engine batch pins its items' workloads
+// like a plan. A workload's traces outlive its answered item while another
+// item of the batch still needs them, and go when the batch is closed with
+// that item never answered — a fleet task that failed before it reached
+// the engine.
+func TestTraceLifetimeBatchClose(t *testing.T) {
+	w, err := workload.Find("dh.ilp.2.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := watchMemos(t)
+	eng := &campaign.Engine{Workers: 1, Resume: true}
+	var items []campaign.Item
+	for _, scheme := range []string{"icount", "cdprf"} {
+		items = append(items, campaign.Item{Spec: experiments.Spec{Workload: w, Scheme: scheme, IQSize: 32, SingleThread: -1}, TraceLen: 1000})
+	}
+	b := eng.Batch(items)
+	if _, executed, err := b.Simulate(context.Background(), 0); err != nil || !executed {
+		t.Fatalf("executed=%v, err=%v; want a fresh simulation", executed, err)
+	}
+	if n := watch.leftover(); n != len(w.Threads) {
+		t.Errorf("%d traces memoized while an item of the batch is pending, want %d", n, len(w.Threads))
+	}
+	b.Close()
+	if n := watch.leftover(); n != 0 {
+		t.Errorf("%d traces memoized after the batch was closed", n)
 	}
 }

@@ -31,16 +31,9 @@ func traceBufs(r *Runner, w workload.Workload) map[*isa.Uop]bool {
 	return bufs
 }
 
-// freeBufs returns the first uop's address of each buffer on r's free list.
-func freeBufs(r *Runner) map[*isa.Uop]bool {
-	r.traceMu.Lock()
-	defer r.traceMu.Unlock()
-	bufs := map[*isa.Uop]bool{}
-	for _, b := range r.freeTraces {
-		bufs[&b[0]] = true
-	}
-	return bufs
-}
+// freeBufs returns the first uop's address of each free buffer in r's
+// Storage.
+func freeBufs(r *Runner) map[*isa.Uop]bool { return FreeTraceBuffers(r.Storage) }
 
 // sameBufs reports whether got and want name the same buffers, and
 // describes got against want for a failure message.
